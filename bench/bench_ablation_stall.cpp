@@ -28,8 +28,10 @@ int main(int argc, char** argv) {
   double cfm_sum = 0;
   double monarch_sum = 0;
   for (sim::Cycle phase = 0; phase < b; ++phase) {
-    while (t < phase) cfm_mem.tick(t++);
-    const auto op = cfm_mem.issue(phase, 0, core::BlockOpKind::Read, phase);
+    // Issue at the current slot once the clock reaches the next slot of
+    // this phase of the b-slot schedule period.
+    while (t % b != phase) cfm_mem.tick(t++);
+    const auto op = cfm_mem.issue(t, 0, core::BlockOpKind::Read, phase);
     while (cfm_mem.result(op) == nullptr) cfm_mem.tick(t++);
     const auto r = cfm_mem.take_result(op);
     const auto cfm_lat = r->completed - r->issued;

@@ -14,6 +14,7 @@
 #include "cfm/cfm_memory.hpp"
 #include "net/omega.hpp"
 #include "report_main.hpp"
+#include "serve/server.hpp"
 #include "sim/audit.hpp"
 #include "sim/parallel_engine.hpp"
 #include "sim/rng.hpp"
@@ -241,6 +242,29 @@ BENCHMARK(BM_FastPathHierarchicalParallel)
     ->Arg(0)
     ->Arg(1)
     ->UseRealTime();
+
+// The serving path (DESIGN.md §13) on the fast path: a 16-processor
+// serve::Server under open-loop Poisson 0.05 arrivals, so most of the
+// host time goes to in-domain sub-spans and batched uncontended tours
+// (§12).  Each iteration serves a fresh 4000-request stream to drain;
+// items/sec == requests/sec.
+void BM_FastPathServe(benchmark::State& state) {
+  serve::ServeOptions opts;
+  opts.processors = 16;
+  opts.arrival = serve::ArrivalConfig::parse("poisson:rate=0.05");
+  opts.seed = 0x5e7eULL;
+  const auto requests = serve::synth_requests(4000, 0.25, 0.05, 0.05, 4096,
+                                              opts.seed);
+  for (auto _ : state) {
+    serve::Server server(opts);
+    server.submit(requests);
+    server.drain();
+    benchmark::DoNotOptimize(server.stats().completed);
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(requests.size()));
+}
+BENCHMARK(BM_FastPathServe)->UseRealTime();
 
 // ---- telemetry overhead ----------------------------------------------
 //

@@ -291,6 +291,13 @@ void CfmCacheSystem::accept(sim::Cycle now, sim::ProcessorId p, Request req) {
       if (line == nullptr) cache.count_miss(); else cache.count_hit();
       break;
   }
+  if (c.proto.has_value()) {
+    // A remote write-back is still touring: it keeps the controller's one
+    // primitive slot, and the request's primitives start once it lands.
+    c.stage = Stage::RetryWait;
+    c.stage_until = now;
+    return;
+  }
   begin_request_ops(now, p);
 }
 

@@ -1,13 +1,20 @@
 #include "cfm/att.hpp"
 
 #include <algorithm>
+#include <iterator>
 
 namespace cfm::core {
 
 void Att::insert(sim::Cycle now, sim::BlockAddr offset, OpKind kind,
                  std::uint64_t op_id, sim::ProcessorId proc) {
   prune(now);
-  entries_.push_back(Entry{now, offset, kind, op_id, proc});
+  // Batched tours (CfmMemory::tick_span) insert out of slot order; keep
+  // the entries sorted by insertion slot so find()'s young-to-old scan
+  // and prune()'s expired-prefix cut stay valid.  In slot order this is
+  // a push_back.
+  auto pos = entries_.end();
+  while (pos != entries_.begin() && std::prev(pos)->inserted > now) --pos;
+  entries_.insert(pos, Entry{now, offset, kind, op_id, proc});
 }
 
 std::optional<Att::Hit> Att::find(sim::Cycle now, sim::BlockAddr offset,

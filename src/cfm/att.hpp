@@ -70,7 +70,8 @@ class Att {
   [[nodiscard]] std::uint32_t capacity() const noexcept { return capacity_; }
 
   /// Inserts an entry at the head (position -1 this slot; position 0 next
-  /// slot).  Called by an operation at its first bank.
+  /// slot).  Called by an operation at its first bank.  Inserts may come
+  /// out of slot order; the table stays ordered by insertion slot.
   void insert(sim::Cycle now, sim::BlockAddr offset, OpKind kind,
               std::uint64_t op_id, sim::ProcessorId proc);
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <stdexcept>
+#include <string>
 
 namespace cfm::core {
 
@@ -11,7 +12,9 @@ CfmMemory::CfmMemory(const CfmConfig& cfg, ConsistencyPolicy policy)
       policy_(policy),
       at_(cfg),
       module_(0, cfg.banks, cfg.bank_cycle),
-      inflight_(cfg.processors) {
+      inflight_(cfg.processors),
+      active_((cfg.processors + 63) / 64, 0),
+      per_slot_(active_.size(), 0) {
   atts_.reserve(cfg_.banks);
   for (std::uint32_t i = 0; i < cfg_.banks; ++i) {
     atts_.emplace_back(cfg_.banks - 1);
@@ -67,6 +70,11 @@ CfmMemory::OpToken CfmMemory::issue(sim::Cycle now, sim::ProcessorId p,
                                     std::span<const sim::Word> data,
                                     ModifyFn modify) {
   if (!idle(p)) throw std::logic_error("processor already has an op in flight");
+  if (now < next_slot_) {
+    throw std::logic_error("issue at cycle " + std::to_string(now) +
+                           " precedes the next unticked slot " +
+                           std::to_string(next_slot_));
+  }
   if (kind == BlockOpKind::Swap && policy_ != ConsistencyPolicy::EarliestWins) {
     // §4.2.1: atomic operations require the first-issued-wins priority.
     throw std::logic_error("swap requires ConsistencyPolicy::EarliestWins");
@@ -104,6 +112,7 @@ CfmMemory::OpToken CfmMemory::issue(sim::Cycle now, sim::ProcessorId p,
     op.txn = tracer_->begin(tracer_unit_, now, p, op_kind_name(kind), offset);
   }
   inflight_.at(p) = std::move(op);
+  set_active(p, true);
   counters_.inc("ops_issued");
   // A quiescent memory just became actionable: the Memory phase of this
   // same cycle must tick the fresh tour.
@@ -113,39 +122,53 @@ CfmMemory::OpToken CfmMemory::issue(sim::Cycle now, sim::ProcessorId p,
 
 void CfmMemory::tick(sim::Cycle now) {
   if (faults_ != nullptr) [[unlikely]] check_faults(now);
-  for (auto& slot : inflight_) {
-    if (!slot.has_value()) continue;
-    if (slot->drain_until != sim::kNeverCycle) {
-      // Bank tour done; publish once the trailing data words have crossed.
-      if (now + 1 >= slot->drain_until) finish(now, *slot, OpStatus::Completed);
-      continue;
-    }
-    if (halted_) continue;  // fault pause: address tours are frozen
-    if (slot->tour_start > now) continue;  // restart back-off pending
-    step_op(now, *slot);
+  // One pass over the in-flight ops both steps them and gathers the
+  // quiescence hint: an op's state after its own step is final for this
+  // slot (ops never mutate each other outside check_faults).
+  sim::Cycle wake = sim::kNeverCycle;
+  for_each_active([&](sim::ProcessorId p) {
+    auto& op = *inflight_[p];
+    if (tick_op(now, op)) wake = std::min(wake, op_wake(op, now));
+  });
+  next_slot_ = now + 1;
+  if (ticker_ == nullptr) return;
+  // Fault windows open and close on arbitrary cycles and remap/abort
+  // timing is observable in traces and counters: stay per-cycle.
+  ticker_->set_next_event(faults_ != nullptr ? sim::Component::kAlways : wake);
+}
+
+bool CfmMemory::tick_op(sim::Cycle now, InFlight& op) {
+  if (op.drain_until != sim::kNeverCycle) {
+    // Bank tour done; publish once the trailing data words have crossed.
+    if (now + 1 < op.drain_until) return true;
+    finish(now, op, OpStatus::Completed);
+    return false;
   }
-  publish_wake(now);
+  if (halted_) return true;              // fault pause: tours are frozen
+  if (op.tour_start > now) return true;  // restart back-off pending
+  const sim::ProcessorId p = op.proc;
+  step_op(now, op);
+  return inflight_[p].has_value();
+}
+
+sim::Cycle CfmMemory::op_wake(const InFlight& op, sim::Cycle now) noexcept {
+  // Draining tours act again at the tick that publishes the result
+  // (now + 1 >= drain_until); everything else acts at its tour_start,
+  // or immediately next cycle if the tour is already under way.
+  return op.drain_until != sim::kNeverCycle ? op.drain_until - 1
+                                            : std::max(op.tour_start, now + 1);
 }
 
 void CfmMemory::publish_wake(sim::Cycle now) {
   if (ticker_ == nullptr) return;
   if (faults_ != nullptr) {
-    // Fault windows open and close on arbitrary cycles and remap/abort
-    // timing is observable in traces and counters: stay per-cycle.
     ticker_->set_next_event(sim::Component::kAlways);
     return;
   }
   sim::Cycle wake = sim::kNeverCycle;
-  for (const auto& slot : inflight_) {
-    if (!slot.has_value()) continue;
-    // Draining tours act again at the tick that publishes the result
-    // (now + 1 >= drain_until); everything else acts at its tour_start,
-    // or immediately next cycle if the tour is already under way.
-    const sim::Cycle w = slot->drain_until != sim::kNeverCycle
-                             ? slot->drain_until - 1
-                             : std::max(slot->tour_start, now + 1);
-    wake = std::min(wake, w);
-  }
+  for_each_active([&](sim::ProcessorId p) {
+    wake = std::min(wake, op_wake(*inflight_[p], now));
+  });
   ticker_->set_next_event(wake);
 }
 
@@ -157,33 +180,160 @@ void CfmMemory::tick_span(sim::Cycle begin, sim::Cycle end) {
     for (sim::Cycle t = begin; t < end; ++t) tick(t);
     return;
   }
+  if (faults_ == nullptr && tracer_ == nullptr && !log_.enabled() &&
+      policy_ != ConsistencyPolicy::NoTracking) {
+    batched_span(begin, end);
+    return;
+  }
   for (sim::Cycle t = begin; t < end; ++t) {
     if (ticker_ != nullptr) {
       const sim::Cycle w = ticker_->next_event(sim::Phase::Memory);
       if (w > t) {
-        if (w >= end) return;  // covers kNeverCycle
-        t = w - 1;             // provably idle: nothing external can
-        continue;              // mutate us mid-span (tick_span contract)
+        if (w >= end) break;  // covers kNeverCycle
+        t = w - 1;            // provably idle: nothing external can
+        continue;             // mutate us mid-span (tick_span contract)
       }
     }
     tick(t);
   }
+  next_slot_ = end;
+}
+
+void CfmMemory::batched_span(sim::Cycle begin, sim::Cycle end) {
+  // Partition.  No op is issued mid-span, so an op uncontended at
+  // `begin` stays so to the end: nothing can bring its offset back.
+  std::fill(per_slot_.begin(), per_slot_.end(), 0);
+  bool any_per_slot = false;
+  for_each_active([&](sim::ProcessorId p) {
+    if (contended(*inflight_[p], begin)) {
+      per_slot_[p / 64] |= std::uint64_t{1} << (p % 64);
+      any_per_slot = true;
+    }
+  });
+  const auto per_slot = [this](sim::ProcessorId p) {
+    return (per_slot_[p / 64] >> (p % 64) & 1) != 0;
+  };
+
+  // Contended ops first, per slot in processor order exactly as tick()
+  // runs them.  They precede the batched tours so that every find() they
+  // make sees the ATTs before any later-slot batched insert prunes them.
+  if (any_per_slot) {
+    for (sim::Cycle t = begin; t < end;) {
+      sim::Cycle wake = sim::kNeverCycle;
+      for_each_active([&](sim::ProcessorId p) {
+        if (!per_slot(p)) return;
+        auto& op = *inflight_[p];
+        if (tick_op(t, op)) wake = std::min(wake, op_wake(op, t));
+      });
+      if (wake >= end) break;
+      t = wake;  // op_wake is always past t
+    }
+  }
+  for_each_active([&](sim::ProcessorId p) {
+    if (!per_slot(p)) advance_uncontended(*inflight_[p], begin, end);
+  });
+  next_slot_ = end;
+  publish_wake(end - 1);
+}
+
+bool CfmMemory::contended(const InFlight& op, sim::Cycle from) const {
+  bool shared = false;
+  for_each_active([&](sim::ProcessorId q) {
+    if (q != op.proc && inflight_[q]->offset == op.offset) shared = true;
+  });
+  if (shared) return true;
+  // An entry inserted at slot s is visible to find() through s + (b - 1).
+  const sim::Cycle life = cfg_.banks - 1;
+  for (const auto& r : recent_inserts_) {
+    if (r.offset == op.offset && r.token != op.token && r.slot + life >= from) {
+      return true;
+    }
+  }
+  return false;
+}
+
+void CfmMemory::advance_uncontended(InFlight& op, sim::Cycle begin,
+                                    sim::Cycle end) {
+  // The per-slot path with every ATT lookup known to miss: no restart,
+  // no abort, one word per slot on bank (t + c*p) mod b.
+  const std::uint32_t b = cfg_.banks;
+  const sim::ProcessorId p = op.proc;
+  auto& store = module_.store();
+  sim::Cycle t = begin;
+  for (;;) {
+    if (op.drain_until != sim::kNeverCycle) {
+      // tick() publishes at the slot where now + 1 >= drain_until.
+      if (op.drain_until - 1 < end) {
+        finish(op.drain_until - 1, op, OpStatus::Completed);
+      }
+      return;
+    }
+    t = std::max(t, op.tour_start);
+    if (t >= end) return;
+    const bool writing =
+        op.kind == BlockOpKind::Write ||
+        (op.kind == BlockOpKind::Swap && op.write_phase);
+    const sim::Cycle stop = std::min<sim::Cycle>(end, t + (b - op.progress));
+    const auto words = static_cast<std::uint32_t>(stop - t);
+    sim::BankId bank = at_.bank_at(t, p);
+    assert(bank == at_.visit_bank(op.tour_start, p, op.progress));
+    if (writing) {
+      if (op.progress == 0) att_insert(t, bank, op, att_kind(op));
+      sim::Word* row = store.row(op.offset);
+      for (; t < stop; ++t) {
+        assert(at_.processor_at(t, bank) == p);
+        row[bank] = op.write_buf[bank];
+        module_.bank(bank).account_batched(t);
+        if (bank == 0) op.bank0_done = true;
+        bank = bank + 1 == b ? 0 : bank + 1;
+      }
+    } else {
+      const sim::Word* row = store.find_row(op.offset);
+      for (; t < stop; ++t) {
+        assert(at_.processor_at(t, bank) == p);
+        op.read_buf[bank] = row != nullptr ? row[bank] : 0;
+        module_.bank(bank).account_batched(t);
+        bank = bank + 1 == b ? 0 : bank + 1;
+      }
+    }
+    op.progress += words;
+    if (op.progress < b) return;  // the span ends mid-tour
+    if (!writing && op.kind == BlockOpKind::Swap) {
+      // Read phase done: the write tour starts at the next slot, as in
+      // handle_read_side.
+      op.write_phase = true;
+      if (op.modify) op.write_buf = op.modify(op.read_buf);
+      assert(op.write_buf.size() == b);
+      op.tour_start = t;
+      op.progress = 0;
+      op.bank0_done = false;
+      continue;
+    }
+    complete_or_drain(t - 1, op);
+    if (!inflight_[p].has_value()) return;
+  }
 }
 
 sim::Cycle CfmMemory::next_completion_hint(sim::Cycle now) const {
-  (void)now;
   if (faults_ != nullptr || !results_.empty()) return sim::Component::kAlways;
   sim::Cycle hint = sim::kNeverCycle;
-  for (const auto& slot : inflight_) {
-    if (!slot.has_value()) continue;
+  for_each_active([&](sim::ProcessorId p) {
+    const InFlight& op = *inflight_[p];
     // tour_start + beta is when this tour would complete if nothing
     // restarts it; restarts and swap write phases only push completion
-    // later, so the minimum over slots is a valid lower bound.
-    const sim::Cycle w = slot->drain_until != sim::kNeverCycle
-                             ? slot->drain_until
-                             : at_.completion(slot->tour_start);
-    hint = std::min(hint, w);
-  }
+    // later.  A plain write can instead abort at its next step and
+    // publish at the slot after — but only while it races a same-offset
+    // op or a live foreign ATT entry, and a new race needs a new issue,
+    // after which the issuing driver re-polls this bound.
+    const bool may_abort = op.kind == BlockOpKind::Write &&
+                           op.drain_until == sim::kNeverCycle &&
+                           policy_ != ConsistencyPolicy::NoTracking &&
+                           contended(op, now);
+    hint = std::min(hint, op.drain_until != sim::kNeverCycle
+                              ? op.drain_until
+                          : may_abort ? std::max(op.tour_start, now) + 1
+                                      : at_.completion(op.tour_start));
+  });
   return hint;
 }
 
@@ -275,6 +425,27 @@ void CfmMemory::attach(sim::Engine& engine, sim::DomainId domain) {
   ticker_ = engine.add(std::make_shared<sim::TickComponent<CfmMemory>>(
       "cfm.memory/" + std::to_string(cfg_.processors) + "p", domain,
       sim::Phase::Memory, *this));
+  // In an independent domain the memory's ticks touch nothing but its
+  // own state and its own hint, and the domain's drivers wake on
+  // next_completion_hint before any result they could take appears: it
+  // may run sub-spans while they are quiescent.  A shared-domain memory
+  // is driven by cross-domain controllers and must not batch.
+  if (domain != sim::kSharedDomain) ticker_->set_span_capable();
+}
+
+void CfmMemory::att_insert(sim::Cycle now, sim::BankId bank,
+                           const InFlight& op, OpKind kind) {
+  atts_[bank].insert(now, op.offset, kind, op.token, op.proc);
+  // Slots here only ever run ahead of the next span's begin, so pruning
+  // against `now` keeps every entry the contention test could need.
+  // Inserts come (almost) in slot order: prune once the oldest expires.
+  const sim::Cycle life = cfg_.banks - 1;
+  if (!recent_inserts_.empty() && recent_inserts_.front().slot + life < now) {
+    std::erase_if(recent_inserts_, [&](const RecentInsert& r) {
+      return r.slot + life < now;
+    });
+  }
+  recent_inserts_.push_back(RecentInsert{now, op.offset, op.token});
 }
 
 OpKind CfmMemory::att_kind(const InFlight& op) const noexcept {
@@ -303,7 +474,7 @@ void CfmMemory::restart(sim::Cycle now, InFlight& op, sim::BankId bank,
     // Mark the abandonment boundary so trailing readers restart here; the
     // competitor that forced this restart covers the orphaned prefix
     // before any such reader wraps around to it.
-    atts_[bank].insert(now, op.offset, OpKind::Abandon, op.token, op.proc);
+    att_insert(now, bank, op, OpKind::Abandon);
   }
   ++op.restarts;
   counters_.inc(counter);
@@ -317,9 +488,7 @@ void CfmMemory::restart(sim::Cycle now, InFlight& op, sim::BankId bank,
 }
 
 void CfmMemory::abort_write(sim::Cycle now, InFlight& op, sim::BankId bank) {
-  if (op.progress > 0) {
-    atts_[bank].insert(now, op.offset, OpKind::Abandon, op.token, op.proc);
-  }
+  if (op.progress > 0) att_insert(now, bank, op, OpKind::Abandon);
   finish(now, op, OpStatus::Aborted);
 }
 
@@ -370,6 +539,7 @@ void CfmMemory::finish(sim::Cycle now, InFlight& op, OpStatus status) {
     tracer_->end(op.txn, now + 1, false);
   }
   results_.emplace(op.token, std::move(result));
+  set_active(op.proc, false);
   inflight_.at(op.proc).reset();
 }
 
@@ -377,7 +547,7 @@ bool CfmMemory::handle_write_side(sim::Cycle now, InFlight& op,
                                   sim::BankId bank) {
   auto& att = atts_[bank];
   if (policy_ != ConsistencyPolicy::NoTracking && op.progress == 0) {
-    att.insert(now, op.offset, att_kind(op), op.token, op.proc);
+    att_insert(now, bank, op, att_kind(op));
   }
   // §4.1 comparing window: positions [0, progress) before updating bank 0
   // (simultaneous ops included, bank-0 tie-break), [0, progress-1) after

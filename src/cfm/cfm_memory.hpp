@@ -21,6 +21,7 @@
 // schedule makes collisions impossible) via mem::Bank.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -64,7 +65,9 @@ class CfmMemory {
   /// block for Write and the swap-in block for Swap; `modify`, if given,
   /// overrides `data` for Swap by computing the write block from the read
   /// block (read-modify-write).  Returns the op token.
-  /// Precondition: idle(p).
+  /// Precondition: idle(p).  Throws std::logic_error when `now` precedes
+  /// the slot after the last tick: that slot's bank has already been
+  /// visited, so the tour would leave the AT-space schedule.
   OpToken issue(sim::Cycle now, sim::ProcessorId p, BlockOpKind kind,
                 sim::BlockAddr offset, std::span<const sim::Word> data = {},
                 ModifyFn modify = nullptr);
@@ -75,10 +78,24 @@ class CfmMemory {
 
   /// Batched form of tick() over [begin, end), used by the engine's fast
   /// path when this memory is the sole schedulable entry of its tick
-  /// domain (see Component::tick_span).  Fast-forwards provably idle
-  /// stretches via the same quiescence reasoning tick() publishes; with
-  /// an auditor attached it degrades to the plain per-cycle loop so the
-  /// per-cycle audit probes are unweakened (DESIGN.md §12).
+  /// domain, or — attached in an independent domain — the only actionable
+  /// one (see Component::tick_span).  Nothing else can issue, take a
+  /// result or observe the memory mid-span.
+  ///
+  ///   * With an auditor attached it runs the plain per-cycle loop, so
+  ///     the per-cycle audit probes are unweakened (DESIGN.md §12).
+  ///   * With a transaction tracer, a fault injector, a trace sink, or
+  ///     ConsistencyPolicy::NoTracking it runs tick() per cycle and
+  ///     fast-forwards idle stretches via the published hints.
+  ///   * Otherwise it batches: an op is *uncontended* when no other
+  ///     in-flight op has its offset and no other op's ATT entry for that
+  ///     offset is live.  Only same-offset ops ever interact (§4.1.2), so
+  ///     such a tour is a pure function of its start slot, and it runs
+  ///     op-major to the span end straight on its backing-store row.
+  ///     Contended ops keep tick()'s per-slot loop, and run first.
+  ///
+  /// Every path leaves results, counters, bank accounting, ATTs and
+  /// blocks identical to ticking each cycle of the span.
   void tick_span(sim::Cycle begin, sim::Cycle end);
 
   /// Lower bound on the next cycle at which a new result could become
@@ -86,8 +103,10 @@ class CfmMemory {
   /// polling at `now`'s Issue phase.  kAlways while results are already
   /// pending or a fault injector is attached (fault timing is per-cycle
   /// observable); kNeverCycle when nothing is in flight.  Restarts only
-  /// ever delay completions, so the bound is conservative and wake-aware
-  /// drivers may sleep until it.
+  /// ever delay completions; a write racing a same-offset op may abort
+  /// at its next step, so such a write bounds the hint by that step.
+  /// The bound holds until the next issue(): a driver that issues must
+  /// re-poll it, and wake-aware drivers may sleep until it.
   [[nodiscard]] sim::Cycle next_completion_hint(sim::Cycle now) const;
 
   /// Registers tick() with an engine as a Phase::Memory component in a
@@ -211,7 +230,48 @@ class CfmMemory {
     sim::Cycle fault_at = sim::kNeverCycle;
   };
 
+  /// An ATT entry as recorded memory-wide for the contention test.
+  struct RecentInsert {
+    sim::Cycle slot = 0;
+    sim::BlockAddr offset = 0;
+    OpToken token = kNoOp;
+  };
+
   [[nodiscard]] OpKind att_kind(const InFlight& op) const noexcept;
+  /// Inserts into bank's ATT and records the entry in recent_inserts_.
+  void att_insert(sim::Cycle now, sim::BankId bank, const InFlight& op,
+                  OpKind kind);
+  /// One op's share of tick(now).  Returns false once the op has retired.
+  bool tick_op(sim::Cycle now, InFlight& op);
+  /// Cycle at which a still-in-flight op acts next, seen after tick(now).
+  [[nodiscard]] static sim::Cycle op_wake(const InFlight& op,
+                                          sim::Cycle now) noexcept;
+  /// True iff another in-flight op has op's offset, or another op's ATT
+  /// entry for it is live at some slot >= `from`: the only ways op can
+  /// restart or abort (§4.1.2).
+  [[nodiscard]] bool contended(const InFlight& op, sim::Cycle from) const;
+  /// tick_span's batched path (see tick_span).
+  void batched_span(sim::Cycle begin, sim::Cycle end);
+  /// Runs one uncontended op through [begin, end) op-major.
+  void advance_uncontended(InFlight& op, sim::Cycle begin, sim::Cycle end);
+  void set_active(sim::ProcessorId p, bool on) noexcept {
+    const auto bit = std::uint64_t{1} << (p % 64);
+    if (on) {
+      active_[p / 64] |= bit;
+    } else {
+      active_[p / 64] &= ~bit;
+    }
+  }
+  /// Calls fn(p) for every processor with an op in flight, ascending.
+  /// Bits cleared during the walk (ops retiring) are not revisited.
+  template <typename Fn>
+  void for_each_active(Fn&& fn) const {
+    for (std::size_t w = 0; w < active_.size(); ++w) {
+      for (std::uint64_t bits = active_[w]; bits != 0; bits &= bits - 1) {
+        fn(static_cast<sim::ProcessorId>(w * 64 + std::countr_zero(bits)));
+      }
+    }
+  }
   void check_faults(sim::Cycle now);
   sim::Word bank_access(sim::Cycle now, sim::BankId bank, mem::WordOp op,
                         sim::BlockAddr block, sim::Word value = 0);
@@ -233,6 +293,16 @@ class CfmMemory {
   mem::Module module_;
   std::vector<Att> atts_;                       ///< one per bank
   std::vector<std::optional<InFlight>> inflight_;  ///< one slot per processor
+  /// Bitset over processors: bit p set iff inflight_[p] holds an op.
+  std::vector<std::uint64_t> active_;
+  /// batched_span scratch, same layout: ops kept on the per-slot loop.
+  std::vector<std::uint64_t> per_slot_;
+  /// ATT inserts of about the last b slots, memory-wide (pruned on each
+  /// insert; contended() checks liveness), so the contention test needs
+  /// no scan of all b tables.
+  std::vector<RecentInsert> recent_inserts_;
+  /// Slot after the last tick (or span); issue() may not precede it.
+  sim::Cycle next_slot_ = 0;
   std::unordered_map<OpToken, BlockOpResult> results_;
   sim::CounterSet counters_;
   sim::TraceLog log_;

@@ -25,6 +25,17 @@ void BackingStore::write_word(sim::BlockAddr block, std::uint32_t word_index,
   it->second[word_index] = value;
 }
 
+sim::Word* BackingStore::row(sim::BlockAddr block) {
+  auto [it, inserted] = blocks_.try_emplace(block);
+  if (inserted) it->second.assign(words_per_block_, 0);
+  return it->second.data();
+}
+
+const sim::Word* BackingStore::find_row(sim::BlockAddr block) const {
+  const auto it = blocks_.find(block);
+  return it == blocks_.end() ? nullptr : it->second.data();
+}
+
 std::vector<sim::Word> BackingStore::read_block(sim::BlockAddr block) const {
   const auto it = blocks_.find(block);
   if (it == blocks_.end()) return std::vector<sim::Word>(words_per_block_, 0);

@@ -34,6 +34,16 @@ class BackingStore {
   /// Writes one word, materializing the block if needed.
   void write_word(sim::BlockAddr block, std::uint32_t word_index, sim::Word value);
 
+  /// The block's words as one stable row, materializing it (zeros) if
+  /// needed.  Blocks are never erased and never resized, so the pointer
+  /// stays valid for the store's lifetime; batched tours resolve it once
+  /// per op instead of hashing the offset for every word.
+  [[nodiscard]] sim::Word* row(sim::BlockAddr block);
+
+  /// Read-only row of a written block, or nullptr while the block has
+  /// never been written (it reads as zero and stays unmaterialized).
+  [[nodiscard]] const sim::Word* find_row(sim::BlockAddr block) const;
+
   /// Whole-block convenience accessors (used by tests and by functional —
   /// as opposed to cycle-accurate — paths).
   [[nodiscard]] std::vector<sim::Word> read_block(sim::BlockAddr block) const;

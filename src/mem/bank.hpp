@@ -7,6 +7,7 @@
 // — overlap would mean the AT-space schedule is broken.
 #pragma once
 
+#include <algorithm>
 #include <cassert>
 #include <cstdint>
 
@@ -44,6 +45,20 @@ class Bank {
   /// the dead bank's word slice while keeping its own occupancy state.
   sim::Word access_as(sim::Cycle now, WordOp op, sim::BlockAddr block,
                       sim::BankId word_index, sim::Word value = 0);
+
+  /// Accounts one word access that a batched tour served straight on the
+  /// backing-store row (CfmMemory::tick_span), possibly out of slot order
+  /// with respect to this bank's other accesses.  Every update is
+  /// order-independent — the counters add and busy_until_ only moves
+  /// forward — so a span's accesses leave the same state as access()
+  /// called in slot order.  No conflict assert (it is order-dependent;
+  /// the caller checks the AT-space partition instead) and no audit
+  /// probe (audited memories never batch).
+  void account_batched(sim::Cycle now) noexcept {
+    busy_until_ = std::max(busy_until_, now + cycle_time_);
+    ++accesses_;
+    busy_cycles_ += cycle_time_;
+  }
 
   /// Total word accesses served (for utilization accounting, §3.4).
   [[nodiscard]] std::uint64_t accesses() const noexcept { return accesses_; }

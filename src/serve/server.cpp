@@ -259,6 +259,9 @@ Server::Server(const ServeOptions& options)
   memory_ = std::make_unique<core::CfmMemory>(cfg);
   if (!opts_.fault_plan.empty()) {
     fault_plan_ = sim::FaultPlan::parse(opts_.fault_plan);
+    // A bank the machine does not have would make the fault silently
+    // inert and the run would measure a healthy machine.
+    fault_plan_.validate_banks(cfg.banks, "serve memory (b = c*n banks)");
     injector_.emplace(fault_plan_, opts_.seed ^ 0x5e47eULL);
   }
   if (opts_.audit) {

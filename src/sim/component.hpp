@@ -123,10 +123,18 @@ class Component {
   ///   for (Cycle t = begin; t < end; ++t)
   ///     if (next_event(phase) <= t) tick_phase(phase, t);
   ///
-  /// The engine only calls this when the component is the *sole*
-  /// schedulable entry of its tick domain for the whole span and every
-  /// shared-domain component is provably quiescent across it, so nothing
-  /// can observe intermediate state or mutate the component mid-span.
+  /// The engine calls this when every shared-domain component that is
+  /// not span-capable is provably quiescent across the span, and either
+  ///
+  ///   * the component is the *sole* schedulable entry of its tick
+  ///     domain, or a span-capable shared-domain component; or
+  ///   * it is single-phase, span-capable, and the *only actionable*
+  ///     entry of its independent domain, with `end` no later than the
+  ///     earliest hint of the domain's other entries (an in-domain
+  ///     sub-span, DESIGN.md §12);
+  ///
+  /// so nothing can observe intermediate state or mutate the component
+  /// mid-span.
   /// Overrides may therefore fast-forward idle stretches or use
   /// precomputed schedule tables, as long as the end-of-span state and
   /// every externally visible side effect (statistics, traces, audit
@@ -171,15 +179,22 @@ class Component {
     }
   }
 
-  /// Self-containment promise, consulted only for *shared-domain*
-  /// components (independent domains are fusable by the domain contract
-  /// alone).  A span-capable shared component asserts that, whenever
-  /// every other shared component is quiescent for a span, its own ticks
-  /// neither read nor write state any other component touches during
-  /// that span — so the engine may batch it via tick_span instead of
-  /// letting its (often kAlways) hint veto span fusion.  Cycle cursors
-  /// and occupancy samplers qualify; controllers that move requests
-  /// between components do not.  Default false: unsure means veto.
+  /// Self-containment promise.  Default false: unsure means veto.
+  ///
+  ///   * Shared domain: whenever every other shared component is
+  ///     quiescent for a span, the component's own ticks neither read nor
+  ///     write state any other component touches during that span — so
+  ///     the engine may batch it via tick_span instead of letting its
+  ///     (often kAlways) hint veto span fusion.  Cycle cursors and
+  ///     occupancy samplers qualify; controllers that move requests
+  ///     between components do not.
+  ///   * Independent domain: while every other entry of the domain is
+  ///     quiescent, the component's ticks change none of their hints and
+  ///     touch no state they read before their hints come due — so the
+  ///     engine may hand it a sub-span up to the earliest such hint
+  ///     instead of ticking the group cycle by cycle.  A CfmMemory
+  ///     qualifies (its drivers wake on next_completion_hint); a
+  ///     component that calls into its neighbours does not.
   [[nodiscard]] bool span_capable() const noexcept { return span_capable_; }
   void set_span_capable(bool on = true) noexcept { span_capable_ = on; }
 

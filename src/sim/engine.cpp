@@ -1,6 +1,7 @@
 #include "sim/engine.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <map>
 #include <string>
 
@@ -276,17 +277,53 @@ void Engine::run_group_span(const FastPlan::DomainGroup& group, Cycle begin,
     group.sole->tick_span(group.sole_phase, begin, end);
     return;
   }
-  // Multiple entries: per-cycle loop preserving the reference phase
-  // order within the domain, with the same hint guards as
-  // step_cycle_fast.  Legal because nothing outside the domain runs
-  // concurrently with the span and shared state is frozen across it.
-  for (Cycle t = begin; t < end; ++t) {
+  // Multiple entries.  Each step reads every entry's hint at cycle t:
+  //   * none actionable: jump the group to the earliest hint;
+  //   * exactly one, single-phase and span-capable: hand it a sub-span
+  //     up to the earliest hint of the others.  Those hints cannot
+  //     change meanwhile — only their own ticks re-publish them, and a
+  //     span-capable component's ticks touch nothing they read — so
+  //     every cycle of the sub-span runs that one entry alone, as the
+  //     per-cycle loop below would;
+  //   * otherwise: one cycle in the reference phase order, with the same
+  //     hint guards as step_cycle_fast.
+  // Legal because nothing outside the domain runs concurrently with the
+  // span and shared state is frozen across it.
+  for (Cycle t = begin; t < end;) {
+    Component* sole = nullptr;
+    Phase sole_phase = Phase::Issue;
+    std::size_t actionable = 0;
+    Cycle others = end;
+    for (std::size_t pi = 0; pi < kPhaseCount; ++pi) {
+      const auto phase = static_cast<Phase>(pi);
+      for (auto* c : group.by_phase[pi]) {
+        const Cycle w = c->next_event(phase);
+        if (w <= t) {
+          ++actionable;
+          sole = c;
+          sole_phase = phase;
+        } else {
+          others = std::min(others, w);
+        }
+      }
+    }
+    if (actionable == 0) {
+      t = others;
+      continue;
+    }
+    if (actionable == 1 && sole->span_capable() &&
+        std::has_single_bit(sole->phases())) {
+      sole->tick_span(sole_phase, t, others);
+      t = others;
+      continue;
+    }
     for (std::size_t pi = 0; pi < kPhaseCount; ++pi) {
       const auto phase = static_cast<Phase>(pi);
       for (auto* c : group.by_phase[pi]) {
         if (c->next_event(phase) <= t) c->tick_phase(phase, t);
       }
     }
+    ++t;
   }
 }
 

@@ -246,7 +246,9 @@ class Engine {
   void run_shared_span(Cycle begin, Cycle end);
   /// Runs one domain group over [begin, end) with the phase order of the
   /// reference schedule and per-tick quiescence guards; single-entry
-  /// groups get the whole span as one tick_span call.
+  /// groups get the whole span as one tick_span call.  Multi-entry
+  /// groups jump while no entry is actionable and hand a lone actionable
+  /// span-capable entry a sub-span up to the others' earliest hint.
   static void run_group_span(const FastPlan::DomainGroup& group, Cycle begin,
                              Cycle end);
   [[nodiscard]] bool fast_path_usable() const noexcept {

@@ -3,6 +3,8 @@
 // and swap interactions (Fig 4.6), plus exact block-access timing.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "cfm/cfm_memory.hpp"
@@ -50,15 +52,19 @@ TEST(CfmMemory, ReadTakesExactlyBeta) {
 TEST(CfmMemory, NonStallStartAtAnySlot) {
   // §3.1.1: "a block access can start at any time slot" with the same
   // latency — no phase alignment stalls (unlike Monarch/OMP).
+  // Each access is issued at the current slot, once the clock reaches the
+  // next slot of the wanted phase of the b-slot schedule period.
   CfmMemory mem(CfmConfig::make(8, 1));
   const auto beta = mem.config().block_access_time();
+  const auto b = mem.config().banks;
   Cycle t = 0;
-  for (Cycle start = 0; start < 8; ++start) {
-    while (t < start) mem.tick(t++);
-    const auto op = mem.issue(start, 0, BlockOpKind::Read, start);
+  for (Cycle phase = 0; phase < b; ++phase) {
+    while (t % b != phase) mem.tick(t++);
+    const auto op = mem.issue(t, 0, BlockOpKind::Read, phase);
     run_until_done(mem, t, {op});
     const auto r = mem.take_result(op);
-    EXPECT_EQ(r->completed - r->issued, beta) << "start slot " << start;
+    EXPECT_EQ(r->issued % b, phase);
+    EXPECT_EQ(r->completed - r->issued, beta) << "start phase " << phase;
   }
 }
 
@@ -264,6 +270,27 @@ TEST(CfmMemory, IssueWhileBusyThrows) {
   (void)mem.issue(0, 0, BlockOpKind::Read, 1);
   EXPECT_FALSE(mem.idle(0));
   EXPECT_THROW(mem.issue(0, 0, BlockOpKind::Read, 2), std::logic_error);
+}
+
+TEST(CfmMemory, IssueBeforeNextUntickedSlotThrows) {
+  // Slot 2's bank has already been visited once tick(2) ran: an op
+  // issued there would start its tour off the AT-space schedule.
+  CfmMemory mem(CfmConfig::make(4, 1));
+  for (Cycle t = 0; t < 3; ++t) mem.tick(t);
+  try {
+    (void)mem.issue(2, 0, BlockOpKind::Read, 1);
+    FAIL() << "issue in the past was accepted";
+  } catch (const std::logic_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("cycle 2"), std::string::npos) << what;
+    EXPECT_NE(what.find("slot 3"), std::string::npos) << what;
+  }
+  EXPECT_TRUE(mem.idle(0));
+  // The slot after the last tick is accepted and completes in beta.
+  const auto op = mem.issue(3, 0, BlockOpKind::Read, 1);
+  Cycle t = 3;
+  run_until_done(mem, t, {op});
+  EXPECT_EQ(mem.take_result(op)->completed, 3 + mem.config().block_access_time());
 }
 
 TEST(CfmMemory, ProtocolKindsRejected) {

@@ -118,6 +118,30 @@ TEST(CfmProtocol, ReadMissOnRemoteDirtyTriggersWriteBack) {
   EXPECT_GE(sys.counters().get("remote_wbs_served"), 1u);
 }
 
+TEST(CfmProtocol, RequestAcceptedDuringRemoteWriteBackWaitsForIt) {
+  // The owner accepts a request of its own while its remote write-back
+  // is still touring.  The write-back keeps the controller's primitive
+  // slot and lands once; the request's fill starts after it.
+  CfmCacheSystem sys(params_for(4));
+  Cycle t = 0;
+  (void)run_one(sys, t, sys.store(t, 1, 10, 0, 42));
+  const auto reader = sys.load(t, 0, 10);
+  while (sys.counters().get("remote_wbs_served") == 0) {
+    ASSERT_LT(t, 1000u) << "remote write-back never started";
+    sys.tick(t++);
+  }
+  ASSERT_EQ(sys.line_state(1, 10), LineState::Dirty);  // still touring
+  const auto own = sys.load(t, 1, 20);
+  const auto own_result = run_one(sys, t, own);
+  EXPECT_FALSE(own_result.local_hit);
+  const auto read = run_one(sys, t, reader);
+  EXPECT_EQ(read.data.at(0), 42u);
+  EXPECT_EQ(sys.memory_block(10).at(0), 42u);
+  EXPECT_EQ(sys.counters().get("remote_wbs_served"), 1u);
+  EXPECT_EQ(sys.counters().get("proto_write_backs"), 1u);
+  EXPECT_TRUE(sys.check_single_dirty_owner());
+}
+
 TEST(CfmProtocol, WriteMissOnRemoteDirtyStealsOwnership) {
   CfmCacheSystem sys(params_for(4));
   Cycle t = 0;

@@ -1,25 +1,33 @@
 // Tests for the batch-tick + quiescence fast path (DESIGN.md §12): the
 // skip / jump / span rules in isolation, the run_until per-cycle
-// guarantee, and the headline cross-product bit-exactness suite —
+// guarantee, in-domain sub-spans and batched CfmMemory tours against the
+// per-cycle reference, and the headline cross-product bit-exactness
+// suite —
 // {serial, parallel} x {fast path on, off} x max_span {1, 7, 64} x
 // {no faults, bank_dead + brownout} all produce identical results on a
 // 64-processor hierarchical CFM machine driven by the wake-aware
 // think-time workload.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <optional>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
 #include "cache/hierarchical.hpp"
+#include "cfm/cfm_memory.hpp"
 #include "sim/audit.hpp"
 #include "sim/engine.hpp"
 #include "sim/fault.hpp"
 #include "sim/parallel_engine.hpp"
+#include "sim/report.hpp"
+#include "sim/rng.hpp"
 #include "sim/stats.hpp"
+#include "sim/txn_trace.hpp"
 #include "workload/hier_driver.hpp"
 
 namespace {
@@ -244,6 +252,242 @@ TEST(LambdaComponent, PhaseIndexedCallbacksFireInPhaseOrder) {
   engine.add(std::move(multi));
   engine.run_for(2);
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 0, 1, 2, 3}));
+}
+
+// --------------------------------------------- in-domain sub-spans --
+
+// Two entries in one domain: a span-capable pulse (Memory phase) and a
+// plain pulse (Issue phase) with a longer period.  Between the slow
+// pulses the fast one is the only actionable entry and must receive
+// sub-spans; the group must jump when neither can act.
+TEST(FastPath, SpanCapableEntryGetsSubSpansInsideItsDomain) {
+  constexpr Cycle kCycles = 2000;
+  class SubSpanPulse final : public sim::Component {
+   public:
+    SubSpanPulse(sim::DomainId domain, Phase phase, Cycle period)
+        : Component("pulse", domain, sim::phase_bit(phase)), period_(period) {}
+    void tick_phase(Phase phase, Cycle now) override {
+      ++ticks;
+      if (now < next_) return;  // the reference ticks every cycle
+      checksum = checksum * 31 + now;
+      next_ = now + period_;
+      set_next_event(phase, next_);
+    }
+    void tick_span(Phase phase, Cycle begin, Cycle end) override {
+      ++spans;
+      Component::tick_span(phase, begin, end);
+    }
+    Cycle period_;
+    Cycle next_ = 0;
+    std::uint64_t ticks = 0;
+    std::uint64_t spans = 0;
+    std::uint64_t checksum = 0;
+  };
+  auto run = [&](bool fast, bool capable) {
+    Engine engine(EngineConfig{.fast_path = fast, .max_span = 64});
+    const auto domain = engine.allocate_domain();
+    SubSpanPulse quick(domain, Phase::Memory, 3);
+    SubSpanPulse slow(domain, Phase::Issue, 50);
+    quick.set_span_capable(capable);
+    engine.add(quick);
+    engine.add(slow);
+    engine.run_for(kCycles);
+    return std::tuple{quick.checksum, slow.checksum, quick.ticks, slow.ticks,
+                      quick.spans};
+  };
+  const auto ref = run(false, true);
+  const auto batched = run(true, true);
+  const auto plain = run(true, false);
+  EXPECT_EQ(std::get<0>(batched), std::get<0>(ref));
+  EXPECT_EQ(std::get<1>(batched), std::get<1>(ref));
+  EXPECT_EQ(std::get<0>(plain), std::get<0>(ref));
+  EXPECT_EQ(std::get<1>(plain), std::get<1>(ref));
+  EXPECT_EQ(std::get<2>(ref), kCycles);  // reference: every cycle
+  EXPECT_EQ(std::get<2>(batched), (kCycles + 2) / 3);
+  EXPECT_EQ(std::get<3>(batched), kCycles / 50);
+  EXPECT_GT(std::get<4>(batched), 0u);  // sub-spans were handed out
+  EXPECT_EQ(std::get<4>(plain), 0u);    // only when span-capable
+}
+
+// ------------------------------------------- batched CfmMemory tours --
+
+// Closed-loop stream in the memory's tick domain: each port thinks for a
+// seeded 0..47 cycles, then issues a Read, Write or (optionally) a
+// fetch-and-increment Swap on one of four hot offsets half the time and
+// on a wide cold range otherwise.  The hot offsets keep same-address
+// races (restarts, aborts, live ATT entries) in the stream; the cold ones
+// are the uncontended tours the fast path batches.
+class StreamDriver final : public sim::Component {
+ public:
+  struct Record {
+    std::uint32_t port = 0;
+    core::OpStatus status = core::OpStatus::Completed;
+    Cycle issued = 0;
+    Cycle completed = 0;
+    std::vector<sim::Word> data;
+    std::uint32_t restarts = 0;
+    bool operator==(const Record&) const = default;
+  };
+
+  StreamDriver(sim::DomainId domain, core::CfmMemory& mem, bool swaps,
+               std::uint64_t seed)
+      : Component("stream", domain, sim::phase_bit(Phase::Issue)),
+        mem_(mem),
+        swaps_(swaps),
+        rng_(seed),
+        ports_(mem.config().processors) {}
+
+  void tick_phase(Phase, Cycle now) override {
+    Cycle wake = sim::kNeverCycle;
+    bool in_flight = false;
+    for (std::uint32_t p = 0; p < ports_.size(); ++p) {
+      auto& port = ports_[p];
+      if (port.op != core::CfmMemory::kNoOp) {
+        if (auto r = mem_.take_result(port.op)) {
+          records.push_back(Record{p, r->status, r->issued, r->completed,
+                                   r->data, r->restarts});
+          port.op = core::CfmMemory::kNoOp;
+          port.ready = now + rng_.below(48);
+        }
+      }
+      if (port.op == core::CfmMemory::kNoOp && port.ready <= now) issue(now, p);
+      if (port.op != core::CfmMemory::kNoOp) {
+        in_flight = true;
+      } else {
+        wake = std::min(wake, port.ready);
+      }
+    }
+    if (in_flight) wake = std::min(wake, mem_.next_completion_hint(now));
+    set_next_event(wake);
+  }
+
+  std::vector<Record> records;
+  std::vector<sim::BlockAddr> offsets;  ///< every offset issued
+
+ private:
+  struct Port {
+    core::CfmMemory::OpToken op = core::CfmMemory::kNoOp;
+    Cycle ready = 0;
+  };
+
+  void issue(Cycle now, std::uint32_t p) {
+    const sim::BlockAddr offset =
+        rng_.chance(0.5) ? rng_.below(4) : 1000 + rng_.below(100000);
+    offsets.push_back(offset);
+    const auto roll = rng_.below(10);
+    if (swaps_ && roll < 2) {
+      ports_[p].op = mem_.issue(now, p, core::BlockOpKind::Swap, offset, {},
+                                [](const std::vector<sim::Word>& read) {
+                                  auto out = read;
+                                  ++out[0];
+                                  return out;
+                                });
+    } else if (roll < 6) {
+      std::vector<sim::Word> data(mem_.config().banks);
+      const sim::Word v = rng_.below(1u << 30);
+      for (std::size_t j = 0; j < data.size(); ++j) data[j] = v ^ j;
+      ports_[p].op =
+          mem_.issue(now, p, core::BlockOpKind::Write, offset, data);
+    } else {
+      ports_[p].op = mem_.issue(now, p, core::BlockOpKind::Read, offset);
+    }
+  }
+
+  core::CfmMemory& mem_;
+  bool swaps_;
+  sim::Rng rng_;
+  std::vector<Port> ports_;
+};
+
+struct StreamRun {
+  std::vector<StreamDriver::Record> records;
+  std::vector<std::pair<std::string, std::uint64_t>> counters;
+  std::vector<std::uint64_t> bank_accesses;
+  std::vector<std::uint64_t> bank_busy;
+  std::vector<std::vector<sim::Word>> blocks;
+  std::uint64_t audit_checks = 0;
+  std::uint64_t audit_violations = 0;
+  std::string trace;
+
+  bool operator==(const StreamRun&) const = default;
+};
+
+enum class Instrument { None, Audit, Trace };
+
+StreamRun run_stream(core::ConsistencyPolicy policy, bool fast, Cycle span,
+                     Instrument instrument = Instrument::None) {
+  constexpr Cycle kCycles = 20000;
+  Engine engine(EngineConfig{.fast_path = fast, .max_span = span});
+  core::CfmMemory mem(core::CfmConfig::make(8, 2), policy);
+  sim::ConflictAuditor auditor;
+  sim::TxnTracer tracer;
+  if (instrument == Instrument::Audit) mem.set_audit(auditor);
+  if (instrument == Instrument::Trace) mem.set_txn_trace(tracer);
+  const auto domain = engine.allocate_domain();
+  mem.attach(engine, domain);
+  StreamDriver driver(domain, mem,
+                      policy == core::ConsistencyPolicy::EarliestWins,
+                      0xb47c4edULL);
+  engine.add(driver);
+  engine.run_for(kCycles);
+
+  StreamRun out;
+  out.records = driver.records;
+  for (const auto& [k, v] : mem.counters().all()) out.counters.emplace_back(k, v);
+  for (std::uint32_t b = 0; b < mem.module().bank_count(); ++b) {
+    out.bank_accesses.push_back(mem.module().bank(b).accesses());
+    out.bank_busy.push_back(mem.module().bank(b).busy_cycles());
+  }
+  auto offsets = driver.offsets;
+  std::sort(offsets.begin(), offsets.end());
+  offsets.erase(std::unique(offsets.begin(), offsets.end()), offsets.end());
+  for (const auto o : offsets) out.blocks.push_back(mem.peek_block(o));
+  out.audit_checks = auditor.checks_performed();
+  out.audit_violations = auditor.violations();
+  if (instrument == Instrument::Trace) out.trace = tracer.to_json().dump();
+  return out;
+}
+
+// Uncontended tours run op-major on the fast path, contended ones per
+// slot; every observable must match the per-cycle reference.
+TEST(BatchedTours, MatchPerCycleReferenceUnderBothPolicies) {
+  for (const auto policy : {core::ConsistencyPolicy::EarliestWins,
+                            core::ConsistencyPolicy::LatestWins}) {
+    const StreamRun ref = run_stream(policy, /*fast=*/false, 1);
+    ASSERT_GT(ref.records.size(), 2000u);
+    // The stream really races on the hot offsets.
+    std::uint64_t restarts = 0;
+    std::uint64_t aborted = 0;
+    for (const auto& [k, v] : ref.counters) {
+      if (k.ends_with("_restarts")) restarts += v;
+      if (k == "ops_aborted") aborted = v;
+    }
+    EXPECT_GT(restarts, 0u);
+    if (policy == core::ConsistencyPolicy::LatestWins) {
+      EXPECT_GT(aborted, 0u);
+    }
+    for (const Cycle span : {Cycle{1}, Cycle{7}, Cycle{64}}) {
+      EXPECT_EQ(run_stream(policy, true, span), ref)
+          << "policy " << static_cast<int>(policy) << " span " << span;
+    }
+  }
+}
+
+// An audited or traced memory never batches: its probes and spans are
+// exactly the per-cycle reference's, and the audit stays clean.
+TEST(BatchedTours, InstrumentedMemoryStaysOnThePerSlotPath) {
+  const auto policy = core::ConsistencyPolicy::EarliestWins;
+  const StreamRun plain = run_stream(policy, false, 1);
+  for (const auto instrument : {Instrument::Audit, Instrument::Trace}) {
+    const StreamRun ref = run_stream(policy, false, 1, instrument);
+    const StreamRun fast = run_stream(policy, true, 64, instrument);
+    EXPECT_EQ(fast, ref);
+    EXPECT_EQ(fast.records, plain.records);
+    EXPECT_EQ(fast.audit_violations, 0u);
+  }
+  EXPECT_GT(run_stream(policy, true, 64, Instrument::Audit).audit_checks,
+            plain.bank_accesses.size());
+  EXPECT_FALSE(run_stream(policy, true, 64, Instrument::Trace).trace.empty());
 }
 
 // ----------------------------------------- hierarchical cross-product --

@@ -46,11 +46,12 @@ TEST(PhaseAligned, CfmNeverStallsAtAnyPhase) {
   mem::PhaseAlignedMemory monarch(8, 0, 8);
   core::CfmMemory cfm_mem(core::CfmConfig::make(8, 1));
   const auto beta = cfm_mem.config().block_access_time();
+  // The CFM access is issued at the current slot, once the clock reaches
+  // the next slot with the arrival's phase of the 8-slot period.
   Cycle t = 0;
   for (Cycle arrival = 0; arrival < 8; ++arrival) {
-    while (t < arrival) cfm_mem.tick(t++);
-    const auto op =
-        cfm_mem.issue(arrival, 0, core::BlockOpKind::Read, arrival);
+    while (t % 8 != arrival) cfm_mem.tick(t++);
+    const auto op = cfm_mem.issue(t, 0, core::BlockOpKind::Read, arrival);
     while (cfm_mem.result(op) == nullptr) cfm_mem.tick(t++);
     const auto r = cfm_mem.take_result(op);
     EXPECT_EQ(r->completed - r->issued, beta);

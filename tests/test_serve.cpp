@@ -234,6 +234,23 @@ TEST(Serve, FaultPlanDegradesGracefully) {
   EXPECT_TRUE(report.contains("audit"));
 }
 
+TEST(Serve, FaultPlanNamingAMissingBankIsRejected) {
+  // 16 processors, c = 2: banks [0, 32).  Bank 40 does not exist, so the
+  // plan would be inert; the server refuses it and names the bank.
+  ServeOptions opts;
+  opts.fault_plan = "bank_dead@0:bank=40";
+  try {
+    Server server(opts);
+    FAIL() << "a fault plan naming bank 40 of 32 was accepted";
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("bank 40"), std::string::npos) << what;
+    EXPECT_NE(what.find("32"), std::string::npos) << what;
+  }
+  opts.fault_plan = "bank_dead@0:bank=31";
+  EXPECT_NO_THROW(Server{opts});
+}
+
 // ---------------------------------------------------------------------------
 // Report determinism across engine configurations.
 

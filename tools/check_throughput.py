@@ -12,6 +12,9 @@ invariants:
      (default 2x; lower because shared CI runners oversubscribe the
      4 worker threads).
 
+     Both ratios, like every rate below, come from the "_median"
+     aggregates when the report was run with --benchmark_repetitions.
+
   2. Absolute regression (host-dependent, the trend gate): every
      benchmark present in the committed baseline
      (bench/baselines/sim_throughput.json) must stay within
@@ -36,6 +39,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import statistics
 import sys
 from pathlib import Path
 
@@ -48,20 +52,35 @@ TELEMETRY_ON = "BM_TelemetryOverhead/1/real_time"
 
 
 def load_rates(path: Path) -> dict[str, float]:
-    """Return {benchmark name: items_per_second} from a report file."""
+    """Return {benchmark name: items_per_second} from a report file.
+
+    A report run with --benchmark_repetitions=N carries N raw rows per
+    benchmark plus mean/median/stddev aggregate rows; the "_median"
+    aggregate is the benchmark's rate then, because one raw sample on a
+    shared runner can be off by tens of percent.  A single-sample report
+    (the committed baseline) has raw rows only; a repeated name without
+    a median falls back to the median of its raw rows.
+    """
     try:
         doc = json.loads(path.read_text())
     except (OSError, json.JSONDecodeError) as err:
         sys.exit(f"check_throughput: cannot read {path}: {err}")
     runs = doc.get("tables", {}).get("runs", [])
-    rates: dict[str, float] = {}
+    raw: dict[str, list[float]] = {}
+    medians: dict[str, float] = {}
     for row in runs:
-        if "aggregate" in row:  # keep only the raw per-benchmark rows
-            continue
         name = row.get("name")
         rate = row.get("items_per_second")
-        if isinstance(name, str) and isinstance(rate, (int, float)):
-            rates[name] = float(rate)
+        if not isinstance(name, str) or not isinstance(rate, (int, float)):
+            continue
+        aggregate = row.get("aggregate")
+        if aggregate is None:
+            raw.setdefault(name, []).append(float(rate))
+        elif aggregate == "median":
+            medians[name.removesuffix("_median")] = float(rate)
+    rates = {name: statistics.median(samples)
+             for name, samples in raw.items()}
+    rates.update(medians)
     if not rates:
         sys.exit(f"check_throughput: {path} has no usable runs "
                  "(expected tables.runs rows with items_per_second)")
