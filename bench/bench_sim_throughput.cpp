@@ -1,8 +1,8 @@
 // google-benchmark microbenchmarks of the simulator itself: cycles/sec of
-// the CFM memory, the cache protocol, the hierarchical machine, the
-// parallel tick scheduler, and the cost of deriving synchronous-omega
-// schedules.  These guard against performance regressions in the
-// simulation kernel, not the paper.
+// the CFM memory, the cache protocol, the hierarchical machine on the
+// engine fast path, the serving path, the telemetry sampler, and the cost
+// of deriving synchronous-omega schedules.  These guard against
+// performance regressions in the simulation kernel, not the paper.
 #include <benchmark/benchmark.h>
 
 #include <memory>
@@ -16,7 +16,7 @@
 #include "report_main.hpp"
 #include "serve/server.hpp"
 #include "sim/audit.hpp"
-#include "sim/parallel_engine.hpp"
+#include "sim/engine.hpp"
 #include "sim/rng.hpp"
 #include "sim/telemetry.hpp"
 #include "sim/txn_trace.hpp"
@@ -111,78 +111,6 @@ void BM_SyncOmegaConstruction(benchmark::State& state) {
 }
 BENCHMARK(BM_SyncOmegaConstruction)->Arg(8)->Arg(64)->Arg(256);
 
-// ---- parallel tick domains -------------------------------------------
-//
-// The tentpole scenario for ParallelEngine: many independent CfmMemory
-// modules, each a tick domain with its own closed-loop driver.  Reported
-// items/sec == simulated cycles/sec; compare Arg(1) (serial engine) with
-// Arg(4) for the domain-parallel speedup.
-
-struct ModuleFarm {
-  std::unique_ptr<sim::Engine> engine;
-  std::vector<std::unique_ptr<core::CfmMemory>> mems;
-  std::vector<std::unique_ptr<workload::AccessDriver>> drivers;
-
-  ModuleFarm(unsigned threads, std::uint32_t modules, std::uint32_t procs) {
-    engine = sim::Engine::make(sim::EngineConfig{threads});
-    for (std::uint32_t m = 0; m < modules; ++m) {
-      mems.push_back(
-          std::make_unique<core::CfmMemory>(core::CfmConfig::make(procs)));
-      const auto d = engine->allocate_domain();
-      mems.back()->attach(*engine, d);
-      drivers.push_back(std::make_unique<workload::AccessDriver>(
-          "bench.driver#" + std::to_string(m), d, *mems.back(), 1.0,
-          /*seed=*/7 + m, engine->shard(d)));
-      engine->add(*drivers.back());
-    }
-  }
-};
-
-void BM_ParallelModuleFarm(benchmark::State& state) {
-  const auto threads = static_cast<unsigned>(state.range(0));
-  ModuleFarm farm(threads, /*modules=*/16, /*procs=*/16);
-  farm.engine->run_for(64);  // fill the pipeline of block tours
-  for (auto _ : state) farm.engine->step();
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_ParallelModuleFarm)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->UseRealTime();
-
-// Hierarchical machine: the cross-cluster controller and global CFM run
-// in the shared domain while every cluster memory tours concurrently.
-// Miss-heavy random reads keep all cluster ports busy.
-void BM_ParallelHierarchical(benchmark::State& state) {
-  const auto threads = static_cast<unsigned>(state.range(0));
-  auto engine = sim::Engine::make(sim::EngineConfig{threads});
-  // clusters == procs_per_cluster keeps the cluster and global line
-  // shapes identical (the 1:1 block-movement requirement).
-  cache::HierarchicalCfm::Params params;
-  params.clusters = 16;
-  params.procs_per_cluster = 16;
-  cache::HierarchicalCfm sys(params);
-  sys.attach(*engine);
-
-  sim::Rng rng(99);
-  std::vector<cache::HierarchicalCfm::ReqId> pending(sys.processor_count(), 0);
-  auto driver = std::make_shared<sim::LambdaComponent>("bench.hier_driver",
-                                                       sim::kSharedDomain);
-  driver->on(sim::Phase::Issue, [&](sim::Cycle now) {
-    const auto n = static_cast<sim::ProcessorId>(pending.size());
-    for (sim::ProcessorId p = 0; p < n; ++p) {
-      if (pending[p] != 0 && sys.take_result(pending[p])) pending[p] = 0;
-      if (pending[p] == 0 && sys.processor_idle(p)) {
-        pending[p] =
-            sys.read(now, p, static_cast<sim::BlockAddr>(rng.below(4096)));
-      }
-    }
-  });
-  engine->add(std::move(driver));
-
-  engine->run_for(128);  // fill the miss pipeline
-  for (auto _ : state) engine->step();
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_ParallelHierarchical)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->UseRealTime();
-
 // ---- batch-tick + quiescence fast path --------------------------------
 //
 // The headline fast-path scenario (DESIGN.md §12): a 64-processor
@@ -197,19 +125,17 @@ BENCHMARK(BM_ParallelHierarchical)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->UseRealTime(
 void BM_FastPathHierarchical(benchmark::State& state) {
   const bool fast = state.range(0) != 0;
   const auto span = static_cast<sim::Cycle>(state.range(1));
-  auto engine = sim::Engine::make(
-      sim::EngineConfig{.num_threads = 1, .fast_path = fast,
-                        .max_span = span});
+  sim::Engine engine(sim::EngineConfig{.fast_path = fast, .max_span = span});
   cache::HierarchicalCfm sys({.clusters = 8, .procs_per_cluster = 8});
-  workload::HierDriver driver("bench.think_driver", *engine, sys,
+  workload::HierDriver driver("bench.think_driver", engine, sys,
                               {.think_min = 128, .think_max = 1024,
                                .shared_fraction = 0.1, .barrier = true},
                               /*seed=*/0xbea7ULL,
-                              engine->shard(sim::kSharedDomain));
-  sys.attach(*engine);
-  engine->run_for(512);  // warm the caches, fill the miss pipelines
+                              engine.shard(sim::kSharedDomain));
+  sys.attach(engine);
+  engine.run_for(512);  // warm the caches, fill the miss pipelines
   constexpr sim::Cycle kChunk = 1024;
-  for (auto _ : state) engine->run_for(kChunk);
+  for (auto _ : state) engine.run_for(kChunk);
   state.SetItemsProcessed(state.iterations() * kChunk);
   state.counters["completed"] = static_cast<double>(driver.completed());
 }
@@ -218,29 +144,6 @@ BENCHMARK(BM_FastPathHierarchical)
     ->Args({1, 1})
     ->Args({1, 7})
     ->Args({1, 64})
-    ->UseRealTime();
-
-// The same machine under ParallelEngine: span dispatches amortize the
-// worker-pool handoff (one per domain per span instead of per cycle).
-void BM_FastPathHierarchicalParallel(benchmark::State& state) {
-  const bool fast = state.range(0) != 0;
-  auto engine = sim::Engine::make(
-      sim::EngineConfig{.num_threads = 4, .fast_path = fast, .max_span = 64});
-  cache::HierarchicalCfm sys({.clusters = 8, .procs_per_cluster = 8});
-  workload::HierDriver driver("bench.think_driver", *engine, sys,
-                              {.think_min = 128, .think_max = 1024,
-                               .shared_fraction = 0.1, .barrier = true},
-                              /*seed=*/0xbea7ULL,
-                              engine->shard(sim::kSharedDomain));
-  sys.attach(*engine);
-  engine->run_for(512);
-  constexpr sim::Cycle kChunk = 1024;
-  for (auto _ : state) engine->run_for(kChunk);
-  state.SetItemsProcessed(state.iterations() * kChunk);
-}
-BENCHMARK(BM_FastPathHierarchicalParallel)
-    ->Arg(0)
-    ->Arg(1)
     ->UseRealTime();
 
 // The serving path (DESIGN.md §13) on the fast path: a 16-processor
@@ -276,20 +179,20 @@ BENCHMARK(BM_FastPathServe)->UseRealTime();
 // stored-baseline gate (tools/check_throughput.py) bounds on/off.
 void BM_TelemetryOverhead(benchmark::State& state) {
   const bool telemetry = state.range(0) != 0;
-  auto engine = sim::Engine::make(sim::EngineConfig{.num_threads = 1});
+  sim::Engine engine;
   core::CfmMemory mem(core::CfmConfig::make(16));
-  const auto domain = engine->allocate_domain();
-  mem.attach(*engine, domain);
+  const auto domain = engine.allocate_domain();
+  mem.attach(engine, domain);
   workload::AccessDriver driver("bench.telemetry_driver", domain, mem, 1.0,
-                                /*seed=*/77, engine->shard(domain));
-  engine->add(driver);
+                                /*seed=*/77, engine.shard(domain));
+  engine.add(driver);
   std::unique_ptr<sim::TelemetrySampler> sampler;
   if (telemetry) {
     const auto window =
         static_cast<sim::Cycle>(8 * mem.config().block_access_time());
     sampler = std::make_unique<sim::TelemetrySampler>("bench.telemetry",
                                                       window, 512);
-    auto& shard = engine->shard(domain);
+    auto& shard = engine.shard(domain);
     for (const char* name : {"ops_completed", "ops_retried", "ops_failed"}) {
       sampler->add_counter(name,
                            [&shard, name] { return shard.counters.get(name); });
@@ -300,11 +203,11 @@ void BM_TelemetryOverhead(benchmark::State& state) {
     sampler->add_gauge("live_banks", [&mem](sim::Cycle) {
       return static_cast<double>(mem.live_banks());
     });
-    engine->add(*sampler);
+    engine.add(*sampler);
   }
-  engine->run_for(64);  // fill the tour pipeline
+  engine.run_for(64);  // fill the tour pipeline
   constexpr sim::Cycle kChunk = 1024;
-  for (auto _ : state) engine->run_for(kChunk);
+  for (auto _ : state) engine.run_for(kChunk);
   state.SetItemsProcessed(state.iterations() * kChunk);
   if (sampler) {
     state.counters["windows"] =

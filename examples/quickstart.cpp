@@ -93,21 +93,21 @@ int main() {
   // Every bench in bench/ emits one of these via --json-out; here we
   // build a small one by hand: run the memory on the tick engine with
   // wall-clock profiling enabled and capture the result.
-  auto engine = sim::Engine::make(sim::EngineConfig{1});
+  sim::Engine engine;
   core::CfmMemory timed(cfg);
-  timed.attach(*engine, engine->allocate_domain());
-  engine->enable_profiling();
+  timed.attach(engine, engine.allocate_domain());
+  engine.enable_profiling();
 
-  const auto op = timed.issue(engine->now(), 0, core::BlockOpKind::Read, 5);
-  while (timed.result(op) == nullptr) engine->step();
+  const auto op = timed.issue(engine.now(), 0, core::BlockOpKind::Read, 5);
+  while (timed.result(op) == nullptr) engine.step();
   (void)timed.take_result(op);
 
   sim::Report report("quickstart");
   report.set_param("processors", cfg.processors);
   report.set_param("beta", cfg.block_access_time());
-  report.add_scalar("cycles_run", engine->now());
+  report.add_scalar("cycles_run", engine.now());
   report.add_counters("memory", timed.counters());
-  report.add_section("engine_profile", engine->profile().to_json());
+  report.add_section("engine_profile", engine.profile().to_json());
 
   std::printf("\nStructured report (the cfm-bench-report/v1 schema every "
               "bench emits with --json-out):\n");

@@ -115,7 +115,7 @@ class CfmCacheSystem {
   /// Engine registration: the whole cache system is one cache partition —
   /// caches, directory and banks are coupled through the shared tour/ATT
   /// state — so it ticks as a single Phase::Memory component in its own
-  /// domain and runs concurrently with *other* domains.
+  /// domain, independent of *other* domains.
   void attach(sim::Engine& engine);
   void attach(sim::Engine& engine, sim::DomainId domain);
   [[nodiscard]] sim::DomainId domain() const noexcept { return domain_; }

@@ -89,8 +89,9 @@ class DirectoryProtocol {
   /// dropped message is retransmitted after a local round-trip, up to
   /// `max_retries` times, then the request completes with timed_out set —
   /// latency stays bounded either way.  Non-const because drop_message
-  /// draws from the injector's seeded RNG; under ParallelEngine give the
-  /// directory its own injector (it ticks in its own domain).
+  /// draws from the injector's seeded RNG; give the directory its own
+  /// injector (it ticks in its own domain, and a shared RNG would couple
+  /// domains the fast path runs one span at a time).
   void set_fault_injector(sim::FaultInjector& injector,
                           std::uint32_t max_retries = 3) {
     faults_ = &injector;

@@ -91,9 +91,8 @@ class HierarchicalCfm {
 
   /// Engine registration, decomposed by tick domain: the cross-cluster
   /// controller and the global CFM stay in the shared domain while each
-  /// cluster's CFM gets its own domain, so a ParallelEngine tours all
-  /// cluster banks concurrently.  Drive the machine either via attach() +
-  /// engine stepping or via manual tick() calls, never both.
+  /// cluster's CFM gets its own domain.  Drive the machine either via
+  /// attach() + engine stepping or via manual tick() calls, never both.
   void attach(sim::Engine& engine);
 
   /// Cluster c's second-level CFM (e.g. for installing trace sinks or
@@ -147,7 +146,7 @@ class HierarchicalCfm {
     return tracer_unit_;
   }
 
-  /// Called (on the driving thread, shared domain) whenever a processor
+  /// Called (in the shared domain) whenever a processor
   /// request completes — wake-aware drivers use it to re-publish their
   /// own quiescence hints instead of polling take_result every cycle.
   void set_completion_hook(std::function<void(sim::Cycle)> hook) {

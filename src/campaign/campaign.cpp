@@ -1,6 +1,7 @@
 #include "campaign/campaign.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <exception>
 #include <mutex>
 #include <sstream>
@@ -10,7 +11,6 @@
 
 #include "campaign/lease.hpp"
 #include "campaign/runner.hpp"
-#include "sim/parallel_engine.hpp"
 
 #ifndef _WIN32
 #include <fcntl.h>
@@ -109,11 +109,22 @@ CampaignResult run_campaign(const Scenario& scenario,
                       ? options.jobs
                       : std::max(1u, std::thread::hardware_concurrency());
   if (misses.size() < jobs) jobs = static_cast<unsigned>(misses.size());
+  // `jobs` threads drain the miss list through one shared index; the
+  // jthreads join when the vector goes out of scope.
+  std::atomic<std::size_t> next{0};
+  const auto drain = [&] {
+    for (;;) {
+      const std::size_t j = next.fetch_add(1);
+      if (j >= misses.size()) return;
+      run_one(misses[j]);
+    }
+  };
   if (jobs <= 1) {
-    for (const auto index : misses) run_one(index);
+    drain();
   } else {
-    sim::WorkerPool pool(jobs - 1);  // the calling thread participates
-    pool.run(misses.size(), [&](std::size_t j) { run_one(misses[j]); });
+    std::vector<std::jthread> pool;
+    pool.reserve(jobs);
+    for (unsigned t = 0; t < jobs; ++t) pool.emplace_back(drain);
   }
 
   finish(out, scenario, runs);

@@ -2,9 +2,8 @@
 //
 // run_campaign expands a Scenario to its grid, serves every point it can
 // from the content-addressed ResultCache, runs the misses concurrently on
-// a sim::WorkerPool (parallelism *across* simulations — each point gets
-// its own serial Engine, complementing the ParallelEngine's parallelism
-// within one), applies the scenario's bounded retry budget to faulted
+// `jobs` threads (parallelism *across* simulations — each point gets its
+// own Engine), applies the scenario's bounded retry budget to faulted
 // points, and merges the per-point results into one deterministic
 // `cfm-campaign-report/v1` document:
 //
@@ -46,8 +45,8 @@ namespace cfm::campaign {
 struct CampaignOptions {
   /// Result-cache directory; empty disables caching entirely.
   std::string cache_dir = ".cfm-cache";
-  /// Concurrent point executions (the WorkerPool adds workers so that
-  /// total parallelism equals `jobs`); 0 = hardware concurrency.
+  /// Concurrent point executions (threads draining the cache misses);
+  /// 0 = hardware concurrency.
   unsigned jobs = 0;
   /// Streaming per-point progress lines ("[k/N] <key> <params>: ran").
   /// Null disables progress output.  Called under a mutex from pool

@@ -1,6 +1,6 @@
 // Shared point-execution machinery behind both campaign executors.
 //
-// The in-process executor (run_campaign: cache pass + WorkerPool shard)
+// The in-process executor (run_campaign: cache pass + threaded shard)
 // and the multi-process executor (run_campaign_workers / run_worker:
 // lease-claimed subprocesses over a shared cache directory) must produce
 // byte-identical `cfm-campaign-report/v1` documents.  The way that holds

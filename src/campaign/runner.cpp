@@ -45,8 +45,8 @@ Json efficiency_metrics(const workload::EfficiencyResult& r) {
 }
 
 Json run_cfm(const PointSpec& point) {
-  const auto n = static_cast<std::uint32_t>(point.param_u64("n"));
-  const auto c = static_cast<std::uint32_t>(point.param_u64("c"));
+  const auto n = point.param_u32("n");
+  const auto c = point.param_u32("c");
   const double rate = point.param_double("rate");
   const auto cycles = point.param_u64("cycles");
   const std::uint64_t seed = effective_seed(point);
@@ -61,7 +61,7 @@ Json run_cfm(const PointSpec& point) {
     injector.emplace(sim::FaultPlan::parse(point.fault_plan), seed);
     hooks.injector = &*injector;
     if (point.has_param("spares")) {
-      hooks.spare_banks = static_cast<std::uint32_t>(point.param_u64("spares"));
+      hooks.spare_banks = point.param_u32("spares");
     }
   }
   hooks.counters_out = &counters;
@@ -92,9 +92,7 @@ Json run_cfm(const PointSpec& point) {
 
 Json run_conventional(const PointSpec& point) {
   const auto r = workload::measure_conventional(
-      static_cast<std::uint32_t>(point.param_u64("n")),
-      static_cast<std::uint32_t>(point.param_u64("m")),
-      static_cast<std::uint32_t>(point.param_u64("beta")),
+      point.param_u32("n"), point.param_u32("m"), point.param_u32("beta"),
       point.param_double("rate"), point.param_u64("cycles"),
       effective_seed(point));
   Json out = Json::object();
@@ -104,9 +102,7 @@ Json run_conventional(const PointSpec& point) {
 
 Json run_partial_cfm(const PointSpec& point) {
   const auto r = workload::measure_partial_cfm(
-      static_cast<std::uint32_t>(point.param_u64("n")),
-      static_cast<std::uint32_t>(point.param_u64("m")),
-      static_cast<std::uint32_t>(point.param_u64("beta")),
+      point.param_u32("n"), point.param_u32("m"), point.param_u32("beta"),
       point.param_double("rate"), point.param_double("locality"),
       point.param_u64("cycles"), effective_seed(point));
   Json out = Json::object();
@@ -115,8 +111,8 @@ Json run_partial_cfm(const PointSpec& point) {
 }
 
 Json run_trace_replay(const PointSpec& point) {
-  const auto n = static_cast<std::uint32_t>(point.param_u64("n"));
-  const auto c = static_cast<std::uint32_t>(point.param_u64("c"));
+  const auto n = point.param_u32("n");
+  const auto c = point.param_u32("c");
   const auto trace = workload::Trace::uniform(
       n, 1, point.param_u64("blocks"),
       static_cast<std::size_t>(point.param_u64("accesses")),
@@ -139,9 +135,8 @@ Json run_trace_replay(const PointSpec& point) {
 }
 
 Json run_lock(const PointSpec& point) {
-  const auto contenders =
-      static_cast<std::uint32_t>(point.param_u64("contenders"));
-  const auto hold = static_cast<std::uint32_t>(point.param_u64("hold"));
+  const auto contenders = point.param_u32("contenders");
+  const auto hold = point.param_u32("hold");
   const auto cycles = point.param_u64("cycles");
   const std::uint64_t seed = effective_seed(point);
   const auto& variant = point.params.at("variant").as_string();
@@ -168,17 +163,15 @@ Json run_lock(const PointSpec& point) {
 
 Json run_coded(const PointSpec& point) {
   mem::coded::CodedConfig cfg;
-  cfg.processors = static_cast<std::uint32_t>(point.param_u64("n"));
-  cfg.bank_cycle = static_cast<std::uint32_t>(point.param_u64("c"));
+  cfg.processors = point.param_u32("n");
+  cfg.bank_cycle = point.param_u32("c");
   cfg.code = mem::coded::CodeDescriptor::from_rate(
-      static_cast<std::uint32_t>(point.param_u64("data_banks")),
-      static_cast<std::uint32_t>(point.param_u64("stripe_width")),
+      point.param_u32("data_banks"), point.param_u32("stripe_width"),
       point.param_double("code_rate"),
       mem::coded::parity_policy_from_name(
           point.params.at("parity_policy").as_string()));
   if (point.has_param("log_capacity")) {
-    cfg.log_capacity =
-        static_cast<std::uint32_t>(point.param_u64("log_capacity"));
+    cfg.log_capacity = point.param_u32("log_capacity");
   }
   const double rate = point.param_double("rate");
   const double write_fraction = point.has_param("write_fraction")
@@ -253,9 +246,9 @@ Json run_tradeoff(const PointSpec& point) {
   // One Table 3.3 row: the same arithmetic enumerate_tradeoffs applies
   // to its whole column (w = l/b, beta = b + c - 1, n = b/c), checked
   // divisible at expansion.
-  const auto l = static_cast<std::uint32_t>(point.param_u64("block_bits"));
-  const auto b = static_cast<std::uint32_t>(point.param_u64("b"));
-  const auto c = static_cast<std::uint32_t>(point.param_u64("c"));
+  const auto l = point.param_u32("block_bits");
+  const auto b = point.param_u32("b");
+  const auto c = point.param_u32("c");
   Json m = Json::object();
   m["banks"] = b;
   m["word_bits"] = l / b;

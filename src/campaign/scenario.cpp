@@ -1,7 +1,9 @@
 #include "campaign/scenario.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <fstream>
+#include <limits>
 #include <set>
 #include <sstream>
 #include <stdexcept>
@@ -152,7 +154,38 @@ std::uint64_t PointSpec::rng_seed() const {
 }
 
 std::uint64_t PointSpec::param_u64(const std::string& key) const {
-  return params.at(key).as_uint();
+  const Json& v = params.at(key);
+  switch (v.kind()) {
+    case Json::Kind::Uint:
+      return v.as_uint();
+    case Json::Kind::Int:
+      if (v.as_int() >= 0) return v.as_uint();
+      break;
+    case Json::Kind::Double: {
+      // Integral doubles ("4.0", "1e3") are exact; anything else would be
+      // truncated.  2^64 is the first double past the uint64 range.
+      const double d = v.as_double();
+      if (d >= 0.0 && d < 18446744073709551616.0 && std::floor(d) == d) {
+        return static_cast<std::uint64_t>(d);
+      }
+      break;
+    }
+    default:
+      break;
+  }
+  throw std::invalid_argument("parameter '" + key + "' = " + v.dump() +
+                              " is not a non-negative integer");
+}
+
+std::uint32_t PointSpec::param_u32(const std::string& key) const {
+  const std::uint64_t v = param_u64(key);
+  if (v > std::numeric_limits<std::uint32_t>::max()) {
+    throw std::invalid_argument(
+        "parameter '" + key + "' = " + std::to_string(v) +
+        " is out of range (max " +
+        std::to_string(std::numeric_limits<std::uint32_t>::max()) + ")");
+  }
+  return static_cast<std::uint32_t>(v);
 }
 
 double PointSpec::param_double(const std::string& key) const {
@@ -317,10 +350,32 @@ void Scenario::validate_point(const PointSpec& point) const {
   const auto where = [&](const std::string& msg) {
     bad("point {" + point_desc(point.params) + "}: " + msg);
   };
-  const auto positive = [&](const char* key) {
-    if (point.params.at(key).as_double() <= 0.0) {
-      where(std::string("'") + key + "' must be positive");
+  // Required integer parameters go through the accessors the runner
+  // uses, so a fractional, negative or out-of-range value fails the
+  // expand instead of running truncated (optional ones fail the point
+  // when the runner reads them).
+  const auto u64 = [&](const char* key) {
+    std::uint64_t v = 0;
+    try {
+      v = point.param_u64(key);
+    } catch (const std::invalid_argument& e) {
+      where(e.what());
     }
+    return v;
+  };
+  const auto u32 = [&](const char* key) {
+    std::uint32_t v = 0;
+    try {
+      v = point.param_u32(key);
+    } catch (const std::invalid_argument& e) {
+      where(e.what());
+    }
+    return v;
+  };
+  const auto positive = [&](const char* key, const auto& read) {
+    const auto v = read(key);
+    if (v == 0) where(std::string("'") + key + "' must be positive");
+    return v;
   };
   const auto unit_interval = [&](const char* key) {
     const double v = point.params.at(key).as_double();
@@ -330,18 +385,17 @@ void Scenario::validate_point(const PointSpec& point) const {
   };
   switch (workload_) {
     case WorkloadKind::Cfm: {
-      positive("n");
-      positive("c");
-      positive("cycles");
+      const std::uint64_t n = positive("n", u32);
+      const std::uint64_t c = positive("c", u32);
+      positive("cycles", u64);
       unit_interval("rate");
+      const std::uint64_t banks = c * n;  // two 32-bit factors: no overflow
       if (point.params.contains("b")) {
-        const auto b = point.params.at("b").as_uint();
-        const auto want =
-            point.params.at("c").as_uint() * point.params.at("n").as_uint();
-        if (b != want) {
+        const auto b = u32("b");
+        if (b != banks) {
           where("not conflict-free: b=" + std::to_string(b) +
                 " but conflict freedom requires b = c*n = " +
-                std::to_string(want));
+                std::to_string(banks));
         }
       }
       if (!point.fault_plan.empty()) {
@@ -349,11 +403,13 @@ void Scenario::validate_point(const PointSpec& point) const {
         // provisioned banks fails the expand instead of running inert.
         // Spares live above the logical index space and are not fault
         // targets (CfmMemory scans faults over [0, b) only).
-        const auto banks = static_cast<std::uint32_t>(
-            point.params.at("c").as_uint() * point.params.at("n").as_uint());
+        if (banks > std::numeric_limits<std::uint32_t>::max()) {
+          where("c*n = " + std::to_string(banks) + " banks is out of range");
+        }
         try {
           sim::FaultPlan::parse(point.fault_plan)
-              .validate_banks(banks, "cfm memory (b = c*n logical banks)");
+              .validate_banks(static_cast<std::uint32_t>(banks),
+                              "cfm memory (b = c*n logical banks)");
         } catch (const std::invalid_argument& e) {
           where(e.what());
         }
@@ -361,31 +417,32 @@ void Scenario::validate_point(const PointSpec& point) const {
       break;
     }
     case WorkloadKind::Conventional:
-      positive("n");
-      positive("m");
-      positive("beta");
-      positive("cycles");
+      positive("n", u32);
+      positive("m", u32);
+      positive("beta", u32);
+      positive("cycles", u64);
       unit_interval("rate");
       break;
     case WorkloadKind::PartialCfm:
-      positive("n");
-      positive("m");
-      positive("beta");
-      positive("cycles");
+      positive("n", u32);
+      positive("m", u32);
+      positive("beta", u32);
+      positive("cycles", u64);
       unit_interval("rate");
       unit_interval("locality");
       break;
     case WorkloadKind::TraceReplay:
-      positive("n");
-      positive("c");
-      positive("blocks");
-      positive("accesses");
-      positive("span");
+      positive("n", u32);
+      positive("c", u32);
+      positive("blocks", u64);
+      positive("accesses", u64);
+      positive("span", u64);
       unit_interval("write_fraction");
       break;
     case WorkloadKind::Lock: {
-      positive("contenders");
-      positive("cycles");
+      positive("contenders", u32);
+      u32("hold");
+      positive("cycles", u64);
       const auto& variant = point.params.at("variant").as_string();
       if (variant != "cfm" && variant != "cached" && variant != "snoopy") {
         where("unknown lock variant '" + variant + "'");
@@ -393,12 +450,9 @@ void Scenario::validate_point(const PointSpec& point) const {
       break;
     }
     case WorkloadKind::Tradeoff: {
-      positive("block_bits");
-      positive("b");
-      positive("c");
-      const auto l = point.params.at("block_bits").as_uint();
-      const auto b = point.params.at("b").as_uint();
-      const auto c = point.params.at("c").as_uint();
+      const auto l = positive("block_bits", u32);
+      const auto b = positive("b", u32);
+      const auto c = positive("c", u32);
       if (l % b != 0) where("'b' must divide block_bits (w = l/b)");
       if (b % c != 0 || b / c == 0) {
         where("'b' must be a positive multiple of 'c' (n = b/c)");
@@ -406,11 +460,11 @@ void Scenario::validate_point(const PointSpec& point) const {
       break;
     }
     case WorkloadKind::Coded: {
-      positive("n");
-      positive("c");
-      positive("cycles");
-      positive("data_banks");
-      positive("stripe_width");
+      positive("n", u32);
+      positive("c", u32);
+      positive("cycles", u64);
+      const auto data_banks = positive("data_banks", u32);
+      const auto stripe_width = positive("stripe_width", u32);
       unit_interval("rate");
       if (point.params.contains("write_fraction")) {
         unit_interval("write_fraction");
@@ -421,10 +475,7 @@ void Scenario::validate_point(const PointSpec& point) const {
       mem::coded::CodeDescriptor descriptor;
       try {
         descriptor = mem::coded::CodeDescriptor::from_rate(
-            static_cast<std::uint32_t>(point.params.at("data_banks").as_uint()),
-            static_cast<std::uint32_t>(
-                point.params.at("stripe_width").as_uint()),
-            point.params.at("code_rate").as_double(),
+            data_banks, stripe_width, point.params.at("code_rate").as_double(),
             mem::coded::parity_policy_from_name(
                 point.params.at("parity_policy").as_string()));
       } catch (const std::invalid_argument& e) {

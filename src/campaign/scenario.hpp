@@ -78,9 +78,11 @@ struct PointSpec {
   /// Deterministic per-point RNG seed: an independent stream split off
   /// Rng(base_seed ^ canonical_hash(point)).  Stable under grid edits.
   [[nodiscard]] std::uint64_t rng_seed() const;
-  /// Convenience numeric parameter lookup (params are validated numeric
-  /// at expansion, so this never sees the wrong kind).
+  /// Integer parameter lookup.  Throws std::invalid_argument naming the
+  /// key and value when it is negative or not integral (2.5), or, for
+  /// param_u32, above 2^32 - 1: a value is run as written or not at all.
   [[nodiscard]] std::uint64_t param_u64(const std::string& key) const;
+  [[nodiscard]] std::uint32_t param_u32(const std::string& key) const;
   [[nodiscard]] double param_double(const std::string& key) const;
   [[nodiscard]] bool has_param(const std::string& key) const;
 };

@@ -111,8 +111,7 @@ class CfmMemory {
 
   /// Registers tick() with an engine as a Phase::Memory component in a
   /// freshly allocated tick domain.  A CFM module is conflict-free by
-  /// construction, so each instance is an independent domain and engines
-  /// with num_threads > 1 tick separate modules concurrently.
+  /// construction, so each instance is an independent domain.
   void attach(sim::Engine& engine);
 
   /// Same, but joins an existing tick domain (e.g. the shared domain for

@@ -74,7 +74,7 @@ class ClusterSystem {
   /// nature, so it ticks in the shared domain during Phase::Network (which
   /// precedes the member memories' Phase::Memory ticks, preserving the
   /// manual tick-before-memories ordering); each member CfmMemory gets its
-  /// own tick domain and may tick concurrently under ParallelEngine.
+  /// own tick domain.
   /// Drive the system either via attach() + engine stepping or via manual
   /// tick() calls, never both.
   void attach(sim::Engine& engine);

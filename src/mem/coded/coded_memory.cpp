@@ -392,11 +392,23 @@ sim::Cycle CodedMemory::next_completion_hint(sim::Cycle now) const {
   sim::Cycle earliest = sim::kNeverCycle;
   for (const auto& slot : inflight_) {
     if (!slot.has_value()) continue;
-    // Stall-free lower bound: one word per remaining slot, plus the final
-    // bank_cycle.  Contention only pushes completion later, so sleeping
-    // until this cycle never misses a result.
+    // Stall-free lower bound: one word per remaining slot, the last one
+    // served at now + left - 1 at the earliest.  finish() publishes the
+    // result at that slot (its `completed` stamp adds bank_cycle, but the
+    // result is takeable from the next slot on).  Contention only pushes
+    // completion later, so sleeping until this cycle never misses one.
     const sim::Cycle left = cfg_.code.data_banks - slot->progress;
-    earliest = std::min(earliest, now + left - 1 + cfg_.bank_cycle);
+    sim::Cycle bound = now + left;
+    if (faults_ != nullptr) {
+      // A fault can instead abort the op once it has stalled for
+      // fault_timeout_, publishing at once; a stall starts at `now` at
+      // the earliest.
+      const sim::Cycle since = slot->stalled_since == sim::kNeverCycle
+                                   ? now
+                                   : slot->stalled_since;
+      bound = std::min(bound, std::max(now, since + fault_timeout_));
+    }
+    earliest = std::min(earliest, bound);
   }
   return earliest;
 }

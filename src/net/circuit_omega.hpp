@@ -65,7 +65,7 @@ class BufferedOmega {
   /// Engine registration as a Phase::Network component.  A contended
   /// network is one fabric shared by all its sources, so it is a single
   /// component; it still gets its own tick domain so *disjoint* networks
-  /// (e.g. per-cluster fabrics) tick concurrently.
+  /// (e.g. per-cluster fabrics) are independent domains.
   void attach(sim::Engine& engine);
   void attach(sim::Engine& engine, sim::DomainId domain);
   [[nodiscard]] sim::DomainId domain() const noexcept { return domain_; }
@@ -194,8 +194,8 @@ class CircuitOmega {
 
   /// Engine registration: a Phase::Commit component samples
   /// held_fraction() each cycle into the domain's statistics shard
-  /// (running stat "circuit.held_fraction") — per-domain, so concurrent
-  /// fabrics never contend on a shared stats object.
+  /// (running stat "circuit.held_fraction") — per-domain, so disjoint
+  /// fabrics never share a stats object.
   void attach(sim::Engine& engine, sim::DomainId domain);
 
  private:

@@ -242,6 +242,12 @@ Server::Server(const ServeOptions& options)
   if (opts_.bank_cycle == 0) {
     throw std::invalid_argument("serve: bank_cycle must be > 0");
   }
+  if (opts_.threads != 1) {
+    throw std::invalid_argument("serve: threads = " +
+                                std::to_string(opts_.threads) +
+                                " is not supported; the engine is serial, "
+                                "so threads must be 1");
+  }
   const auto cfg =
       core::CfmConfig::make(opts_.processors, opts_.bank_cycle);
   const auto beta_cycles = cfg.block_access_time();
@@ -255,7 +261,7 @@ Server::Server(const ServeOptions& options)
         beta_cycles * (512 + 8 * static_cast<sim::Cycle>(opts_.queue_depth));
   }
 
-  engine_ = sim::Engine::make(sim::EngineConfig{.num_threads = opts_.threads});
+  engine_ = std::make_unique<sim::Engine>();
   memory_ = std::make_unique<core::CfmMemory>(cfg);
   if (!opts_.fault_plan.empty()) {
     fault_plan_ = sim::FaultPlan::parse(opts_.fault_plan);
@@ -354,7 +360,7 @@ sim::Json Server::report_json() const {
   params["fault_plan"] = opts_.fault_plan;
   params["spare_banks"] = opts_.spare_banks;
   params["audit"] = opts_.audit;
-  // Execution provenance (threads, span, wall time) is deliberately
+  // Execution provenance (span, wall time) is deliberately
   // excluded: the same served stream must produce a byte-identical
   // report on every engine configuration.
 

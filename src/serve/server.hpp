@@ -1,9 +1,9 @@
 // CFM-as-a-service: an open-loop serving front end over CfmMemory
 // (DESIGN.md §13).
 //
-// `Server` owns one conflict-free memory module, a tick engine (serial or
-// parallel — results are bit-exact either way), and a `ServeDriver`
-// component that turns a request stream into engine ticks:
+// `Server` owns one conflict-free memory module, a tick engine (fast path
+// or per-cycle reference — results are bit-exact either way), and a
+// `ServeDriver` component that turns a request stream into engine ticks:
 //
 //   arrivals   requests are stamped with arrival cycles by an open-loop
 //              ArrivalProcess — load does not slow down because service
@@ -26,9 +26,9 @@
 // The driver lives in the memory's tick domain and publishes quiescence
 // hints (earliest of: next arrival, earliest retry slot, the memory's
 // completion bound), so the PR 6 fast path skips inter-arrival gaps
-// wholesale.  Reports deliberately exclude execution provenance (thread
-// count, span, wall time): a fixed (requests, options, seed) triple must
-// produce a byte-identical report on any engine configuration.
+// wholesale.  Reports deliberately exclude execution provenance (span,
+// wall time): a fixed (requests, options, seed) triple must produce a
+// byte-identical report on any engine configuration.
 #pragma once
 
 #include <cstdint>
@@ -62,7 +62,8 @@ struct ServeOptions {
   sim::Cycle slo = 0;
   /// Admission-queue bound; 0 = 4 * processors.
   std::size_t queue_depth = 0;
-  /// Engine threads (1 = serial).  Never affects results, only wall time.
+  /// Must be 1: the simulation runs on one serial engine.  Any other
+  /// value makes Server throw std::invalid_argument.
   unsigned threads = 1;
   /// Extra cycles past the last arrival before drain() gives up and
   /// reports the remainder as unfinished; 0 = a generous bounded default.

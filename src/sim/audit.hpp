@@ -26,9 +26,10 @@
 //
 // Scopes: every watched unit registers a scope up front.  A scope's
 // mutable state is only ever touched from the tick domain that owns the
-// unit (the same single-writer discipline as StatShard), so the hot path
-// takes no locks and the auditor is safe under ParallelEngine as long as
-// scope registration happens before the run and aggregation after it.
+// unit (the same single-writer discipline as StatShard), so the fast
+// path's domain-at-a-time spans see the same per-scope sequence as the
+// reference schedule.  Register scopes before the run and aggregate
+// after it.
 //
 // A unit that claims conflict freedom registers a ConflictFree scope —
 // any detected contention there is a *violation* (the simulation broke

@@ -13,24 +13,21 @@
 // belongs to exactly one **tick domain**.  Domains capture the paper's
 // conflict-freedom argument structurally: the AT-space schedule makes each
 // CfmMemory module (or cluster, or cache partition) independent of every
-// other within a phase, so two components in *different* domains may tick
-// concurrently, while components in the *same* domain tick serially in
-// registration order.  Cross-domain pieces — the global omega network, the
+// other within a phase: a component must touch only state owned by its
+// own domain.  Cross-domain pieces — the global omega network, the
 // hierarchical controller, inter-cluster links — live in the shared domain
-// (`kSharedDomain`), which always runs serially on the driving thread
-// before the parallel domains of each phase.
+// (`kSharedDomain`), which runs before the other domains of each phase.
 //
-// The execution contract, identical for the serial and parallel engines:
+// The reference execution contract:
 //
 //   for each phase (Issue, Network, Memory, Commit):
 //     1. shared-domain components, in registration order;
-//     2. every other domain, components in registration order within the
-//        domain — concurrently across domains under ParallelEngine,
-//        ascending domain id under the serial engine;
-//     3. barrier.
+//     2. every other domain in ascending domain id, components in
+//        registration order within the domain.
 //
-// Because domains are independent by construction, (2) commutes and the
-// parallel schedule is bit-exact with the serial one.
+// Because domains are independent by construction, the domains of (2)
+// commute — which is what lets the fast path below run one domain's
+// schedule for a whole span of cycles before the next domain's.
 //
 // Batch-tick + quiescence (the fast-path contract, DESIGN.md §12): a
 // component may additionally
@@ -115,7 +112,8 @@ class Component {
   /// Called once per cycle for every phase in `phases()`.  Must touch only
   /// state owned by this component's domain (plus engine-provided
   /// domain-sharded statistics); shared-domain components may touch
-  /// anything because they never run concurrently with other work.
+  /// anything, since a domain span ends before any shared component that
+  /// is not span-capable can act.
   virtual void tick_phase(Phase phase, Cycle now) = 0;
 
   /// Batched execution: equivalent to

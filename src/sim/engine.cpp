@@ -29,15 +29,13 @@ Engine::Engine(const EngineConfig& cfg) : cfg_(cfg) {
 Json EngineProfile::to_json() const {
   Json out = Json::object();
   out["cycles"] = cycles;
-  out["threads"] = threads;
   Json phases_json = Json::object();
   for (std::size_t pi = 0; pi < kPhaseCount; ++pi) {
     const auto& p = phases[pi];
     phases_json[phase_name(static_cast<Phase>(pi))] =
         Json::object({{"total_us", cfm::sim::to_json(p.total_us)},
                       {"shared_us", cfm::sim::to_json(p.shared_us)},
-                      {"domains_us", cfm::sim::to_json(p.domains_us)},
-                      {"barrier_us", cfm::sim::to_json(p.barrier_us)}});
+                      {"domains_us", cfm::sim::to_json(p.domains_us)}});
   }
   out["phases"] = std::move(phases_json);
   Json domains_json = Json::object();
@@ -46,13 +44,12 @@ Json EngineProfile::to_json() const {
     domains_json[std::to_string(d)] = domain_us[d];
   }
   out["domains"] = std::move(domains_json);
-  out["utilization"] = cfm::sim::to_json(utilization);
   return out;
 }
 
 DomainId Engine::allocate_domain() {
   const DomainId d = next_domain_++;
-  (void)shard(d);  // materialize the shard eagerly: stable ref, no races
+  (void)shard(d);  // materialize the shard eagerly
   return d;
 }
 
@@ -151,9 +148,7 @@ void Engine::enable_profiling(bool on) {
 }
 
 void Engine::reset_profile() {
-  const unsigned threads = profile_.threads;
   profile_ = EngineProfile{};
-  profile_.threads = threads;
   profile_epoch_ = ProfileClock::now();
   ensure_profile_domains();
 }
@@ -208,7 +203,6 @@ void Engine::step_serial() {
     times.shared_us.add(shared_us);
     times.domains_us.add(domains_us);
     times.total_us.add(shared_us + domains_us);
-    times.barrier_us.add(0.0);
     if (chrome_) {
       chrome_->complete(phase_name(phase), "engine", profile_ts(t0),
                         shared_us + domains_us, /*tid=*/0);
@@ -287,8 +281,8 @@ void Engine::run_group_span(const FastPlan::DomainGroup& group, Cycle begin,
   //     per-cycle loop below would;
   //   * otherwise: one cycle in the reference phase order, with the same
   //     hint guards as step_cycle_fast.
-  // Legal because nothing outside the domain runs concurrently with the
-  // span and shared state is frozen across it.
+  // Legal because nothing outside the domain runs during the span and
+  // shared state is frozen across it.
   for (Cycle t = begin; t < end;) {
     Component* sole = nullptr;
     Phase sole_phase = Phase::Issue;

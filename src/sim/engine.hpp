@@ -8,13 +8,10 @@
 // shared-domain components run first in registration order, then every
 // independent domain runs its components in registration order.  This gives
 // deterministic intra-cycle sequencing that mirrors the hardware pipeline
-// (address out -> switch -> bank -> data back) and, because independent
-// domains never share state, the same sequencing is valid when domains are
-// evaluated concurrently (see parallel_engine.hpp).
-//
-// `Engine` is the serial scheduler.  `ParallelEngine` (same public
-// step/run_for/run_until API) dispatches domains over a worker pool;
-// `Engine::make(EngineConfig{num_threads})` selects between them.
+// (address out -> switch -> bank -> data back).  Because independent
+// domains never share state, the fast path may also run one domain's
+// schedule for a whole span of cycles before moving to the next domain
+// (DESIGN.md §12).
 #pragma once
 
 #include <array>
@@ -38,9 +35,6 @@ class ChromeTrace;
 class Json;
 
 struct EngineConfig {
-  /// 1 = serial execution (bit-exact reference path); > 1 enables the
-  /// persistent worker pool of ParallelEngine.
-  unsigned num_threads = 1;
   /// Table-driven fast path (DESIGN.md §12): skip components whose
   /// quiescence hints prove them idle, fuse runs of cycles into one
   /// span dispatch per tick domain, and convert machine-wide idle
@@ -48,19 +42,18 @@ struct EngineConfig {
   /// loop by construction; `false` restores today's
   /// every-component-every-phase-every-cycle loop.
   bool fast_path = true;
-  /// Upper bound on cycles fused into one span dispatch.  Larger spans
-  /// amortize more WorkerPool handoffs but delay run_until's completion
-  /// check coarser contexts never see (run_until always steps per
-  /// cycle); 1 degenerates the span machinery to per-cycle dispatch.
+  /// Upper bound on cycles fused into one span dispatch; 1 degenerates
+  /// the span machinery to per-cycle dispatch (run_until always steps
+  /// per cycle).
   Cycle max_span = 64;
 };
 
 /// Process-wide experimentation overrides for engine construction, set
 /// from bench/CLI `--fast-path` / `--max-span` flags.  Applied by every
-/// Engine constructor and Engine::make on top of the config they were
-/// given; unset fields leave the config untouched.  The fast path is
-/// bit-exact, so flipping these never changes simulation results — only
-/// how fast they are produced.
+/// Engine constructor on top of the config it was given; unset fields
+/// leave the config untouched.  The fast path is bit-exact, so flipping
+/// these never changes simulation results — only how fast they are
+/// produced.
 struct EngineTuning {
   std::optional<bool> fast_path;
   std::optional<Cycle> max_span;
@@ -71,31 +64,22 @@ void set_engine_tuning(const EngineTuning& tuning) noexcept;
 /// Wall-clock profile of an engine run, collected when profiling is
 /// enabled (Engine::enable_profiling).  All times are microseconds of
 /// host wall clock; simulation results are unaffected — the profiler
-/// only reads clocks, so serial/parallel bit-exactness holds with
-/// profiling on or off.
+/// only reads clocks.
 struct EngineProfile {
   /// One phase's timing, one RunningStat sample per simulated cycle.
   struct PhaseTimes {
-    RunningStat total_us;    ///< shared + domain work (+ barrier)
-    RunningStat shared_us;   ///< shared-domain components, driving thread
+    RunningStat total_us;    ///< shared + domain work
+    RunningStat shared_us;   ///< shared-domain components
     RunningStat domains_us;  ///< wall time of the domain-group section
-    /// Idle thread-time at the phase barrier: dispatch wall time times
-    /// pool width, minus the time threads spent inside domain jobs.
-    /// Zero under the serial engine (no barrier exists).
-    RunningStat barrier_us;
   };
 
   std::array<PhaseTimes, kPhaseCount> phases;
   /// Accumulated in-job time per DomainId (index 0 = shared domain,
   /// which accrues under phases[].shared_us instead and stays 0 here).
   std::vector<double> domain_us;
-  /// Worker-pool utilization per parallel dispatch: busy thread-time
-  /// divided by (dispatch wall time x pool width).  Empty when serial.
-  RunningStat utilization;
   std::uint64_t cycles = 0;  ///< cycles stepped while profiling
-  unsigned threads = 1;      ///< pool width (1 = serial)
 
-  /// {"cycles","threads","phases":{...},"domains":{...},"utilization":{}}
+  /// {"cycles","phases":{...},"domains":{...}}
   [[nodiscard]] Json to_json() const;
 };
 
@@ -105,12 +89,8 @@ class Engine {
 
   Engine() : Engine(EngineConfig{}) {}
   explicit Engine(const EngineConfig& cfg);
-  virtual ~Engine() = default;
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
-
-  /// Creates a serial Engine (num_threads <= 1) or a ParallelEngine.
-  [[nodiscard]] static std::unique_ptr<Engine> make(const EngineConfig& cfg);
 
   [[nodiscard]] const EngineConfig& config() const noexcept { return cfg_; }
 
@@ -139,8 +119,7 @@ class Engine {
   [[nodiscard]] StatShard& shard(DomainId domain);
 
   /// All shards merged in ascending domain order (deterministic for
-  /// RunningStat rounding).  Evaluated after the commit barrier — never
-  /// call while a step is in flight.
+  /// RunningStat rounding).  Never call while a step is in flight.
   [[nodiscard]] StatShard merged_stats() const;
 
   // ---- profiling ----------------------------------------------------
@@ -156,8 +135,8 @@ class Engine {
   void reset_profile();
 
   /// Attaches a Chrome-trace sink: while profiling is enabled, every
-  /// phase (and, under ParallelEngine, every domain job) emits a
-  /// complete ("X") event in real microseconds since profiling started.
+  /// phase and every domain group emits a complete ("X") event in real
+  /// microseconds since profiling started.
   /// Pass nullptr to detach.  The sink must outlive the engine run.
   void set_chrome_trace(ChromeTrace* trace) noexcept { chrome_ = trace; }
 
@@ -166,7 +145,7 @@ class Engine {
   /// Advances the simulation by exactly one cycle.  Under the fast path
   /// this still executes every phase of exactly one cycle (no spans or
   /// jumps), but provably quiescent components are skipped.
-  virtual void step();
+  void step();
 
   /// Runs `cycles` more cycles.  This is the span/jump entry point: with
   /// fast_path enabled the engine fuses quiescent stretches into span
@@ -186,7 +165,7 @@ class Engine {
   /// Count of allocated domains, including the shared domain.
   [[nodiscard]] DomainId domain_count() const noexcept { return next_domain_; }
 
- protected:
+ private:
   /// Execution plan for one phase, derived from the registry.
   struct PhasePlan {
     std::vector<Component*> shared;               ///< registration order
@@ -220,17 +199,15 @@ class Engine {
   using ProfileClock = std::chrono::steady_clock;
 
   void rebuild_plans_if_dirty();
-  /// The canonical serial schedule; ParallelEngine falls back to this for
-  /// num_threads == 1.
+  /// The canonical reference schedule: every component, every phase,
+  /// every cycle.
   void step_serial();
   /// One full cycle with quiescence-hint skips — same phase/domain order
   /// as step_serial, each tick guarded by the component's next_event.
   void step_cycle_fast();
-  /// Fast-path core shared by run_for and (per-cycle via step) both
-  /// engines: advances now_ to `target` using skips, span fusion and
-  /// clock jumps.  Virtual so ParallelEngine can dispatch spans on the
-  /// worker pool.
-  virtual void advance_to(Cycle target);
+  /// Fast-path core of run_for: advances now_ to `target` using skips,
+  /// span fusion and clock jumps.
+  void advance_to(Cycle target);
   /// Scans the flat entry table at cycle `now_`.  Returns kAlways when
   /// any entry is actionable this cycle, otherwise the earliest future
   /// hint (the clock-jump target), clamped to kNeverCycle.

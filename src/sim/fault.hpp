@@ -18,10 +18,11 @@
 // null-check fast path as `TxnTracer`: a machine without an injector
 // attached pays one pointer compare per tick and nothing else.  All
 // queries except `drop_message` are const and touch only immutable plan
-// state, so per-domain components may consult one shared injector under
-// ParallelEngine; `drop_message` draws from the seeded RNG and must only
-// be called from shared-domain code (the cluster link, cache pending
-// queues) — the single-writer discipline every stat shard already obeys.
+// state, so per-domain components may consult one shared injector;
+// `drop_message` draws from the seeded RNG and must only be called from
+// shared-domain code (the cluster link, cache pending queues) — the
+// single-writer discipline every stat shard already obeys, which keeps
+// the draw order the same under the fast path's domain-at-a-time spans.
 //
 // Plans parse from the `--fault-plan` bench flag, e.g.
 //

@@ -63,7 +63,7 @@ class Parser {
   explicit Parser(const std::string& text) : s_(text) {}
 
   Json run() {
-    Json v = value();
+    Json v = value(0);
     skip_ws();
     if (pos_ != s_.size()) fail("trailing garbage");
     return v;
@@ -101,11 +101,22 @@ class Parser {
     return true;
   }
 
-  Json value() {
+  /// Depth of an array/object opened inside one at `depth`.  Bounded, so
+  /// a hostile file cannot exhaust the stack.
+  std::size_t nested(std::size_t depth) const {
+    if (depth == Json::kMaxParseDepth) {
+      fail("nesting depth " + std::to_string(depth + 1) +
+           " exceeds the limit of " + std::to_string(Json::kMaxParseDepth));
+    }
+    return depth + 1;
+  }
+
+  /// `depth` counts the arrays/objects enclosing this value.
+  Json value(std::size_t depth) {
     skip_ws();
     switch (peek()) {
-      case '{': return object();
-      case '[': return array();
+      case '{': return object(nested(depth));
+      case '[': return array(nested(depth));
       case '"': return Json(string());
       case 't':
         if (!consume_literal("true")) fail("bad literal");
@@ -120,7 +131,7 @@ class Parser {
     }
   }
 
-  Json object() {
+  Json object(std::size_t depth) {
     expect('{');
     Json out = Json::object();
     skip_ws();
@@ -130,7 +141,7 @@ class Parser {
       std::string key = string();
       skip_ws();
       expect(':');
-      out[key] = value();
+      out[key] = value(depth);
       skip_ws();
       const char c = peek();
       ++pos_;
@@ -139,13 +150,13 @@ class Parser {
     }
   }
 
-  Json array() {
+  Json array(std::size_t depth) {
     expect('[');
     Json out = Json::array();
     skip_ws();
     if (peek() == ']') { ++pos_; return out; }
     for (;;) {
-      out.push_back(value());
+      out.push_back(value(depth));
       skip_ws();
       const char c = peek();
       ++pos_;

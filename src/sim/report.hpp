@@ -102,8 +102,10 @@ class Json {
   [[nodiscard]] std::string dump(int indent = -1) const;
   void dump_to(std::ostream& os, int indent = -1) const;
 
+  /// Deepest array/object nesting Json::parse accepts.
+  static constexpr std::size_t kMaxParseDepth = 512;
   /// Strict recursive-descent parse; throws JsonParseError on malformed
-  /// input or trailing garbage.
+  /// input, trailing garbage or nesting deeper than kMaxParseDepth.
   [[nodiscard]] static Json parse(const std::string& text);
 
   bool operator==(const Json& other) const;
@@ -245,8 +247,8 @@ class MetricsRegistry {
 // ---- Chrome trace sink ------------------------------------------------
 
 /// Collects chrome://tracing events ("Trace Event Format", JSON array
-/// flavour) and writes them for chrome://tracing / Perfetto.  Thread-safe
-/// appends: ParallelEngine domain jobs may emit concurrently.
+/// flavour) and writes them for chrome://tracing / Perfetto.  Appends are
+/// thread-safe.
 ///
 /// Two layers feed it:
 ///  * TraceLog — `attach(log, tid)` installs a structured event sink that

@@ -128,10 +128,8 @@ inline constexpr std::size_t kCacheLineBytes = 64;
 /// stats.  Each domain writes only its own shard during the cycle — the
 /// hot path has no shared mutable state — and the engine merges shards
 /// (ascending domain id, so RunningStat::merge rounding is deterministic)
-/// at the commit barrier.  Cache-line aligned: shards of concurrently
-/// ticking domains are written every cycle from different worker threads,
-/// and letting two shards straddle one line makes those writes falsely
-/// shared.
+/// after the run.  Cache-line aligned: adjacent shards never share a
+/// line.
 struct alignas(kCacheLineBytes) StatShard {
   CounterSet counters;
   std::map<std::string, RunningStat> running;

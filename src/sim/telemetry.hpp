@@ -14,16 +14,16 @@
 //     happens to over-run past the last interesting cycle;
 //   * records live in a bounded "flight recorder": when a run outlives
 //     capacity the recorder doubles its window scale and merges neighbour
-//     records — a pure function of the activity stream, so serial, 2- and
-//     4-thread engines, any span setting, and any run/kill/re-feed pacing
-//     all export byte-identical series.
+//     records — a pure function of the activity stream, so the per-cycle
+//     reference, any span setting, and any run/kill/re-feed pacing all
+//     export byte-identical series.
 //
 // Scheduling: the sampler is a *shared-domain*, Commit-phase component
 // that publishes its next window boundary as a quiescence hint and stays
 // span-incapable.  The PR 6 fast path therefore still skips idle spans —
 // jumps and span fusion simply clamp at the boundary, and the boundary
 // cycle executes in reference order, where the sampler reads state after
-// the Memory-phase barrier exactly like the serial schedule would.
+// the Memory phase exactly like the reference schedule would.
 #pragma once
 
 #include <functional>

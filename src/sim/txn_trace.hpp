@@ -25,8 +25,9 @@
 // Units: each traced component registers a unit (like the auditor's
 // scopes and the engine's StatShards).  All mutable per-transaction state
 // lives in the unit, which is only touched from the tick domain that owns
-// the component, so tracing is lock-free and safe under ParallelEngine;
-// aggregate before the run or after it, never mid-step.
+// the component, so tracing is lock-free and each unit's record sequence
+// is the same under the fast path's domain-at-a-time spans; aggregate
+// before the run or after it, never mid-step.
 #pragma once
 
 #include <array>

@@ -25,11 +25,10 @@ namespace cfm::workload {
 /// Closed-loop random-read driver for one CfmMemory, as a scheduler
 /// component: every Phase::Issue it harvests completed block operations
 /// and issues a fresh read per idle processor with probability `rate`.
-/// The driver lives in the *same tick domain* as its memory, so a
-/// ParallelEngine runs many (driver, module) pairs concurrently with no
-/// shared mutable state: completions and access times are recorded in the
-/// domain's statistics shard ("ops_completed" counter, "access_time"
-/// running stat) and merged at the commit barrier.
+/// The driver lives in the *same tick domain* as its memory, so many
+/// (driver, module) pairs share no mutable state: completions and access
+/// times are recorded in the domain's statistics shard ("ops_completed"
+/// counter, "access_time" running stat) and merged after the run.
 class AccessDriver final : public sim::Component {
  public:
   AccessDriver(std::string name, sim::DomainId domain, core::CfmMemory& memory,

@@ -40,8 +40,8 @@ std::uint64_t CodedDriver::in_flight_retries() const noexcept {
 void CodedDriver::issue(sim::Cycle now, sim::ProcessorId p, ProcState& st) {
   if (st.is_write) {
     // Deterministic per-access pattern: a pure function of (block, word,
-    // issue slot), so replays and serial-vs-parallel runs write the same
-    // bits without extra RNG draws.
+    // issue slot), so replays and fast-path-vs-reference runs write the
+    // same bits without extra RNG draws.
     for (std::uint32_t w = 0; w < scratch_.size(); ++w) {
       scratch_[w] = (st.block * 0x9E3779B97F4A7C15ULL) ^
                     (static_cast<sim::Word>(w) << 32) ^ st.issued;

@@ -124,6 +124,51 @@ TEST(Scenario, NonConflictFreePointThrows) {
   }
 }
 
+// Regression: {"n": [4294967300, 2.5]} used to run a 4- and a
+// 2-processor point under rows labelled with the values as written.
+TEST(Scenario, NonIntegralOrOutOfRangeSweepValuesAreRejected) {
+  const auto expand_error = [](const std::string& sweep) -> std::string {
+    const auto s = Scenario::parse_text(
+        R"({ "name": "x", "workload": "cfm",
+             "params": { "c": 1, "rate": 0.1 },
+             "sweep": )" + sweep + " }");
+    try {
+      (void)s.expand();
+    } catch (const std::invalid_argument& e) {
+      return e.what();
+    }
+    return "";
+  };
+  const auto names = [](const std::string& what, const std::string& part) {
+    return what.find(part) != std::string::npos;
+  };
+  std::string what = expand_error(R"({ "n": [4294967300], "cycles": [10] })");
+  EXPECT_TRUE(names(what, "'n' = 4294967300 is out of range")) << what;
+  what = expand_error(R"({ "n": [2.5], "cycles": [10] })");
+  EXPECT_TRUE(names(what, "'n' = 2.5 is not a non-negative integer")) << what;
+  what = expand_error(R"({ "n": [-4], "cycles": [10] })");
+  EXPECT_TRUE(names(what, "'n' = -4 is not a non-negative integer")) << what;
+  what = expand_error(R"({ "n": [2], "cycles": [1e30] })");
+  EXPECT_TRUE(names(what, "'cycles' = 1e+30")) << what;
+  // An integral double is exact, so it runs as written.
+  EXPECT_EQ(expand_error(R"({ "n": [4.0], "cycles": [10] })"), "");
+}
+
+TEST(PointSpec, TypedAccessorsRejectWhatTheyWouldTruncate) {
+  PointSpec point;
+  point.params["whole"] = 4294967295u;
+  point.params["wide"] = std::uint64_t{4294967296};
+  point.params["half"] = 2.5;
+  point.params["neg"] = -1;
+  point.params["exact"] = 8.0;
+  EXPECT_EQ(point.param_u32("whole"), 4294967295u);
+  EXPECT_EQ(point.param_u64("wide"), 4294967296u);
+  EXPECT_THROW((void)point.param_u32("wide"), std::invalid_argument);
+  EXPECT_THROW((void)point.param_u64("half"), std::invalid_argument);
+  EXPECT_THROW((void)point.param_u64("neg"), std::invalid_argument);
+  EXPECT_EQ(point.param_u32("exact"), 8u);
+}
+
 TEST(Scenario, UnknownWorkloadNameThrows) {
   EXPECT_THROW((void)workload_from_name("quantum"), std::invalid_argument);
 }

@@ -5,7 +5,11 @@
 // CodedDriver, and the `coded` campaign workload family.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <optional>
 #include <stdexcept>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "campaign/runner.hpp"
@@ -15,6 +19,7 @@
 #include "sim/audit.hpp"
 #include "sim/engine.hpp"
 #include "sim/fault.hpp"
+#include "sim/rng.hpp"
 #include "workload/coded_gen.hpp"
 
 namespace {
@@ -434,6 +439,140 @@ TEST(CodedDriver, DeterministicAcrossRuns) {
   const auto a = run();
   const auto b = run();
   EXPECT_EQ(a, b);
+}
+
+// -------------------------------------------------------- fast path ----
+
+// Closed-loop stream in the memory's tick domain: each port thinks for a
+// seeded 0..31 cycles, then writes or reads one of four hot blocks half
+// the time (same-offset racing writes) and a wide cold range otherwise.
+// It sleeps on the memory's completion hint while every port is busy, so
+// a hint that runs late shows up as a schedule change.
+class CodedStream final : public sim::Component {
+ public:
+  struct Record {
+    std::uint32_t port = 0;
+    core::OpStatus status = core::OpStatus::Completed;
+    sim::Cycle issued = 0;
+    sim::Cycle completed = 0;
+    sim::Cycle harvested = 0;
+    std::vector<sim::Word> data;
+    bool operator==(const Record&) const = default;
+  };
+
+  CodedStream(sim::DomainId domain, CodedMemory& memory, std::uint64_t seed)
+      : Component("coded.stream", domain, sim::phase_bit(sim::Phase::Issue)),
+        mem_(memory),
+        rng_(seed),
+        ports_(memory.config().processors) {}
+
+  void tick_phase(sim::Phase, sim::Cycle now) override {
+    sim::Cycle wake = sim::kNeverCycle;
+    bool in_flight = false;
+    for (std::uint32_t p = 0; p < ports_.size(); ++p) {
+      auto& port = ports_[p];
+      if (port.op != CodedMemory::kNoOp) {
+        if (auto r = mem_.take_result(port.op)) {
+          records.push_back(
+              Record{p, r->status, r->issued, r->completed, now, r->data});
+          port.op = CodedMemory::kNoOp;
+          port.ready = now + rng_.below(32);
+        }
+      }
+      if (port.op == CodedMemory::kNoOp && port.ready <= now) issue(now, p);
+      if (port.op != CodedMemory::kNoOp) {
+        in_flight = true;
+      } else {
+        wake = std::min(wake, port.ready);
+      }
+    }
+    if (in_flight) wake = std::min(wake, mem_.next_completion_hint(now));
+    set_next_event(wake);
+  }
+
+  std::vector<Record> records;
+  std::vector<sim::BlockAddr> blocks;  ///< every block issued
+
+ private:
+  struct Port {
+    CodedMemory::OpToken op = CodedMemory::kNoOp;
+    sim::Cycle ready = 0;
+  };
+
+  void issue(sim::Cycle now, std::uint32_t p) {
+    const sim::BlockAddr block =
+        rng_.chance(0.5) ? rng_.below(4) : 1000 + rng_.below(100000);
+    blocks.push_back(block);
+    if (rng_.chance(0.5)) {
+      std::vector<sim::Word> data(mem_.descriptor().data_banks);
+      const sim::Word v = rng_.below(1u << 30);
+      for (std::size_t j = 0; j < data.size(); ++j) data[j] = v ^ j;
+      ports_[p].op = mem_.issue(now, p, core::BlockOpKind::Write, block, data);
+    } else {
+      ports_[p].op = mem_.issue(now, p, core::BlockOpKind::Read, block);
+    }
+  }
+
+  CodedMemory& mem_;
+  sim::Rng rng_;
+  std::vector<Port> ports_;
+};
+
+struct CodedStreamRun {
+  std::vector<CodedStream::Record> records;
+  std::vector<std::pair<std::string, std::uint64_t>> counters;
+  std::vector<std::vector<sim::Word>> blocks;
+  bool operator==(const CodedStreamRun&) const = default;
+};
+
+CodedStreamRun run_coded_stream(ParityPolicy policy, const std::string& plan,
+                                bool fast, sim::Cycle span) {
+  sim::Engine engine(sim::EngineConfig{.fast_path = fast, .max_span = span});
+  CodedConfig cfg = small_config(1, policy);
+  cfg.bank_cycle = 2;
+  CodedMemory memory(cfg);
+  std::optional<sim::FaultInjector> injector;
+  if (!plan.empty()) {
+    injector.emplace(sim::FaultPlan::parse(plan));
+    memory.set_fault_injector(*injector);
+  }
+  const auto domain = engine.allocate_domain();
+  memory.attach(engine, domain);
+  CodedStream stream(domain, memory, 0xc0dedULL);
+  engine.add(stream);
+  engine.run_for(8000);
+
+  CodedStreamRun out;
+  out.records = stream.records;
+  for (const auto& [k, v] : memory.counters().all()) {
+    out.counters.emplace_back(k, v);
+  }
+  auto blocks = stream.blocks;
+  std::sort(blocks.begin(), blocks.end());
+  blocks.erase(std::unique(blocks.begin(), blocks.end()), blocks.end());
+  for (const auto b : blocks) out.blocks.push_back(memory.peek_block(b));
+  return out;
+}
+
+// CodedMemory::next_completion_hint must never let a sleeping driver
+// harvest late: healthy, with a dead bank served by decode, and after a
+// second death makes that bank's words unserviceable (timed-out aborts),
+// every fast-path span matches the per-cycle reference exactly.
+TEST(CodedFastPath, MatchesPerCycleReferenceHealthyAndFaulted) {
+  const std::string kDecode = "bank_dead@1500:module=0,bank=3";
+  const std::string kAbort = kDecode + ";bank_dead@5000:module=0,bank=8";
+  for (const auto policy :
+       {ParityPolicy::ReadModifyWrite, ParityPolicy::Logged}) {
+    for (const auto& plan : {std::string(), kDecode, kAbort}) {
+      const CodedStreamRun ref = run_coded_stream(policy, plan, false, 1);
+      ASSERT_GT(ref.records.size(), 500u) << plan;
+      for (const sim::Cycle span : {sim::Cycle{1}, sim::Cycle{7},
+                                    sim::Cycle{64}}) {
+        EXPECT_EQ(run_coded_stream(policy, plan, true, span), ref)
+            << "plan '" << plan << "' span " << span;
+      }
+    }
+  }
 }
 
 // --------------------------------------------------------- campaign ----

@@ -2,11 +2,10 @@
 // skip / jump / span rules in isolation, the run_until per-cycle
 // guarantee, in-domain sub-spans and batched CfmMemory tours against the
 // per-cycle reference, and the headline cross-product bit-exactness
-// suite —
-// {serial, parallel} x {fast path on, off} x max_span {1, 7, 64} x
-// {no faults, bank_dead + brownout} all produce identical results on a
-// 64-processor hierarchical CFM machine driven by the wake-aware
-// think-time workload.
+// suite — fast path on at max_span {1, 7, 64} against the fast-path-off
+// reference, with {no faults, bank_dead + brownout}, all produce identical
+// results on a 64-processor hierarchical CFM machine driven by the
+// wake-aware think-time workload.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -23,7 +22,6 @@
 #include "sim/audit.hpp"
 #include "sim/engine.hpp"
 #include "sim/fault.hpp"
-#include "sim/parallel_engine.hpp"
 #include "sim/report.hpp"
 #include "sim/rng.hpp"
 #include "sim/stats.hpp"
@@ -506,13 +504,10 @@ struct HierRun {
 };
 
 // One full machine build + run.  `fault_plan` empty = healthy machine.
-HierRun run_hier(unsigned threads, bool fast, Cycle span,
-                 const std::string& fault_plan, bool audit = false,
-                 bool barrier = false) {
+HierRun run_hier(bool fast, Cycle span, const std::string& fault_plan,
+                 bool audit = false, bool barrier = false) {
   constexpr Cycle kCycles = 3000;
-  auto engine = Engine::make(
-      EngineConfig{.num_threads = threads, .fast_path = fast,
-                   .max_span = span});
+  Engine engine(EngineConfig{.fast_path = fast, .max_span = span});
 
   cache::HierarchicalCfm sys({.clusters = 8, .procs_per_cluster = 8});
   std::optional<sim::FaultInjector> injector;
@@ -524,17 +519,17 @@ HierRun run_hier(unsigned threads, bool fast, Cycle span,
   if (audit) sys.set_audit(auditor);
 
   workload::HierDriver driver(
-      "test.think_driver", *engine, sys,
+      "test.think_driver", engine, sys,
       {.think_min = 4, .think_max = 120, .write_fraction = 0.35,
        .shared_fraction = 0.25, .barrier = barrier},
-      /*seed=*/0x5eedULL, engine->shard(sim::kSharedDomain));
-  sys.attach(*engine);
-  engine->run_for(kCycles);
+      /*seed=*/0x5eedULL, engine.shard(sim::kSharedDomain));
+  sys.attach(engine);
+  engine.run_for(kCycles);
 
   HierRun out;
   out.completed = driver.completed();
   out.in_flight = driver.in_flight();
-  const auto& shard = engine->shard(sim::kSharedDomain);
+  const auto& shard = engine.shard(sim::kSharedDomain);
   const auto it = shard.running.find("hier.access_time");
   if (it != shard.running.end()) {
     out.mean_latency = it->second.mean();
@@ -552,59 +547,54 @@ HierRun run_hier(unsigned threads, bool fast, Cycle span,
     out.mem_counters.emplace_back("g." + k, v);
   }
   out.coupling_ok = sys.check_state_coupling();
-  out.end_cycle = engine->now();
-  if (audit) EXPECT_EQ(auditor.violations(), 0u);
+  out.end_cycle = engine.now();
+  if (audit) {
+    EXPECT_EQ(auditor.violations(), 0u);
+  }
   return out;
 }
 
-// ISSUE acceptance: every engine/fast-path/span combination is bit-exact
-// with the per-cycle serial reference, healthy machine.
+// Every fast-path span is bit-exact with the per-cycle reference, healthy
+// machine.
 TEST(FastPathCrossProduct, HealthyMachineIsBitExactEverywhere) {
-  const HierRun ref = run_hier(1, /*fast=*/false, 1, "");
+  const HierRun ref = run_hier(/*fast=*/false, 1, "");
   ASSERT_GT(ref.completed, 500u);
   ASSERT_TRUE(ref.coupling_ok);
 
   for (const Cycle span : {Cycle{1}, Cycle{7}, Cycle{64}}) {
-    EXPECT_EQ(run_hier(1, true, span, ""), ref) << "serial span " << span;
-    EXPECT_EQ(run_hier(4, true, span, ""), ref) << "parallel span " << span;
+    EXPECT_EQ(run_hier(true, span, ""), ref) << "span " << span;
   }
-  EXPECT_EQ(run_hier(4, false, 1, ""), ref) << "parallel reference";
 }
 
 // ...and with bank_dead + brownout faults injected at both levels.
 TEST(FastPathCrossProduct, FaultedMachineIsBitExactEverywhere) {
   const std::string plan =
       "bank_dead@400+900:module=0,bank=1;brownout@1400+150:module=0";
-  const HierRun ref = run_hier(1, /*fast=*/false, 1, plan);
+  const HierRun ref = run_hier(/*fast=*/false, 1, plan);
   ASSERT_GT(ref.completed, 200u);
   ASSERT_TRUE(ref.coupling_ok);
 
   for (const Cycle span : {Cycle{1}, Cycle{7}, Cycle{64}}) {
-    EXPECT_EQ(run_hier(1, true, span, plan), ref) << "serial span " << span;
-    EXPECT_EQ(run_hier(4, true, span, plan), ref) << "parallel span " << span;
+    EXPECT_EQ(run_hier(true, span, plan), ref) << "span " << span;
   }
 }
 
 // The bulk-synchronous (BSP superstep) driver mode — the shape the CI
 // throughput gate benchmarks — is bit-exact across the same grid.
 TEST(FastPathCrossProduct, BarrierWorkloadIsBitExactEverywhere) {
-  const HierRun ref =
-      run_hier(1, false, 1, "", /*audit=*/false, /*barrier=*/true);
+  const HierRun ref = run_hier(false, 1, "", /*audit=*/false, /*barrier=*/true);
   ASSERT_GT(ref.completed, 300u);
   for (const Cycle span : {Cycle{1}, Cycle{64}}) {
-    EXPECT_EQ(run_hier(1, true, span, "", false, true), ref)
-        << "serial span " << span;
-    EXPECT_EQ(run_hier(4, true, span, "", false, true), ref)
-        << "parallel span " << span;
+    EXPECT_EQ(run_hier(true, span, "", false, true), ref) << "span " << span;
   }
 }
 
 // The §9 conflict auditor keeps working on the fast path: zero
 // violations, and auditing does not change results.
 TEST(FastPathCrossProduct, AuditedFastRunMatchesAndStaysClean) {
-  const HierRun ref = run_hier(1, false, 1, "");
-  EXPECT_EQ(run_hier(1, true, 64, "", /*audit=*/true), ref);
-  EXPECT_EQ(run_hier(4, true, 64, "", /*audit=*/true), ref);
+  const HierRun ref = run_hier(false, 1, "");
+  EXPECT_EQ(run_hier(false, 1, "", /*audit=*/true), ref);
+  EXPECT_EQ(run_hier(true, 64, "", /*audit=*/true), ref);
 }
 
 // The think-time workload really exercises the skip machinery: on the

@@ -1,6 +1,6 @@
 // Tests for the fault-injection & graceful-degradation subsystem:
 // FaultPlan grammar, injector windows, CfmMemory's spare-bank remap and
-// bounded-latency contract (serial and 4-thread ParallelEngine), the
+// bounded-latency contract (fast path and per-cycle reference), the
 // closed-loop survivorship-bias accounting, the Uniform[1, beta] back-off
 // draw, and the assert->invalid_argument guard conversions.
 #include <gtest/gtest.h>
@@ -17,7 +17,6 @@
 #include "sim/audit.hpp"
 #include "sim/engine.hpp"
 #include "sim/fault.hpp"
-#include "sim/parallel_engine.hpp"
 #include "sim/rng.hpp"
 #include "workload/access_gen.hpp"
 
@@ -183,17 +182,18 @@ TEST(CfmDegradation, DeadBankWithSpareCompletesEveryAccess) {
   EXPECT_LE(mem.fault_recovery().max(), 3.0 * beta);
 }
 
-// The same property must hold when the memory ticks inside a 4-thread
-// ParallelEngine: the injector's const queries are the only cross-domain
-// surface, and serial/parallel runs stay bit-identical.
-TEST(CfmDegradation, ParallelEngineMatchesSerialUnderFaults) {
+// The same property must hold on the engine fast path: under a fault
+// plan the fast-path run stays bit-identical with the per-cycle
+// reference.
+TEST(CfmDegradation, FastPathMatchesReferenceUnderFaults) {
   struct Run {
     std::uint64_t completed = 0;
     std::uint64_t failed = 0;
     double mean = 0.0;
     std::uint64_t violations = 0;
   };
-  auto run = [](std::unique_ptr<sim::Engine> engine) {
+  auto run = [](bool fast) {
+    sim::Engine engine(sim::EngineConfig{.fast_path = fast});
     core::CfmMemory mem(core::CfmConfig::make(8, 2));
     sim::ConflictAuditor auditor;
     mem.set_audit(auditor);
@@ -201,16 +201,16 @@ TEST(CfmDegradation, ParallelEngineMatchesSerialUnderFaults) {
         FaultPlan::parse("bank_dead@500:module=0,bank=5;"
                          "brownout@3000+60:module=0"));
     mem.set_fault_injector(inj, 1);
-    const auto domain = engine->allocate_domain();
-    mem.attach(*engine, domain);
+    const auto domain = engine.allocate_domain();
+    mem.attach(engine, domain);
     workload::AccessDriver driver("fault.driver", domain, mem, 0.25, 4321,
-                                  engine->shard(domain));
-    engine->add(driver);
-    engine->run_for(8000);
+                                  engine.shard(domain));
+    engine.add(driver);
+    engine.run_for(8000);
     Run out;
     out.completed = driver.completed();
     out.failed = driver.failed();
-    const auto& shard = engine->shard(domain);
+    const auto& shard = engine.shard(domain);
     if (const auto it = shard.running.find("access_time");
         it != shard.running.end()) {
       out.mean = it->second.mean();
@@ -219,15 +219,15 @@ TEST(CfmDegradation, ParallelEngineMatchesSerialUnderFaults) {
     return out;
   };
 
-  const auto serial = run(sim::Engine::make(sim::EngineConfig{1}));
-  const auto parallel = run(sim::Engine::make(sim::EngineConfig{4}));
-  EXPECT_GT(serial.completed, 1000u);
-  EXPECT_EQ(serial.failed, 0u);
-  EXPECT_EQ(serial.violations, 0u);
-  EXPECT_EQ(parallel.completed, serial.completed);
-  EXPECT_EQ(parallel.failed, serial.failed);
-  EXPECT_DOUBLE_EQ(parallel.mean, serial.mean);
-  EXPECT_EQ(parallel.violations, serial.violations);
+  const auto reference = run(false);
+  const auto fast = run(true);
+  EXPECT_GT(reference.completed, 1000u);
+  EXPECT_EQ(reference.failed, 0u);
+  EXPECT_EQ(reference.violations, 0u);
+  EXPECT_EQ(fast.completed, reference.completed);
+  EXPECT_EQ(fast.failed, reference.failed);
+  EXPECT_DOUBLE_EQ(fast.mean, reference.mean);
+  EXPECT_EQ(fast.violations, reference.violations);
 }
 
 // Without a spare the machine halts on the dead bank; the watchdog must

@@ -80,6 +80,32 @@ TEST(Json, ParseRejectsMalformedInput) {
   EXPECT_THROW((void)Json::parse("\"unterminated"), JsonParseError);
 }
 
+// Regression: a 200 000-deep "[[[..." used to recurse until the stack
+// overflowed.  Nesting is bounded; the error names the depth.
+TEST(Json, ParseRejectsNestingBeyondTheDepthLimit) {
+  const auto arrays = [](std::size_t depth) {
+    return std::string(depth, '[') + std::string(depth, ']');
+  };
+  constexpr std::size_t kMax = Json::kMaxParseDepth;
+  EXPECT_NO_THROW((void)Json::parse(arrays(kMax)));
+  for (const std::size_t depth : {kMax + 1, std::size_t{200000}}) {
+    try {
+      (void)Json::parse(arrays(depth));
+      FAIL() << "depth " << depth << " was accepted";
+    } catch (const JsonParseError& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("nesting depth " + std::to_string(kMax + 1)),
+                std::string::npos)
+          << what;
+    }
+  }
+  // Objects count toward the same limit.
+  std::string objects;
+  for (std::size_t i = 0; i <= kMax; ++i) objects += "{\"a\":";
+  objects += "1" + std::string(kMax + 1, '}');
+  EXPECT_THROW((void)Json::parse(objects), JsonParseError);
+}
+
 TEST(Json, AccessorsEnforceKind) {
   Json s = "text";
   EXPECT_THROW((void)s.as_array(), std::logic_error);

@@ -251,6 +251,24 @@ TEST(Serve, FaultPlanNamingAMissingBankIsRejected) {
   EXPECT_NO_THROW(Server{opts});
 }
 
+TEST(Serve, ThreadsOtherThanOneIsRejected) {
+  // The engine is serial; a multi-threaded request is refused, not
+  // silently served on one thread.
+  ServeOptions opts;
+  opts.threads = 2;
+  try {
+    Server server(opts);
+    FAIL() << "threads = 2 was accepted";
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("threads = 2"), std::string::npos) << what;
+  }
+  opts.threads = 0;
+  EXPECT_THROW(Server{opts}, std::invalid_argument);
+  opts.threads = 1;
+  EXPECT_NO_THROW(Server{opts});
+}
+
 // ---------------------------------------------------------------------------
 // Report determinism across engine configurations.
 
@@ -267,16 +285,12 @@ TEST(Serve, ReportByteIdenticalAcrossEngineConfigs) {
     std::string reference;
     {
       TuningGuard guard({.fast_path = false, .max_span = 1});
-      opts.threads = 1;
       reference = serve_report(opts, reqs);
     }
-    for (const unsigned threads : {1u, 2u, 4u}) {
-      for (const sim::Cycle span : {sim::Cycle{1}, sim::Cycle{64}}) {
-        TuningGuard guard({.fast_path = true, .max_span = span});
-        opts.threads = threads;
-        EXPECT_EQ(serve_report(opts, reqs), reference)
-            << shape << " threads=" << threads << " span=" << span;
-      }
+    for (const sim::Cycle span : {sim::Cycle{1}, sim::Cycle{64}}) {
+      TuningGuard guard({.fast_path = true, .max_span = span});
+      EXPECT_EQ(serve_report(opts, reqs), reference)
+          << shape << " span=" << span;
     }
   }
 }
@@ -324,17 +338,12 @@ TEST(Serve, TimeseriesByteIdenticalAcrossEnginesUnderFaults) {
   std::string reference;
   {
     TuningGuard guard({.fast_path = false, .max_span = 1});
-    opts.threads = 1;
     reference = serve_report(opts, reqs);
   }
   EXPECT_NE(reference.find("\"timeseries\""), std::string::npos);
-  for (const unsigned threads : {2u, 4u}) {
-    for (const sim::Cycle span : {sim::Cycle{1}, sim::Cycle{64}}) {
-      TuningGuard guard({.fast_path = true, .max_span = span});
-      opts.threads = threads;
-      EXPECT_EQ(serve_report(opts, reqs), reference)
-          << "threads=" << threads << " span=" << span;
-    }
+  for (const sim::Cycle span : {sim::Cycle{1}, sim::Cycle{64}}) {
+    TuningGuard guard({.fast_path = true, .max_span = span});
+    EXPECT_EQ(serve_report(opts, reqs), reference) << "span=" << span;
   }
 }
 

@@ -94,15 +94,13 @@ struct SyntheticLoad {
 };
 
 struct Rig {
-  std::unique_ptr<Engine> engine;
+  Engine engine;
   SyntheticLoad load;
   std::shared_ptr<LambdaComponent> driver;
   std::unique_ptr<TelemetrySampler> sampler;
 
-  explicit Rig(unsigned threads, Cycle window, std::size_t capacity,
-               Cycle busy_from, Cycle busy_to) {
-    engine = Engine::make(EngineConfig{threads});
-    const auto domain = engine->allocate_domain();
+  Rig(Cycle window, std::size_t capacity, Cycle busy_from, Cycle busy_to) {
+    const auto domain = engine.allocate_domain();
     driver = std::make_shared<LambdaComponent>("test.load", domain);
     driver->on(Phase::Issue, [this, busy_from, busy_to](Cycle now) {
       if (now >= busy_from && now < busy_to) {
@@ -110,18 +108,18 @@ struct Rig {
         load.gauge = static_cast<double>(now % 7);
       }
     });
-    engine->add(driver);
+    engine.add(driver);
     sampler = std::make_unique<TelemetrySampler>("test.telemetry", window,
                                                  capacity);
     sampler->add_counter("ops", [this] { return load.counter; });
     sampler->add_gauge("depth", [this](Cycle) { return load.gauge; });
-    engine->add(*sampler);
+    engine.add(*sampler);
   }
 };
 
 TEST(TelemetrySampler, WindowDeltasSumToTotals) {
-  Rig rig(1, /*window=*/32, /*capacity=*/512, 0, 1000);
-  rig.engine->run_for(1000);
+  Rig rig(/*window=*/32, /*capacity=*/512, 0, 1000);
+  rig.engine.run_for(1000);
   const auto s = rig.sampler->series(1000);
   EXPECT_EQ(s.window_cycles, 32u);
   std::uint64_t sum = 0;
@@ -133,8 +131,8 @@ TEST(TelemetrySampler, WindowDeltasSumToTotals) {
 TEST(TelemetrySampler, SparseRecordingSkipsIdleWindows) {
   // Busy for [0, 128), idle to 2048: records exist only for the busy
   // prefix, and over-running the engine adds no rows.
-  Rig rig(1, /*window=*/32, /*capacity=*/512, 0, 128);
-  rig.engine->run_for(2048);
+  Rig rig(/*window=*/32, /*capacity=*/512, 0, 128);
+  rig.engine.run_for(2048);
   const auto s = rig.sampler->series(2048);
   ASSERT_FALSE(s.rows.empty());
   // One trailing record may hold the busy->idle gauge transition.
@@ -143,41 +141,41 @@ TEST(TelemetrySampler, SparseRecordingSkipsIdleWindows) {
 }
 
 TEST(TelemetrySampler, SeriesIdenticalAcrossEnginePacing) {
-  // Serial, 2- and 4-thread engines and a stunted span must export the
+  // The per-cycle reference and every fast-path span must export the
   // same bytes: the sampler's boundary hint forces boundary cycles into
   // reference order regardless of how the engine got there.
-  const auto run = [](unsigned threads, Cycle span) {
+  const auto run = [](bool fast, Cycle span) {
     EngineTuning saved = engine_tuning();
     EngineTuning t = saved;
+    t.fast_path = fast;
     t.max_span = span;
     set_engine_tuning(t);
-    Rig rig(threads, 48, 512, 100, 900);
-    rig.engine->run_for(1500);
+    Rig rig(48, 512, 100, 900);
+    rig.engine.run_for(1500);
     std::string out = rig.sampler->to_json(1500).dump();
     set_engine_tuning(saved);
     return out;
   };
-  const std::string reference = run(1, 64);
-  EXPECT_EQ(reference, run(2, 64));
-  EXPECT_EQ(reference, run(4, 64));
-  EXPECT_EQ(reference, run(1, 1));
-  EXPECT_EQ(reference, run(4, 1));
+  const std::string reference = run(false, 1);
+  EXPECT_EQ(reference, run(true, 1));
+  EXPECT_EQ(reference, run(true, 7));
+  EXPECT_EQ(reference, run(true, 64));
 }
 
 TEST(TelemetrySampler, PendingWindowFlushMatchesBoundarySample) {
   // Engine A stops mid-window; engine B (same workload) crosses the next
   // boundary with no further activity.  Exports at the same horizon must
   // agree: the flush materializes the still-open window.
-  Rig a(1, 100, 512, 0, 250);
-  a.engine->run_for(250);  // stops 50 cycles short of the 300 boundary
-  Rig b(1, 100, 512, 0, 250);
-  b.engine->run_for(400);  // crosses the boundary while idle
+  Rig a(100, 512, 0, 250);
+  a.engine.run_for(250);  // stops 50 cycles short of the 300 boundary
+  Rig b(100, 512, 0, 250);
+  b.engine.run_for(400);  // crosses the boundary while idle
   EXPECT_EQ(a.sampler->to_json(250).dump(), b.sampler->to_json(250).dump());
 }
 
 TEST(TelemetrySampler, HorizonTruncationDropsLaterRows) {
-  Rig rig(1, 32, 512, 0, 1000);
-  rig.engine->run_for(1000);
+  Rig rig(32, 512, 0, 1000);
+  rig.engine.run_for(1000);
   const auto s = rig.sampler->series(500);
   for (const auto& row : s.rows) EXPECT_LE(row.start, 500u);
 }
@@ -187,8 +185,8 @@ TEST(TelemetrySampler, FoldsDeterministicallyToCapacity) {
   // rows fit, rows stay strictly increasing and aligned, and the fold is
   // the same whether it happened eagerly (small capacity, in-flight) or
   // all at export time (large capacity, folded view of the same stream).
-  Rig small(1, 16, 8, 0, 1024);
-  small.engine->run_for(1024);
+  Rig small(16, 8, 0, 1024);
+  small.engine.run_for(1024);
   const auto s = small.sampler->series(1024);
   EXPECT_LE(s.rows.size(), 8u);
   EXPECT_GT(s.scale, 1u);
@@ -202,8 +200,8 @@ TEST(TelemetrySampler, FoldsDeterministicallyToCapacity) {
   EXPECT_EQ(sum, small.load.counter);
 
   // Same stream, never folded in flight; fold only the exported copy.
-  Rig big(1, 16, 512, 0, 1024);
-  big.engine->run_for(1024);
+  Rig big(16, 512, 0, 1024);
+  big.engine.run_for(1024);
   auto wide = big.sampler->series(1024);
   // Re-fold the wide series down to the small recorder's scale by asking
   // the sampler machinery indirectly: compare window sums at s.scale.
@@ -222,9 +220,9 @@ TEST(TelemetrySampler, FoldsDeterministicallyToCapacity) {
 }
 
 TEST(TelemetrySampler, LiveJsonShowsOpenWindow) {
-  Rig rig(1, 64, 512, 0, 1000);
-  rig.engine->run_for(100);  // 1 boundary crossed, 36 cycles into window 1
-  const auto live = rig.sampler->live_json(rig.engine->now());
+  Rig rig(64, 512, 0, 1000);
+  rig.engine.run_for(100);  // 1 boundary crossed, 36 cycles into window 1
+  const auto live = rig.sampler->live_json(rig.engine.now());
   EXPECT_EQ(live.at("cycle").as_uint(), 100u);
   EXPECT_EQ(live.at("window").at("start").as_uint(), 64u);
   const auto open_delta = live.at("window").at("counters").at("ops").as_uint();
@@ -234,9 +232,9 @@ TEST(TelemetrySampler, LiveJsonShowsOpenWindow) {
 }
 
 TEST(TelemetrySampler, PrometheusTextExposesCountersAndGauges) {
-  Rig rig(1, 64, 512, 0, 200);
-  rig.engine->run_for(200);
-  const auto text = rig.sampler->prometheus_text(rig.engine->now());
+  Rig rig(64, 512, 0, 200);
+  rig.engine.run_for(200);
+  const auto text = rig.sampler->prometheus_text(rig.engine.now());
   EXPECT_NE(text.find("# TYPE cfm_ops counter"), std::string::npos);
   EXPECT_NE(text.find("cfm_ops 200\n"), std::string::npos);
   EXPECT_NE(text.find("# TYPE cfm_depth gauge"), std::string::npos);

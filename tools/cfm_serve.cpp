@@ -31,7 +31,6 @@
 //   --fault-plan <plan>       sim::FaultPlan grammar
 //   --spares <n>              spare banks for dead-bank remap
 //   --audit                   attach the conflict-freedom auditor
-//   --threads <n>             engine threads (results identical)
 //   --fast-path <0|1> --max-span <n>   engine tuning override
 //   --json-out <path>         write the cfm-serve-report/v1 document
 //   --metrics-out <path>      write the final Prometheus text exposition
@@ -85,7 +84,7 @@ struct CliOptions {
       stderr,
       "usage: %s [--requests <file> | --count <n>] [--load <shape[:k=v,..]>]\n"
       "  [--slo <cycles>] [--queue-depth <n>] [--processors <c>]\n"
-      "  [--bank-cycle <n>] [--seed <s>] [--threads <n>] [--fault-plan <p>]\n"
+      "  [--bank-cycle <n>] [--seed <s>] [--fault-plan <p>]\n"
       "  [--spares <n>] [--audit] [--blocks <n>] [--write-frac <f>]\n"
       "  [--swap-frac <f>] [--lock-frac <f>] [--fast-path <0|1>]\n"
       "  [--max-span <n>] [--json-out <path>] [--metrics-out <path>]\n"
@@ -122,7 +121,7 @@ std::uint64_t parse_u64(const char* argv0, const char* flag,
 }
 
 /// parse_u64 with an additional ceiling, for flags narrowed to 32 bits
-/// (processors, bank cycle, spares) or to a reasonable thread count.
+/// (processors, bank cycle, spares) or to a 0/1 switch.
 std::uint64_t parse_u64_max(const char* argv0, const char* flag,
                             const std::string& text, std::uint64_t max) {
   const auto value = parse_u64(argv0, flag, text);
@@ -203,10 +202,6 @@ CliOptions parse_cli(int argc, char** argv) {
             as_u32("--bank-cycle", value_of(i, "--bank-cycle"));
       } else if (arg == "--seed") {
         opts.serve.seed = as_u64("--seed", value_of(i, "--seed"));
-      } else if (arg == "--threads") {
-        opts.serve.threads = static_cast<unsigned>(
-            parse_u64_max(argv[0], "--threads", value_of(i, "--threads"),
-                          std::numeric_limits<unsigned>::max()));
       } else if (arg == "--fault-plan") {
         opts.serve.fault_plan = value_of(i, "--fault-plan");
       } else if (arg == "--spares") {
@@ -238,6 +233,7 @@ CliOptions parse_cli(int argc, char** argv) {
       } else if (arg == "--quiet") {
         opts.quiet = true;
       } else {
+        std::fprintf(stderr, "%s: unknown flag '%s'\n", argv[0], arg.c_str());
         usage(argv[0], 2);
       }
     } catch (const std::exception& e) {
