@@ -30,7 +30,6 @@
 #include "sim/audit.hpp"
 #include "sim/fault.hpp"
 #include "workload/access_gen.hpp"
-#include "workload/coded_gen.hpp"
 
 namespace {
 
@@ -56,22 +55,23 @@ struct CodedCase {
 CodedCase run_coded(const mem::coded::CodedConfig& cfg, bool audit,
                     const std::string& plan_text, std::uint64_t seed) {
   CodedCase out;
+  mem::coded::CodedMemory memory(cfg);
   sim::ConflictAuditor auditor;
+  if (audit) memory.set_audit(auditor);
   std::unique_ptr<sim::FaultInjector> injector;
-  workload::CodedRunHooks hooks;
-  if (audit) hooks.auditor = &auditor;
   if (!plan_text.empty()) {
     auto plan = sim::FaultPlan::parse(plan_text);
-    plan.validate_banks(cfg.banks_provisioned(),
-                        "coded memory (data + parity banks)");
+    plan.validate_single_module(cfg.banks_provisioned(),
+                                "coded memory (data + parity banks)");
     injector = std::make_unique<sim::FaultInjector>(std::move(plan), seed);
-    hooks.injector = injector.get();
+    memory.set_fault_injector(*injector);
   }
+  workload::RunHooks hooks;
   hooks.counters_out = &out.counters;
-  hooks.decode_fanout_max_out = &out.decode_fanout_max;
-  hooks.pending_parity_out = &out.pending_parity;
-  out.r = workload::measure_coded_instrumented(cfg, kRate, kWriteFraction,
-                                               kCycles, seed, hooks);
+  out.r = workload::measure_instrumented(memory, kRate, kWriteFraction,
+                                         kCycles, seed, hooks);
+  out.decode_fanout_max = memory.decode_fanout_max();
+  out.pending_parity = memory.pending_parity();
   out.violations = auditor.violations();
   out.injected = auditor.injected_detected();
   if (audit) out.audit = auditor.to_json();
@@ -242,13 +242,11 @@ int main(int argc, char** argv) {
   // conflict-free scope: the negative control proving the relaxed scope
   // is a deliberate weakening, not the only scope that can pass.
   {
+    core::CfmMemory memory(core::CfmConfig::make(kProcessors, kBankCycle));
     sim::ConflictAuditor auditor;
-    sim::CounterSet counters;
-    workload::CfmRunHooks hooks;
-    if (opts.audit) hooks.auditor = &auditor;
-    hooks.counters_out = &counters;
-    const auto r = workload::measure_cfm_instrumented(
-        kProcessors, kBankCycle, kRate, kCycles, seed, hooks);
+    if (opts.audit) memory.set_audit(auditor);
+    const auto r =
+        workload::measure_instrumented(memory, kRate, 0.0, kCycles, seed);
     std::printf("%-10s %-5u %-5s %-3s %-3s %-7s %-6s %-9.2f %-9.3f "
                 "%-7llu %-8s %-8s %-7s %-7llu\n",
                 "cfm_full", kProcessors * kBankCycle, "-", "-", "-", "-",

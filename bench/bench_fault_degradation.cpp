@@ -23,9 +23,7 @@
 #include "cfm/cluster.hpp"
 #include "report_main.hpp"
 #include "sim/audit.hpp"
-#include "sim/engine.hpp"
 #include "sim/fault.hpp"
-#include "sim/telemetry.hpp"
 #include "workload/access_gen.hpp"
 
 namespace {
@@ -55,7 +53,6 @@ struct CaseResult {
 CaseResult run_case(const std::string& plan_text, std::uint32_t spares,
                     sim::Json* timeseries_out = nullptr,
                     sim::Json* recovery_out = nullptr) {
-  sim::Engine engine;
   core::CfmMemory memory(core::CfmConfig::make(kProcessors, kBankCycle));
   sim::ConflictAuditor auditor;
   memory.set_audit(auditor);
@@ -64,74 +61,32 @@ CaseResult run_case(const std::string& plan_text, std::uint32_t spares,
   // scenario measures the clean machine (null-check fast path only).
   std::unique_ptr<sim::FaultInjector> injector;
   if (!plan_text.empty()) {
-    injector = std::make_unique<sim::FaultInjector>(
-        sim::FaultPlan::parse(plan_text));
+    auto plan = sim::FaultPlan::parse(plan_text);
+    plan.validate_single_module(memory.config().banks, "cfm memory");
+    injector = std::make_unique<sim::FaultInjector>(std::move(plan));
     memory.set_fault_injector(*injector, spares);
   }
 
-  const auto domain = engine.allocate_domain();
-  memory.attach(engine, domain);
-  workload::AccessDriver driver("fault.driver", domain, memory, kRate,
-                                /*seed=*/1234, engine.shard(domain));
-  engine.add(driver);
-
   // Optional flight recorder: the degradation story as a time series —
   // retries/failures per window, bank health, fault lifecycle.
-  std::unique_ptr<sim::TelemetrySampler> telemetry;
+  sim::RunningStat access_time;
+  workload::RunHooks hooks;
+  hooks.access_time_out = &access_time;
   if (timeseries_out != nullptr) {
-    const auto beta = memory.config().block_access_time();
-    telemetry = std::make_unique<sim::TelemetrySampler>(
-        "fault.telemetry", 8 * static_cast<sim::Cycle>(beta));
-    auto& shard = engine.shard(domain);
-    for (const char* name : {"ops_completed", "ops_retried", "ops_failed"}) {
-      telemetry->add_counter(
-          name, [&shard, name] { return shard.counters.get(name); });
-    }
-    for (const char* name : {"fault_restarts", "bank_failures", "bank_remaps",
-                             "brownouts", "fault_aborts"}) {
-      telemetry->add_counter(std::string("mem.") + name, [&memory, name] {
-        return memory.counters().get(name);
-      });
-    }
-    telemetry->add_gauge("in_flight", [&driver](sim::Cycle) {
-      return static_cast<double>(driver.in_flight());
-    });
-    telemetry->add_gauge("live_banks", [&memory](sim::Cycle) {
-      return static_cast<double>(memory.live_banks());
-    });
-    if (injector) {
-      telemetry->add_gauge("active_faults", [inj = injector.get()](
-                                                sim::Cycle now) {
-        return static_cast<double>(inj->active_count(now));
-      });
-    }
-    engine.add(*telemetry);
+    hooks.telemetry_window =
+        8 * static_cast<sim::Cycle>(memory.config().block_access_time());
+    hooks.timeseries_out = timeseries_out;
+    hooks.recovery_out = recovery_out;
   }
-
-  engine.run_for(kCycles);
-
-  if (telemetry) {
-    *timeseries_out = telemetry->to_json(kCycles);
-    if (recovery_out != nullptr && injector) {
-      sim::RecoveryConfig rc;
-      rc.degraded_counters = {"ops_retried",        "ops_failed",
-                              "mem.fault_restarts", "mem.bank_failures",
-                              "mem.brownouts",      "mem.fault_aborts"};
-      *recovery_out = sim::recovery_table(telemetry->series(kCycles),
-                                          injector->plan(), rc);
-    }
-  }
+  const auto r = workload::measure_instrumented(memory, kRate, 0.0, kCycles,
+                                                /*seed=*/1234, hooks);
 
   CaseResult out;
-  out.completed = driver.completed();
-  out.failed = driver.failed();
-  out.unfinished = driver.in_flight();
-  const auto& shard = engine.shard(domain);
-  if (const auto it = shard.running.find("access_time");
-      it != shard.running.end()) {
-    out.max_access_time = it->second.max();
-    out.mean_access_time = it->second.mean();
-  }
+  out.completed = r.completed;
+  out.failed = r.failed;
+  out.unfinished = r.unfinished;
+  out.max_access_time = access_time.max();
+  out.mean_access_time = access_time.mean();
   out.recovery_mean = memory.fault_recovery().mean();
   out.recovery_max = memory.fault_recovery().max();
   out.bank_remaps = memory.counters().get("bank_remaps");

@@ -183,8 +183,8 @@ void BM_TelemetryOverhead(benchmark::State& state) {
   core::CfmMemory mem(core::CfmConfig::make(16));
   const auto domain = engine.allocate_domain();
   mem.attach(engine, domain);
-  workload::AccessDriver driver("bench.telemetry_driver", domain, mem, 1.0,
-                                /*seed=*/77, engine.shard(domain));
+  workload::ClosedLoopDriver<core::CfmMemory> driver(
+      "bench.telemetry_driver", domain, mem, /*seed=*/77, /*rate=*/1.0);
   engine.add(driver);
   std::unique_ptr<sim::TelemetrySampler> sampler;
   if (telemetry) {
@@ -192,11 +192,10 @@ void BM_TelemetryOverhead(benchmark::State& state) {
         static_cast<sim::Cycle>(8 * mem.config().block_access_time());
     sampler = std::make_unique<sim::TelemetrySampler>("bench.telemetry",
                                                       window, 512);
-    auto& shard = engine.shard(domain);
-    for (const char* name : {"ops_completed", "ops_retried", "ops_failed"}) {
-      sampler->add_counter(name,
-                           [&shard, name] { return shard.counters.get(name); });
-    }
+    sampler->add_counter("ops_completed",
+                         [&driver] { return driver.completed(); });
+    sampler->add_counter("ops_retried", [&driver] { return driver.retried(); });
+    sampler->add_counter("ops_failed", [&driver] { return driver.failed(); });
     sampler->add_gauge("in_flight", [&driver](sim::Cycle) {
       return static_cast<double>(driver.in_flight());
     });

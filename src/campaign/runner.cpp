@@ -2,13 +2,14 @@
 
 #include <optional>
 #include <string>
+#include <type_traits>
 
-#include "cfm/config.hpp"
+#include "cfm/cfm_memory.hpp"
 #include "mem/coded/code_descriptor.hpp"
+#include "mem/coded/coded_memory.hpp"
 #include "sim/audit.hpp"
 #include "sim/fault.hpp"
 #include "workload/access_gen.hpp"
-#include "workload/coded_gen.hpp"
 #include "workload/lock_workload.hpp"
 #include "workload/trace.hpp"
 
@@ -44,26 +45,28 @@ Json efficiency_metrics(const workload::EfficiencyResult& r) {
   return m;
 }
 
-Json run_cfm(const PointSpec& point) {
-  const auto n = point.param_u32("n");
-  const auto c = point.param_u32("c");
-  const double rate = point.param_double("rate");
-  const auto cycles = point.param_u64("cycles");
+/// A closed-loop point (the cfm and coded families) on a memory the
+/// caller built: the point's audit, fault plan, spares and telemetry
+/// knobs wired in, and the result sections both families report.
+template <typename Memory>
+Json run_closed_loop(const PointSpec& point, Memory& memory,
+                     double write_fraction) {
   const std::uint64_t seed = effective_seed(point);
-
   sim::ConflictAuditor auditor;
-  sim::CounterSet counters;
-  sim::RunningStat access_time;
+  if (point.audit) memory.set_audit(auditor);
   std::optional<sim::FaultInjector> injector;
-  workload::CfmRunHooks hooks;
-  if (point.audit) hooks.auditor = &auditor;
   if (!point.fault_plan.empty()) {
     injector.emplace(sim::FaultPlan::parse(point.fault_plan), seed);
-    hooks.injector = &*injector;
-    if (point.has_param("spares")) {
-      hooks.spare_banks = point.param_u32("spares");
+    if constexpr (std::is_same_v<Memory, core::CfmMemory>) {
+      memory.set_fault_injector(
+          *injector, point.has_param("spares") ? point.param_u32("spares") : 1);
+    } else {
+      memory.set_fault_injector(*injector);
     }
   }
+  sim::CounterSet counters;
+  sim::RunningStat access_time;
+  workload::RunHooks hooks;
   hooks.counters_out = &counters;
   hooks.access_time_out = &access_time;
   Json timeseries;
@@ -76,8 +79,9 @@ Json run_cfm(const PointSpec& point) {
     hooks.timeseries_out = &timeseries;
   }
 
-  const auto r =
-      workload::measure_cfm_instrumented(n, c, rate, cycles, seed, hooks);
+  const auto r = workload::measure_instrumented(
+      memory, point.param_double("rate"), write_fraction,
+      point.param_u64("cycles"), seed, hooks);
 
   Json out = Json::object();
   out["metrics"] = efficiency_metrics(r);
@@ -88,6 +92,12 @@ Json run_cfm(const PointSpec& point) {
   if (hooks.timeseries_out != nullptr) out["timeseries"] = std::move(timeseries);
   if (point.audit) out["audit"] = audit_section(auditor);
   return out;
+}
+
+Json run_cfm(const PointSpec& point) {
+  core::CfmMemory memory(
+      core::CfmConfig::make(point.param_u32("n"), point.param_u32("c")));
+  return run_closed_loop(point, memory, 0.0);
 }
 
 Json run_conventional(const PointSpec& point) {
@@ -173,52 +183,22 @@ Json run_coded(const PointSpec& point) {
   if (point.has_param("log_capacity")) {
     cfg.log_capacity = point.param_u32("log_capacity");
   }
-  const double rate = point.param_double("rate");
-  const double write_fraction = point.has_param("write_fraction")
-                                    ? point.param_double("write_fraction")
-                                    : 0.0;
-  const auto cycles = point.param_u64("cycles");
-  const std::uint64_t seed = effective_seed(point);
+  mem::coded::CodedMemory memory(cfg);
+  Json out = run_closed_loop(point, memory,
+                             point.has_param("write_fraction")
+                                 ? point.param_double("write_fraction")
+                                 : 0.0);
 
-  sim::ConflictAuditor auditor;
-  sim::CounterSet counters;
-  sim::RunningStat access_time;
-  std::optional<sim::FaultInjector> injector;
-  workload::CodedRunHooks hooks;
-  if (point.audit) hooks.auditor = &auditor;
-  if (!point.fault_plan.empty()) {
-    injector.emplace(sim::FaultPlan::parse(point.fault_plan), seed);
-    hooks.injector = &*injector;
-  }
-  hooks.counters_out = &counters;
-  hooks.access_time_out = &access_time;
-  std::uint32_t decode_fanout_max = 0;
-  std::uint64_t pending_parity = 0;
-  hooks.decode_fanout_max_out = &decode_fanout_max;
-  hooks.pending_parity_out = &pending_parity;
-  Json timeseries;
-  if (point.has_param("telemetry_window")) {
-    hooks.telemetry_window = point.param_u64("telemetry_window");
-    if (point.has_param("telemetry_capacity")) {
-      hooks.telemetry_capacity =
-          static_cast<std::size_t>(point.param_u64("telemetry_capacity"));
-    }
-    hooks.timeseries_out = &timeseries;
-  }
-
-  const auto r = workload::measure_coded_instrumented(cfg, rate,
-                                                      write_fraction, cycles,
-                                                      seed, hooks);
-
-  Json metrics = efficiency_metrics(r);
   // Coded-specific headline metrics, derived from the memory counters so
   // the validator can re-check the arithmetic against them.
+  const auto& counters = memory.counters();
   const auto decoded =
       counters.get("word_reads_decoded") + counters.get("word_writes_decoded");
   const auto writes =
       counters.get("word_writes_direct") + counters.get("word_writes_decoded");
   const auto served = counters.get("word_reads_direct") +
                       counters.get("word_reads_decoded") + writes;
+  Json& metrics = out["metrics"];
   metrics["decode_rate"] =
       served == 0 ? 0.0
                   : static_cast<double>(decoded) / static_cast<double>(served);
@@ -226,19 +206,10 @@ Json run_coded(const PointSpec& point) {
       writes == 0 ? 0.0
                   : static_cast<double>(counters.get("parity_updates")) /
                         static_cast<double>(writes);
-  metrics["decode_fanout_max"] = decode_fanout_max;
-  metrics["pending_parity_end"] = pending_parity;
+  metrics["decode_fanout_max"] = memory.decode_fanout_max();
+  metrics["pending_parity_end"] = memory.pending_parity();
   metrics["banks_provisioned"] = cfg.banks_provisioned();
   metrics["banks_required_cfm"] = cfg.banks_required_cfm();
-
-  Json out = Json::object();
-  out["metrics"] = std::move(metrics);
-  out["counters"] = sim::to_json(counters);
-  Json stats = Json::object();
-  stats["access_time"] = sim::to_json(access_time);
-  out["stats"] = std::move(stats);
-  if (hooks.timeseries_out != nullptr) out["timeseries"] = std::move(timeseries);
-  if (point.audit) out["audit"] = audit_section(auditor);
   return out;
 }
 

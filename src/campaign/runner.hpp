@@ -2,10 +2,10 @@
 //
 // This is the single machine-construction path benches and campaigns
 // share: every workload kind dispatches onto the existing workload entry
-// points (measure_cfm_instrumented / measure_conventional /
-// measure_partial_cfm / replay_on_cfm_instrumented / run_lock_farm_* /
-// enumerate_tradeoffs' row arithmetic) rather than growing a parallel
-// builder.  run_point is a pure function of the PointSpec — no global
+// points (measure_instrumented on a CfmMemory or CodedMemory /
+// measure_conventional / measure_partial_cfm / replay_on_cfm_instrumented
+// / run_lock_farm_* / enumerate_tradeoffs' row arithmetic) rather than
+// growing a parallel builder.  run_point is a pure function of the PointSpec — no global
 // state, no clocks — so the executor may run many points concurrently on
 // independent Engine instances and the result is cacheable by content.
 #pragma once

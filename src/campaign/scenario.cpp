@@ -92,6 +92,34 @@ void check_param_value(WorkloadKind kind, const std::string& key,
   }
 }
 
+/// `v` as an exact non-negative integer.  Throws std::invalid_argument
+/// naming `key` and the value for anything that would be truncated or
+/// wrap (2.5, -4, 1e30, a string); integral doubles ("4.0") are exact.
+/// The message is built only on failure: expand() runs every integer
+/// parameter of every point through here.
+std::uint64_t exact_u64(const Json& v, const char* prefix,
+                        const std::string& key) {
+  switch (v.kind()) {
+    case Json::Kind::Uint:
+      return v.as_uint();
+    case Json::Kind::Int:
+      if (v.as_int() >= 0) return v.as_uint();
+      break;
+    case Json::Kind::Double: {
+      // 2^64 is the first double past the uint64 range.
+      const double d = v.as_double();
+      if (d >= 0.0 && d < 18446744073709551616.0 && std::floor(d) == d) {
+        return static_cast<std::uint64_t>(d);
+      }
+      break;
+    }
+    default:
+      break;
+  }
+  throw std::invalid_argument(std::string(prefix) + "'" + key + "' = " +
+                              v.dump() + " is not a non-negative integer");
+}
+
 std::string point_desc(const Json& params) {
   std::ostringstream os;
   bool first = true;
@@ -154,27 +182,7 @@ std::uint64_t PointSpec::rng_seed() const {
 }
 
 std::uint64_t PointSpec::param_u64(const std::string& key) const {
-  const Json& v = params.at(key);
-  switch (v.kind()) {
-    case Json::Kind::Uint:
-      return v.as_uint();
-    case Json::Kind::Int:
-      if (v.as_int() >= 0) return v.as_uint();
-      break;
-    case Json::Kind::Double: {
-      // Integral doubles ("4.0", "1e3") are exact; anything else would be
-      // truncated.  2^64 is the first double past the uint64 range.
-      const double d = v.as_double();
-      if (d >= 0.0 && d < 18446744073709551616.0 && std::floor(d) == d) {
-        return static_cast<std::uint64_t>(d);
-      }
-      break;
-    }
-    default:
-      break;
-  }
-  throw std::invalid_argument("parameter '" + key + "' = " + v.dump() +
-                              " is not a non-negative integer");
+  return exact_u64(params.at(key), "parameter ", key);
 }
 
 std::uint32_t PointSpec::param_u32(const std::string& key) const {
@@ -243,12 +251,10 @@ Scenario Scenario::parse(const sim::Json& doc) {
     }
   }
   if (doc.contains("base_seed")) {
-    if (!doc.at("base_seed").is_number()) bad("'base_seed' must be a number");
-    sc.base_seed_ = doc.at("base_seed").as_uint();
+    sc.base_seed_ = exact_u64(doc.at("base_seed"), "scenario: ", "base_seed");
   }
   if (doc.contains("retries")) {
-    if (!doc.at("retries").is_number()) bad("'retries' must be a number");
-    const auto r = doc.at("retries").as_uint();
+    const auto r = exact_u64(doc.at("retries"), "scenario: ", "retries");
     if (r > 16) bad("'retries' must be <= 16 (bounded retry)");
     sc.retries_ = static_cast<std::uint32_t>(r);
   }
@@ -399,8 +405,8 @@ void Scenario::validate_point(const PointSpec& point) const {
         }
       }
       if (!point.fault_plan.empty()) {
-        // The backend is known here, so a bank_dead spec aiming past the
-        // provisioned banks fails the expand instead of running inert.
+        // The backend is known here, so a fault aimed at hardware the
+        // machine lacks fails the expand instead of running inert.
         // Spares live above the logical index space and are not fault
         // targets (CfmMemory scans faults over [0, b) only).
         if (banks > std::numeric_limits<std::uint32_t>::max()) {
@@ -408,8 +414,8 @@ void Scenario::validate_point(const PointSpec& point) const {
         }
         try {
           sim::FaultPlan::parse(point.fault_plan)
-              .validate_banks(static_cast<std::uint32_t>(banks),
-                              "cfm memory (b = c*n logical banks)");
+              .validate_single_module(static_cast<std::uint32_t>(banks),
+                                      "cfm memory (b = c*n logical banks)");
         } catch (const std::invalid_argument& e) {
           where(e.what());
         }
@@ -486,8 +492,8 @@ void Scenario::validate_point(const PointSpec& point) const {
         // the descriptor's data + parity banks, not c*n.
         try {
           sim::FaultPlan::parse(point.fault_plan)
-              .validate_banks(descriptor.total_banks(),
-                              "coded memory (data + parity banks)");
+              .validate_single_module(descriptor.total_banks(),
+                                      "coded memory (data + parity banks)");
         } catch (const std::invalid_argument& e) {
           where(e.what());
         }

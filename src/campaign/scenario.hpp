@@ -43,13 +43,13 @@ namespace cfm::campaign {
 /// workload entry point (access_gen / lock_workload / trace replay) or,
 /// for Tradeoff, the analytic Table 3.3 enumeration.
 enum class WorkloadKind : std::uint8_t {
-  Cfm,          ///< measure_cfm_instrumented on the real CfmMemory
+  Cfm,          ///< measure_instrumented on the real CfmMemory
   Conventional, ///< measure_conventional (contended baseline)
   PartialCfm,   ///< measure_partial_cfm (locality lambda)
   TraceReplay,  ///< Trace::uniform + replay_on_cfm_instrumented
   Lock,         ///< run_lock_farm_{cfm,cached,snoopy}
   Tradeoff,     ///< Table 3.3 configuration rows (pure analytic)
-  Coded,        ///< measure_coded_instrumented on the coded-redundancy
+  Coded,        ///< measure_instrumented on the coded-redundancy
                 ///< backend (banks provisioned ≠ c*n, CodedRelaxed audit)
 };
 

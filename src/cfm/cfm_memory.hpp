@@ -53,6 +53,8 @@ class CfmMemory {
                      ConsistencyPolicy policy = ConsistencyPolicy::EarliestWins);
 
   [[nodiscard]] const CfmConfig& config() const noexcept { return cfg_; }
+  /// Words in one block: a Write supplies exactly this many.
+  [[nodiscard]] std::uint32_t block_words() const noexcept { return cfg_.banks; }
   [[nodiscard]] const AtSpace& at_space() const noexcept { return at_; }
   [[nodiscard]] mem::Module& module() noexcept { return module_; }
   [[nodiscard]] ConsistencyPolicy policy() const noexcept { return policy_; }

@@ -97,6 +97,10 @@ class CodedMemory {
   [[nodiscard]] const CodeDescriptor& descriptor() const noexcept {
     return cfg_.code;
   }
+  /// Words in one block: a Write supplies exactly this many.
+  [[nodiscard]] std::uint32_t block_words() const noexcept {
+    return cfg_.code.data_banks;
+  }
 
   [[nodiscard]] bool idle(sim::ProcessorId p) const {
     return !inflight_[p].has_value();

@@ -26,96 +26,26 @@ constexpr sim::Cycle kDrainChunk = 4096;
 
 }  // namespace
 
-// ---------------------------------------------------------- ServeDriver --
+// ------------------------------------------------------- AdmissionQueue --
 
-ServeDriver::ServeDriver(std::string name, sim::DomainId domain,
-                         core::CfmMemory& memory, sim::Cycle slo,
-                         std::size_t queue_depth, double hist_bucket_width,
-                         std::size_t hist_buckets, std::uint64_t seed)
-    : sim::Component(std::move(name), domain, sim::phase_bit(sim::Phase::Issue)),
-      mem_(memory),
-      slo_(slo),
+AdmissionQueue::AdmissionQueue(sim::Cycle slo, std::size_t queue_depth,
+                               double hist_bucket_width,
+                               std::size_t hist_buckets)
+    : slo_(slo),
       queue_depth_(queue_depth),
-      rng_(seed),
-      slots_(memory.config().processors),
       latency_hist_(hist_bucket_width, hist_buckets) {
   if (queue_depth_ == 0) {
     throw std::invalid_argument("serve: queue depth must be > 0");
   }
 }
 
-std::uint64_t ServeDriver::outstanding() const noexcept {
-  return arrivals_.size() + in_service();
-}
-
-std::uint64_t ServeDriver::in_service() const noexcept {
-  std::uint64_t n = queue_.size();
-  for (const auto& slot : slots_) {
-    if (slot.op != core::CfmMemory::kNoOp || slot.pending_retry) ++n;
-  }
-  return n;
-}
-
-void ServeDriver::submit(const Request& req, sim::Cycle arrival) {
+void AdmissionQueue::submit(const serve::Request& req, sim::Cycle arrival) {
   arrival = std::max(arrival, last_arrival_);
-  arrivals_.push_back(Pending{req, arrival});
+  arrivals_.push_back(Request{req, arrival});
   last_arrival_ = arrival;
-  // A quiescent driver just gained future work; the next tick recomputes
-  // the precise wake cycle.
-  set_next_event(sim::Component::kAlways);
 }
 
-void ServeDriver::tick_phase(sim::Phase, sim::Cycle now) {
-  harvest(now);
-  admit(now);
-  issue_ready(now);
-  publish_wake(now);
-}
-
-void ServeDriver::harvest(sim::Cycle now) {
-  for (auto& slot : slots_) {
-    if (slot.op == core::CfmMemory::kNoOp) continue;
-    auto result = mem_.take_result(slot.op);
-    if (!result) continue;
-    last_resolved_ = std::max(last_resolved_, result->completed);
-    if (result->status == core::OpStatus::Completed) {
-      const auto latency =
-          static_cast<double>(result->completed - slot.arrival);
-      stats_.latency.add(latency);
-      latency_hist_.add(latency);
-      latency_log2_.add(latency);
-      ++stats_.completed;
-      if (result->completed - slot.arrival <= slo_) ++stats_.within_slo;
-      if (slot.req.kind == RequestKind::Lock) {
-        // The swap's data is the pre-image: word 0 == 0 means the
-        // test-and-set won the lock.
-        if (!result->data.empty() && result->data[0] == 0) {
-          ++stats_.lock_acquired;
-        } else {
-          ++stats_.lock_busy;
-        }
-      }
-      slot.op = core::CfmMemory::kNoOp;
-      slot.retries = 0;
-    } else if (slot.retries < kMaxRetries) {
-      // Aborted off a faulted unit (bounded-latency path): retry the
-      // same request after a jittered backoff; latency keeps accruing
-      // from the original arrival.
-      ++slot.retries;
-      ++stats_.retried;
-      slot.op = core::CfmMemory::kNoOp;
-      slot.pending_retry = true;
-      slot.retry_at =
-          now + 1 + rng_.below(2 * mem_.config().block_access_time());
-    } else {
-      ++stats_.failed;
-      slot.op = core::CfmMemory::kNoOp;
-      slot.retries = 0;
-    }
-  }
-}
-
-void ServeDriver::admit(sim::Cycle now) {
+void AdmissionQueue::admit(sim::Cycle now) {
   while (!arrivals_.empty() && arrivals_.front().arrival <= now) {
     ++stats_.offered;
     if (queue_.size() < queue_depth_) {
@@ -131,103 +61,70 @@ void ServeDriver::admit(sim::Cycle now) {
   }
 }
 
-void ServeDriver::issue_ready(sim::Cycle now) {
-  for (std::uint32_t p = 0; p < slots_.size(); ++p) {
-    auto& slot = slots_[p];
-    if (slot.op != core::CfmMemory::kNoOp) continue;
-    if (slot.pending_retry) {
-      if (slot.retry_at <= now) {
-        slot.pending_retry = false;
-        start(now, p);
-      }
-      continue;
-    }
-    if (queue_.empty()) continue;
-    slot.req = queue_.front().req;
-    slot.arrival = queue_.front().arrival;
-    slot.retries = 0;
-    queue_.pop_front();
-    stats_.queue_wait.add(static_cast<double>(now - slot.arrival));
-    start(now, p);
-  }
+bool AdmissionQueue::next(core::CfmMemory&, sim::Cycle now, std::uint32_t,
+                          Request& out, sim::Rng&) {
+  if (queue_.empty()) return false;
+  out = queue_.front();
+  queue_.pop_front();
+  stats_.queue_wait.add(static_cast<double>(now - out.arrival));
+  return true;
 }
 
-void ServeDriver::start(sim::Cycle now, std::uint32_t p) {
-  auto& slot = slots_[p];
-  slot.issued = now;
-  switch (slot.req.kind) {
+core::CfmMemory::OpToken AdmissionQueue::issue(core::CfmMemory& mem,
+                                               sim::Cycle now,
+                                               std::uint32_t port,
+                                               const Request& r) {
+  const auto block = r.req.block;
+  switch (r.req.kind) {
     case RequestKind::Read:
-      slot.op = mem_.issue(now, p, core::BlockOpKind::Read, slot.req.block);
-      break;
-    case RequestKind::Write: {
-      const auto payload = write_payload(slot.req.block, mem_.config().banks);
-      slot.op = mem_.issue(now, p, core::BlockOpKind::Write, slot.req.block,
-                           payload);
-      break;
-    }
+      return mem.issue(now, port, core::BlockOpKind::Read, block);
+    case RequestKind::Write:
+      return mem.issue(now, port, core::BlockOpKind::Write, block,
+                       write_payload(block, mem.block_words()));
     case RequestKind::Swap:
       // Fetch-and-increment on word 0 — the canonical atomic counter.
-      slot.op = mem_.issue(now, p, core::BlockOpKind::Swap, slot.req.block, {},
-                           [](const std::vector<sim::Word>& read) {
-                             auto out = read;
-                             if (!out.empty()) ++out[0];
-                             return out;
-                           });
-      break;
+      return mem.issue(now, port, core::BlockOpKind::Swap, block, {},
+                       [](const std::vector<sim::Word>& read) {
+                         auto out = read;
+                         if (!out.empty()) ++out[0];
+                         return out;
+                       });
     case RequestKind::Lock:
       // Test-and-set on word 0 via the atomic swap (§4.2.2).
-      slot.op = mem_.issue(now, p, core::BlockOpKind::Swap, slot.req.block, {},
-                           [](const std::vector<sim::Word>& read) {
-                             auto out = read;
-                             if (!out.empty()) out[0] = 1;
-                             return out;
-                           });
-      break;
+      return mem.issue(now, port, core::BlockOpKind::Swap, block, {},
+                       [](const std::vector<sim::Word>& read) {
+                         auto out = read;
+                         if (!out.empty()) out[0] = 1;
+                         return out;
+                       });
   }
+  throw std::logic_error("serve: unknown request kind");
 }
 
-void ServeDriver::publish_wake(sim::Cycle now) {
-  sim::Cycle wake = sim::kNeverCycle;
-  bool any_inflight = false;
-  for (const auto& slot : slots_) {
-    if (slot.op != core::CfmMemory::kNoOp) {
-      any_inflight = true;
-    } else if (slot.pending_retry) {
-      wake = std::min(wake, slot.retry_at);
+void AdmissionQueue::resolved(const Request& r,
+                              const core::BlockOpResult& result) {
+  last_resolved_ = std::max(last_resolved_, result.completed);
+  if (result.status != core::OpStatus::Completed) return;
+  const auto latency = static_cast<double>(result.completed - r.arrival);
+  latency_hist_.add(latency);
+  latency_log2_.add(latency);
+  if (result.completed - r.arrival <= slo_) ++stats_.within_slo;
+  if (r.req.kind == RequestKind::Lock) {
+    // The swap's data is the pre-image: word 0 == 0 means the
+    // test-and-set won the lock.
+    if (!result.data.empty() && result.data[0] == 0) {
+      ++stats_.lock_acquired;
+    } else {
+      ++stats_.lock_busy;
     }
   }
-  if (!arrivals_.empty()) wake = std::min(wake, arrivals_.front().arrival);
-  // A non-empty queue with every port busy resolves via completions; the
-  // memory's hint covers that.  A non-empty queue with a free port cannot
-  // survive issue_ready, so no extra wake source is needed for it.
-  if (any_inflight) wake = std::min(wake, mem_.next_completion_hint(now));
-  set_next_event(wake);
 }
 
-void ServeDriver::register_telemetry(sim::TelemetrySampler& sampler) const {
-  // Registration order fixes the series' column order; the recovery/
-  // anomaly configs in report_json refer to these names.
-  sampler.add_counter("offered", [this] { return stats_.offered; });
-  sampler.add_counter("accepted", [this] { return stats_.accepted; });
-  sampler.add_counter("rejected", [this] { return stats_.rejected; });
-  sampler.add_counter("completed", [this] { return stats_.completed; });
-  sampler.add_counter("failed", [this] { return stats_.failed; });
-  sampler.add_counter("retried", [this] { return stats_.retried; });
-  sampler.add_counter("slo_within", [this] { return stats_.within_slo; });
-  sampler.add_gauge("queue_depth", [this](sim::Cycle) {
-    return static_cast<double>(queued());
-  });
-  sampler.add_gauge("ports_busy", [this](sim::Cycle) {
-    return static_cast<double>(busy_ports());
-  });
-  sampler.add_gauge("in_service", [this](sim::Cycle) {
-    return static_cast<double>(in_service());
-  });
-  sampler.add_gauge("utilization", [this](sim::Cycle) {
-    return static_cast<double>(busy_ports()) /
-           static_cast<double>(slots_.size());
-  });
-  sampler.add_histogram("latency", &latency_log2_);
+sim::Cycle AdmissionQueue::wake() const noexcept {
+  // A non-empty queue with every port busy resolves via completions; the
+  // memory's hint covers that.  A non-empty queue with a free port cannot
+  // survive the issue pass, so the next arrival is the only wake source.
+  return arrivals_.empty() ? sim::kNeverCycle : arrivals_.front().arrival;
 }
 
 // ---------------------------------------------------------------- Server --
@@ -265,9 +162,8 @@ Server::Server(const ServeOptions& options)
   memory_ = std::make_unique<core::CfmMemory>(cfg);
   if (!opts_.fault_plan.empty()) {
     fault_plan_ = sim::FaultPlan::parse(opts_.fault_plan);
-    // A bank the machine does not have would make the fault silently
-    // inert and the run would measure a healthy machine.
-    fault_plan_.validate_banks(cfg.banks, "serve memory (b = c*n banks)");
+    fault_plan_.validate_single_module(cfg.banks,
+                                       "serve memory (b = c*n banks)");
     injector_.emplace(fault_plan_, opts_.seed ^ 0x5e47eULL);
   }
   if (opts_.audit) {
@@ -279,10 +175,11 @@ Server::Server(const ServeOptions& options)
   }
   const auto domain = engine_->allocate_domain();
   memory_->attach(*engine_, domain);
-  driver_ = std::make_unique<ServeDriver>(
-      "serve.driver", domain, *memory_, opts_.slo, opts_.queue_depth,
+  driver_ = std::make_unique<Driver>(
+      "serve.driver", domain, *memory_, opts_.seed ^ 0xd21f3ULL, opts_.slo,
+      opts_.queue_depth,
       /*hist_bucket_width=*/std::max<double>(1.0, beta_cycles / 8.0),
-      /*hist_buckets=*/2048, opts_.seed ^ 0xd21f3ULL);
+      /*hist_buckets=*/2048);
   engine_->add(*driver_);
 
   if (opts_.telemetry) {
@@ -292,26 +189,68 @@ Server::Server(const ServeOptions& options)
         opts_.telemetry_capacity != 0
             ? opts_.telemetry_capacity
             : sim::TelemetrySampler::kDefaultCapacity);
-    driver_->register_telemetry(*telemetry_);
-    auto* mem = memory_.get();
-    for (const char* name :
-         {"ops_completed", "fault_restarts", "bank_failures", "bank_remaps",
-          "brownouts", "fault_aborts", "fault_timeouts"}) {
-      telemetry_->add_counter(std::string("mem.") + name, [mem, name] {
-        return mem->counters().get(name);
-      });
-    }
-    telemetry_->add_gauge("live_banks", [mem](sim::Cycle) {
-      return static_cast<double>(mem->live_banks());
-    });
-    if (injector_) {
-      const auto* inj = &*injector_;
-      telemetry_->add_gauge("active_faults", [inj](sim::Cycle now) {
-        return static_cast<double>(inj->active_count(now));
-      });
-    }
+    register_telemetry();
     engine_->add(*telemetry_);
   }
+}
+
+void Server::register_telemetry() {
+  // Registration order fixes the series' column order; the recovery/
+  // anomaly configs in report_json refer to these names.
+  const Driver* d = driver_.get();
+  const AdmissionQueue* q = &d->source();
+  auto& t = *telemetry_;
+  t.add_counter("offered", [q] { return q->stats().offered; });
+  t.add_counter("accepted", [q] { return q->stats().accepted; });
+  t.add_counter("rejected", [q] { return q->stats().rejected; });
+  t.add_counter("completed", [d] { return d->completed(); });
+  t.add_counter("failed", [d] { return d->failed(); });
+  t.add_counter("retried", [d] { return d->retried(); });
+  t.add_counter("slo_within", [q] { return q->stats().within_slo; });
+  t.add_gauge("queue_depth", [q](sim::Cycle) {
+    return static_cast<double>(q->queued());
+  });
+  t.add_gauge("ports_busy", [d](sim::Cycle) {
+    return static_cast<double>(d->busy_ports());
+  });
+  t.add_gauge("in_service", [d, q](sim::Cycle) {
+    return static_cast<double>(q->queued() + d->in_flight());
+  });
+  t.add_gauge("utilization", [d, ports = opts_.processors](sim::Cycle) {
+    return static_cast<double>(d->busy_ports()) / static_cast<double>(ports);
+  });
+  t.add_histogram("latency", &q->latency_log2());
+  const auto* mem = memory_.get();
+  for (const char* name :
+       {"ops_completed", "fault_restarts", "bank_failures", "bank_remaps",
+        "brownouts", "fault_aborts", "fault_timeouts"}) {
+    t.add_counter(std::string("mem.") + name, [mem, name] {
+      return mem->counters().get(name);
+    });
+  }
+  t.add_gauge("live_banks", [mem](sim::Cycle) {
+    return static_cast<double>(mem->live_banks());
+  });
+  if (injector_) {
+    const auto* inj = &*injector_;
+    t.add_gauge("active_faults", [inj](sim::Cycle now) {
+      return static_cast<double>(inj->active_count(now));
+    });
+  }
+}
+
+ServeStats Server::stats() const {
+  ServeStats st = driver_->source().stats();
+  st.completed = driver_->completed();
+  st.failed = driver_->failed();
+  st.retried = driver_->retried();
+  st.latency = driver_->latency();
+  return st;
+}
+
+std::uint64_t Server::outstanding() const noexcept {
+  const auto& queue = driver_->source();
+  return queue.future() + queue.queued() + driver_->in_flight();
 }
 
 sim::Cycle Server::beta() const noexcept {
@@ -321,7 +260,11 @@ sim::Cycle Server::beta() const noexcept {
 void Server::submit(const Request& request) {
   // Interactively fed requests must not arrive in the past: the open-loop
   // clock advances, but never behind the engine.
-  driver_->submit(request, std::max(arrivals_.next(), engine_->now()));
+  driver_->source().submit(request,
+                           std::max(arrivals_.next(), engine_->now()));
+  // A quiescent driver just gained future work; the next tick recomputes
+  // the precise wake cycle.
+  driver_->set_next_event(sim::Component::kAlways);
 }
 
 void Server::submit(const std::vector<Request>& requests) {
@@ -331,21 +274,22 @@ void Server::submit(const std::vector<Request>& requests) {
 void Server::run(sim::Cycle cycles) { engine_->run_for(cycles); }
 
 bool Server::drain() {
-  const sim::Cycle cap = driver_->last_arrival() + opts_.drain_limit;
-  while (driver_->outstanding() != 0 && engine_->now() < cap) {
+  const sim::Cycle cap =
+      driver_->source().last_arrival() + opts_.drain_limit;
+  while (outstanding() != 0 && engine_->now() < cap) {
     engine_->run_for(std::min(kDrainChunk, cap - engine_->now()));
   }
-  return driver_->outstanding() == 0;
+  return outstanding() == 0;
 }
 
 sim::Json Server::report_json() const {
   using sim::Json;
-  const auto& st = driver_->stats();
+  const ServeStats st = stats();
+  const auto& queue = driver_->source();
   // Serving horizon: through the last resolved request / last arrival,
   // not the engine clock — the clock depends on how run()/drain() were
   // paced, and a re-fed stream must reproduce the original report.
-  const auto cycles =
-      std::max(driver_->last_resolved(), driver_->last_arrival());
+  const auto cycles = std::max(queue.last_resolved(), queue.last_arrival());
   const auto beta_cycles = beta();
 
   Json params = Json::object();
@@ -364,7 +308,7 @@ sim::Json Server::report_json() const {
   // excluded: the same served stream must produce a byte-identical
   // report on every engine configuration.
 
-  const std::uint64_t unfinished = driver_->outstanding();
+  const std::uint64_t unfinished = outstanding();
   Json metrics = Json::object();
   metrics["cycles"] = cycles;
   metrics["offered"] = st.offered;
@@ -398,7 +342,7 @@ sim::Json Server::report_json() const {
       cycles == 0 ? 0.0
                   : static_cast<double>(st.completed) /
                         static_cast<double>(cycles);
-  const auto& hist = driver_->latency_histogram();
+  const auto& hist = queue.latency_histogram();
   metrics["latency_p50"] = hist.quantile(0.50);
   metrics["latency_p95"] = hist.quantile(0.95);
   metrics["latency_p99"] = hist.quantile(0.99);

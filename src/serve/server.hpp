@@ -3,7 +3,8 @@
 //
 // `Server` owns one conflict-free memory module, a tick engine (fast path
 // or per-cycle reference — results are bit-exact either way), and a
-// `ServeDriver` component that turns a request stream into engine ticks:
+// core::PortDriver fed by an `AdmissionQueue` that turns a request stream
+// into engine ticks:
 //
 //   arrivals   requests are stamped with arrival cycles by an open-loop
 //              ArrivalProcess — load does not slow down because service
@@ -16,8 +17,9 @@
 //   service    each of the c processor ports serves one request at a time
 //              through CfmMemory::issue; Lock requests ride the atomic
 //              Swap (test-and-set on word 0).  Faulted operations retry
-//              with jittered backoff up to kMaxRetries, exactly like the
-//              closed-loop AccessDriver;
+//              with jittered backoff up to core::kMaxRetries: the port
+//              discipline is the same PortDriver the closed-loop
+//              experiments run;
 //   reporting  per-request latency (arrival -> completion, so queue wait
 //              counts) lands in a sim::Histogram for p50/p95/p99/p99.9,
 //              plus SLO attainment and offered-vs-accepted throughput,
@@ -39,10 +41,10 @@
 #include <vector>
 
 #include "cfm/cfm_memory.hpp"
+#include "cfm/port_driver.hpp"
 #include "serve/arrival.hpp"
 #include "serve/protocol.hpp"
 #include "sim/audit.hpp"
-#include "sim/component.hpp"
 #include "sim/engine.hpp"
 #include "sim/fault.hpp"
 #include "sim/report.hpp"
@@ -83,8 +85,7 @@ struct ServeOptions {
   std::size_t telemetry_capacity = 0;
 };
 
-/// Aggregated serving statistics, owned by the driver (single-writer in
-/// its tick domain, read between runs).
+/// Aggregated serving statistics (read between runs).
 struct ServeStats {
   std::uint64_t offered = 0;    ///< requests that reached admission
   std::uint64_t accepted = 0;   ///< admitted into the queue
@@ -99,21 +100,37 @@ struct ServeStats {
   sim::RunningStat queue_wait;  ///< arrival -> first issue, cycles
 };
 
-/// The serving component: admission, issue, harvest, retry.  Public only
-/// for tests; use Server.
-class ServeDriver final : public sim::Component {
+/// The serving request source of core::PortDriver: submitted requests
+/// wait for their arrival cycle, are admitted into (or shed at) the
+/// bounded queue, and go to the ports in queue order.  Owns the serving
+/// statistics the port driver does not (admission, SLO, locks, the
+/// latency histograms).  Single-writer in the memory's tick domain.
+class AdmissionQueue {
  public:
-  ServeDriver(std::string name, sim::DomainId domain,
-              core::CfmMemory& memory, sim::Cycle slo,
-              std::size_t queue_depth, double hist_bucket_width,
-              std::size_t hist_buckets, std::uint64_t seed);
+  struct Request {
+    serve::Request req;
+    sim::Cycle arrival = 0;
+  };
 
-  void tick_phase(sim::Phase phase, sim::Cycle now) override;
+  AdmissionQueue(sim::Cycle slo, std::size_t queue_depth,
+                 double hist_bucket_width, std::size_t hist_buckets);
 
-  /// Enqueues a request that arrives at `arrival` (>= any previous
-  /// arrival).  Call between runs only.
-  void submit(const Request& req, sim::Cycle arrival);
+  /// Enqueues a request that arrives at `arrival` (clamped to >= any
+  /// previous arrival).  Call between runs only.
+  void submit(const serve::Request& req, sim::Cycle arrival);
 
+  /// The core::PortDriver source hooks (cfm/port_driver.hpp).
+  void admit(sim::Cycle now);
+  bool next(core::CfmMemory& mem, sim::Cycle now, std::uint32_t port,
+            Request& out, sim::Rng& rng);
+  core::CfmMemory::OpToken issue(core::CfmMemory& mem, sim::Cycle now,
+                                 std::uint32_t port, const Request& r);
+  void resolved(const Request& r, const core::BlockOpResult& result);
+  [[nodiscard]] sim::Cycle wake() const noexcept;
+  static constexpr bool kIdlePortsPoll = false;
+
+  /// Admission, SLO and lock counters plus queue_wait; completed, failed,
+  /// retried and latency come from the port driver.
   [[nodiscard]] const ServeStats& stats() const noexcept { return stats_; }
   [[nodiscard]] const sim::Histogram& latency_histogram() const noexcept {
     return latency_hist_;
@@ -124,25 +141,10 @@ class ServeDriver final : public sim::Component {
   }
   /// Requests admitted but not yet issued (the queue-depth gauge).
   [[nodiscard]] std::size_t queued() const noexcept { return queue_.size(); }
-  /// Arrived-but-unresolved requests: queued or occupying a port.  Unlike
-  /// outstanding() this excludes submitted-but-future arrivals, whose
-  /// count reflects operator feeding cadence rather than simulated state
-  /// — telemetry gauges must never observe the former.
-  [[nodiscard]] std::uint64_t in_service() const noexcept;
-  /// Ports with an operation in flight (the utilization gauge).
-  [[nodiscard]] std::uint32_t busy_ports() const noexcept {
-    std::uint32_t n = 0;
-    for (const auto& slot : slots_) {
-      if (slot.op != core::CfmMemory::kNoOp) ++n;
-    }
-    return n;
+  /// Submitted requests whose arrival cycle is still ahead.
+  [[nodiscard]] std::size_t future() const noexcept {
+    return arrivals_.size();
   }
-  /// Registers this driver's serving counters, gauges and latency sketch
-  /// with a telemetry sampler (names: offered/accepted/rejected/...,
-  /// queue_depth/ports_busy/in_service/utilization, "latency").
-  void register_telemetry(sim::TelemetrySampler& sampler) const;
-  /// Requests not yet resolved: waiting to arrive, queued, or in flight.
-  [[nodiscard]] std::uint64_t outstanding() const noexcept;
   [[nodiscard]] sim::Cycle last_arrival() const noexcept {
     return last_arrival_;
   }
@@ -153,42 +155,12 @@ class ServeDriver final : public sim::Component {
   [[nodiscard]] sim::Cycle last_resolved() const noexcept {
     return last_resolved_;
   }
-  [[nodiscard]] sim::Cycle slo() const noexcept { return slo_; }
-  [[nodiscard]] std::size_t queue_depth() const noexcept {
-    return queue_depth_;
-  }
-
-  /// Fault-retry bound, matching workload::AccessDriver.
-  static constexpr std::uint32_t kMaxRetries = 8;
 
  private:
-  struct Pending {
-    Request req;
-    sim::Cycle arrival = 0;
-  };
-  struct Slot {
-    core::CfmMemory::OpToken op = core::CfmMemory::kNoOp;
-    Request req;
-    sim::Cycle arrival = 0;
-    sim::Cycle issued = 0;
-    std::uint32_t retries = 0;
-    bool pending_retry = false;
-    sim::Cycle retry_at = 0;
-  };
-
-  void harvest(sim::Cycle now);
-  void admit(sim::Cycle now);
-  void issue_ready(sim::Cycle now);
-  void start(sim::Cycle now, std::uint32_t p);
-  void publish_wake(sim::Cycle now);
-
-  core::CfmMemory& mem_;
   sim::Cycle slo_;
   std::size_t queue_depth_;
-  sim::Rng rng_;  ///< retry-backoff jitter only (event-driven draws)
-  std::deque<Pending> arrivals_;  ///< submitted, arrival cycle in future
-  std::deque<Pending> queue_;     ///< admitted, waiting for a port
-  std::vector<Slot> slots_;       ///< one per processor port
+  std::deque<Request> arrivals_;  ///< submitted, arrival cycle in future
+  std::deque<Request> queue_;     ///< admitted, waiting for a port
   sim::Cycle last_arrival_ = 0;
   sim::Cycle last_resolved_ = 0;
   ServeStats stats_;
@@ -204,12 +176,9 @@ class Server {
 
   [[nodiscard]] const ServeOptions& options() const noexcept { return opts_; }
   [[nodiscard]] sim::Cycle now() const noexcept { return engine_->now(); }
-  [[nodiscard]] const ServeStats& stats() const noexcept {
-    return driver_->stats();
-  }
-  [[nodiscard]] std::uint64_t outstanding() const noexcept {
-    return driver_->outstanding();
-  }
+  [[nodiscard]] ServeStats stats() const;
+  /// Requests not yet resolved: waiting to arrive, queued, or in flight.
+  [[nodiscard]] std::uint64_t outstanding() const noexcept;
   [[nodiscard]] const sim::ConflictAuditor* auditor() const noexcept {
     return audit_ ? &*audit_ : nullptr;
   }
@@ -252,7 +221,16 @@ class Server {
   std::optional<sim::ConflictAuditor> audit_;
   std::unique_ptr<sim::Engine> engine_;
   std::unique_ptr<core::CfmMemory> memory_;
-  std::unique_ptr<ServeDriver> driver_;
+  using Driver = core::PortDriver<core::CfmMemory, AdmissionQueue>;
+
+  /// Registers the serving counters, gauges and latency sketch, then the
+  /// memory's.  The in_service gauge counts arrived-but-unresolved
+  /// requests (queued or on a port): unlike outstanding() it excludes
+  /// submitted-but-future arrivals, whose count reflects the operator's
+  /// feeding cadence rather than simulated state.
+  void register_telemetry();
+
+  std::unique_ptr<Driver> driver_;
   std::unique_ptr<sim::TelemetrySampler> telemetry_;
   ArrivalProcess arrivals_;
 };

@@ -2,6 +2,7 @@
 
 #include <charconv>
 #include <cstdlib>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 
@@ -39,6 +40,18 @@ namespace {
                                 " '" + std::string(text) + "'");
   }
   return value;
+}
+
+[[nodiscard]] std::uint32_t parse_u32(std::string_view text,
+                                      std::string_view key) {
+  const auto value = parse_u64(text, key);
+  if (value > std::numeric_limits<std::uint32_t>::max()) {
+    throw std::invalid_argument(
+        "fault plan: " + std::string(key) + " " + std::to_string(value) +
+        " is out of range (max " +
+        std::to_string(std::numeric_limits<std::uint32_t>::max()) + ")");
+  }
+  return static_cast<std::uint32_t>(value);
 }
 
 [[nodiscard]] double parse_prob(std::string_view text) {
@@ -96,13 +109,13 @@ namespace {
     const auto key = kv.substr(0, eq);
     const auto value = kv.substr(eq + 1);
     if (key == "module") {
-      spec.module = static_cast<ModuleId>(parse_u64(value, "module"));
+      spec.module = parse_u32(value, "module");
     } else if (key == "bank") {
-      spec.bank = static_cast<BankId>(parse_u64(value, "bank"));
+      spec.bank = parse_u32(value, "bank");
     } else if (key == "stage") {
-      spec.stage = static_cast<std::uint32_t>(parse_u64(value, "stage"));
+      spec.stage = parse_u32(value, "stage");
     } else if (key == "link") {
-      spec.link = static_cast<std::uint32_t>(parse_u64(value, "link"));
+      spec.link = parse_u32(value, "link");
     } else if (key == "prob") {
       spec.probability = parse_prob(value);
     } else {
@@ -111,6 +124,23 @@ namespace {
     }
   }
   return spec;
+}
+
+/// The entry grammar parse() reads.
+std::ostream& operator<<(std::ostream& os, const FaultSpec& s) {
+  os << fault_kind_name(s.kind) << '@' << s.at;
+  if (s.duration != 0) os << '+' << s.duration;
+  switch (s.kind) {
+    case FaultKind::BankDead:
+      return os << ":module=" << s.module << ",bank=" << s.bank;
+    case FaultKind::ModuleBrownout:
+      return os << ":module=" << s.module;
+    case FaultKind::OmegaLink:
+      return os << ":stage=" << s.stage << ",link=" << s.link;
+    case FaultKind::MessageDrop:
+      return os << ":prob=" << s.probability;
+  }
+  return os;
 }
 
 }  // namespace
@@ -140,38 +170,31 @@ std::string FaultPlan::to_string() const {
   for (const auto& s : specs_) {
     if (!first) os << ';';
     first = false;
-    os << fault_kind_name(s.kind) << '@' << s.at;
-    if (s.duration != 0) os << '+' << s.duration;
-    switch (s.kind) {
-      case FaultKind::BankDead:
-        os << ":module=" << s.module << ",bank=" << s.bank;
-        break;
-      case FaultKind::ModuleBrownout:
-        os << ":module=" << s.module;
-        break;
-      case FaultKind::OmegaLink:
-        os << ":stage=" << s.stage << ",link=" << s.link;
-        break;
-      case FaultKind::MessageDrop:
-        os << ":prob=" << s.probability;
-        break;
-    }
+    os << s;
   }
   return os.str();
 }
 
-void FaultPlan::validate_banks(std::uint32_t banks_provisioned,
-                               std::string_view what) const {
+void FaultPlan::validate_single_module(std::uint32_t banks,
+                                       std::string_view what) const {
   for (const auto& s : specs_) {
-    if (s.kind != FaultKind::BankDead) continue;
-    if (s.bank >= banks_provisioned) {
-      throw std::invalid_argument(
-          "fault plan: bank_dead targets bank " + std::to_string(s.bank) +
-          ", but the " + std::string(what) + " provisions only " +
-          std::to_string(banks_provisioned) +
-          " bank(s) [0, " + std::to_string(banks_provisioned) +
-          ") — the fault would be silently inert");
+    const bool network =
+        s.kind == FaultKind::OmegaLink || s.kind == FaultKind::MessageDrop;
+    const bool no_bank = s.kind == FaultKind::BankDead && s.bank >= banks;
+    if (!network && s.module == 0 && !no_bank) continue;
+    std::ostringstream os;
+    os << "fault plan: entry '" << s << "' ";
+    if (network) {
+      os << "faults the interconnect, but the " << what << " has no network";
+    } else if (s.module != 0) {
+      os << "targets module " << s.module << ", but the " << what
+         << " is a single module (module 0)";
+    } else {
+      os << "targets bank " << s.bank << ", but the " << what
+         << " provisions only " << banks << " bank(s) [0, " << banks << ")";
     }
+    os << " — the fault would be silently inert";
+    throw std::invalid_argument(os.str());
   }
 }
 

@@ -91,17 +91,14 @@ class FaultPlan {
   /// back to an identical plan.
   [[nodiscard]] std::string to_string() const;
 
-  /// Config-aware validation, for call sites that know the active
-  /// backend's provisioning at parse time: throws std::invalid_argument
-  /// when a BankDead spec targets a bank index the backend never
-  /// provisioned (>= `banks_provisioned`).  Without this check such a
-  /// spec is silently inert — the runtime bank scan never consults the
-  /// index, so the plan "runs" on a machine it cannot fault (historically
-  /// it only surfaced, indirectly, via bank_failures_unmapped staying 0).
-  /// `what` names the backend for the diagnostic ("cfm memory (b = c*n)",
-  /// "coded memory (data + parity banks)", ...).
-  void validate_banks(std::uint32_t banks_provisioned,
-                      std::string_view what) const;
+  /// For a backend that is one memory module with `banks` banks and no
+  /// network: throws std::invalid_argument naming the entry when it
+  /// targets a module other than 0, a bank >= `banks`, or the
+  /// interconnect (omega_link, drop).  Nothing would consult such a
+  /// fault, so the run would measure a healthy machine.  `what` names
+  /// the backend in the message ("coded memory (data + parity banks)").
+  void validate_single_module(std::uint32_t banks,
+                              std::string_view what) const;
 
  private:
   std::vector<FaultSpec> specs_;

@@ -1,11 +1,13 @@
 #include "workload/access_gen.hpp"
 
-#include <algorithm>
-#include <cassert>
+#include <array>
 #include <optional>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "cfm/cfm_memory.hpp"
+#include "mem/coded/coded_memory.hpp"
 #include "mem/conventional.hpp"
 #include "net/partial_omega.hpp"
 #include "sim/rng.hpp"
@@ -149,144 +151,53 @@ EfficiencyResult measure_partial_cfm(std::uint32_t processors,
       });
 }
 
-AccessDriver::AccessDriver(std::string name, sim::DomainId domain,
-                           core::CfmMemory& memory, double rate,
-                           std::uint64_t seed, sim::StatShard& shard)
-    : sim::Component(std::move(name), domain, sim::phase_bit(sim::Phase::Issue)),
-      mem_(memory),
-      rate_(rate),
-      rng_(seed),
-      procs_(memory.config().processors),
-      shard_(shard) {}
-
-std::uint64_t AccessDriver::in_flight() const noexcept {
-  std::uint64_t n = 0;
-  for (const auto& st : procs_) {
-    if (st.op != core::CfmMemory::kNoOp || st.pending_retry) ++n;
-  }
-  return n;
-}
-
-std::uint64_t AccessDriver::in_flight_retries() const noexcept {
-  std::uint64_t n = 0;
-  for (const auto& st : procs_) {
-    if (st.op != core::CfmMemory::kNoOp || st.pending_retry) n += st.retries;
-  }
-  return n;
-}
-
-void AccessDriver::tick_phase(sim::Phase, sim::Cycle now) {
-  auto& access_time = shard_.stat("access_time");
-  const auto beta = mem_.config().block_access_time();
-  for (std::uint32_t p = 0; p < procs_.size(); ++p) {
-    auto& st = procs_[p];
-    if (st.op != core::CfmMemory::kNoOp) {
-      if (auto result = mem_.take_result(st.op)) {
-        if (result->status == core::OpStatus::Completed) {
-          access_time.add(static_cast<double>(result->completed - st.issued));
-          ++completed_;
-          shard_.counters.inc("ops_completed");
-          st.op = core::CfmMemory::kNoOp;
-          st.retries = 0;
-        } else if (st.retries < kMaxRetries) {
-          // The memory aborted us off a faulted unit (bounded-latency
-          // path).  Retry the same access after a jittered back-off;
-          // latency keeps accumulating against the original issue.
-          ++st.retries;
-          shard_.counters.inc("ops_retried");
-          st.op = core::CfmMemory::kNoOp;
-          st.pending_retry = true;
-          st.retry_at = now + 1 + rng_.below(2 * beta);
-        } else {
-          ++failed_;
-          shard_.counters.inc("ops_failed");
-          st.op = core::CfmMemory::kNoOp;
-          st.retries = 0;
-        }
-      }
-    }
-    if (st.op != core::CfmMemory::kNoOp) continue;
-    const bool retrying = st.pending_retry;
-    if (retrying ? now < st.retry_at : !rng_.chance(rate_)) continue;
-    if (!retrying) {
-      // Closed loop: the access is generated and issued in the same
-      // cycle, so the queue hint records a zero wait — the driver never
-      // holds work back, which the txn trace then shows explicitly.
-      if (auto* tracer = mem_.txn_tracer()) {
-        tracer->queued_since(mem_.txn_unit(), p, now);
-      }
-      st.issued = now;
-    }
-    // Distinct blocks per processor: the efficiency experiment is
-    // about *bank* conflicts, not same-address races.
-    st.op = mem_.issue(now, p, core::BlockOpKind::Read,
-                       1000 + p * 7919 + (now % 97));
-    st.pending_retry = false;
-  }
-  publish_wake(now);
-}
-
-void AccessDriver::publish_wake(sim::Cycle now) {
-  sim::Cycle wake = sim::kNeverCycle;
-  bool any_inflight = false;
-  for (const auto& st : procs_) {
-    if (st.op != core::CfmMemory::kNoOp) {
-      any_inflight = true;
-      continue;
-    }
-    if (st.pending_retry) {
-      wake = std::min(wake, st.retry_at);
-      continue;
-    }
-    // Idle processor: the Bernoulli draw happens every cycle, so the
-    // driver can never be skipped (skipping would desynchronise the
-    // random stream).
-    set_next_event(sim::Component::kAlways);
-    return;
-  }
-  if (any_inflight) wake = std::min(wake, mem_.next_completion_hint(now));
-  set_next_event(wake);
-}
-
 EfficiencyResult measure_cfm(std::uint32_t processors, std::uint32_t bank_cycle,
                              double rate, sim::Cycle cycles,
                              std::uint64_t seed) {
-  return measure_cfm_instrumented(processors, bank_cycle, rate, cycles, seed,
-                                  CfmRunHooks{});
+  core::CfmMemory memory(core::CfmConfig::make(processors, bank_cycle));
+  return measure_instrumented(memory, rate, 0.0, cycles, seed);
 }
 
-EfficiencyResult measure_cfm_instrumented(std::uint32_t processors,
-                                          std::uint32_t bank_cycle, double rate,
-                                          sim::Cycle cycles, std::uint64_t seed,
-                                          const CfmRunHooks& hooks) {
-  // Runs on the component scheduler: the memory ticks in its own domain
-  // (Phase::Memory) and the driver issues in the same domain
-  // (Phase::Issue), reproducing the classic issue-then-tick cycle order.
+namespace {
+
+/// Memory counters the flight recorder follows, per backend.
+constexpr std::array<const char*, 5> kCfmSeries{
+    "fault_restarts", "bank_failures", "bank_remaps", "brownouts",
+    "fault_aborts"};
+constexpr std::array<const char*, 5> kCodedSeries{
+    "word_reads_decoded", "word_writes_decoded", "parity_updates",
+    "bank_failures", "fault_aborts"};
+
+}  // namespace
+
+template <typename Memory>
+EfficiencyResult measure_instrumented(Memory& memory, double rate,
+                                      double write_fraction, sim::Cycle cycles,
+                                      std::uint64_t seed,
+                                      const RunHooks& hooks) {
+  // The memory ticks in its own domain (Phase::Memory) and the driver
+  // issues in the same domain (Phase::Issue): the classic issue-then-tick
+  // cycle order.
+  constexpr bool kCoded = std::is_same_v<Memory, mem::coded::CodedMemory>;
   sim::Engine engine;
-  core::CfmMemory memory(core::CfmConfig::make(processors, bank_cycle));
-  if (hooks.auditor != nullptr) memory.set_audit(*hooks.auditor);
-  if (hooks.injector != nullptr) {
-    memory.set_fault_injector(*hooks.injector, hooks.spare_banks);
-  }
-  const auto beta = memory.config().block_access_time();
   const auto domain = engine.allocate_domain();
   memory.attach(engine, domain);
-  AccessDriver driver("workload.cfm_driver", domain, memory, rate, seed,
-                      engine.shard(domain));
+  ClosedLoopDriver<Memory> driver("workload.driver", domain, memory, seed,
+                                  rate, write_fraction);
   engine.add(driver);
+  const auto* injector = memory.fault_injector();
   std::optional<sim::TelemetrySampler> telemetry;
   if (hooks.telemetry_window > 0 && hooks.timeseries_out != nullptr) {
     telemetry.emplace("workload.telemetry", hooks.telemetry_window,
                       hooks.telemetry_capacity != 0
                           ? hooks.telemetry_capacity
                           : sim::TelemetrySampler::kDefaultCapacity);
-    auto& shard = engine.shard(domain);
-    for (const char* name : {"ops_completed", "ops_retried", "ops_failed"}) {
-      telemetry->add_counter(
-          name, [&shard, name] { return shard.counters.get(name); });
-    }
-    for (const char* name : {"fault_restarts", "bank_failures", "bank_remaps",
-                             "brownouts", "fault_aborts"}) {
+    telemetry->add_counter("ops_completed",
+                           [&driver] { return driver.completed(); });
+    telemetry->add_counter("ops_retried",
+                           [&driver] { return driver.retried(); });
+    telemetry->add_counter("ops_failed", [&driver] { return driver.failed(); });
+    for (const char* name : kCoded ? kCodedSeries : kCfmSeries) {
       telemetry->add_counter(std::string("mem.") + name, [&memory, name] {
         return memory.counters().get(name);
       });
@@ -297,55 +208,74 @@ EfficiencyResult measure_cfm_instrumented(std::uint32_t processors,
     telemetry->add_gauge("live_banks", [&memory](sim::Cycle) {
       return static_cast<double>(memory.live_banks());
     });
-    if (hooks.injector != nullptr) {
-      telemetry->add_gauge("active_faults", [inj = hooks.injector](
-                                                sim::Cycle now) {
-        return static_cast<double>(inj->active_count(now));
+    if constexpr (kCoded) {
+      telemetry->add_gauge("stripe_queue_depth", [&memory](sim::Cycle) {
+        return static_cast<double>(memory.pending_parity());
+      });
+    }
+    if (injector != nullptr) {
+      telemetry->add_gauge("active_faults", [injector](sim::Cycle now) {
+        return static_cast<double>(injector->active_count(now));
       });
     }
     engine.add(*telemetry);
   }
   engine.run_for(cycles);
-  if (telemetry) *hooks.timeseries_out = telemetry->to_json(cycles);
+
+  if (telemetry) {
+    *hooks.timeseries_out = telemetry->to_json(cycles);
+    if (hooks.recovery_out != nullptr && injector != nullptr) {
+      sim::RecoveryConfig rc;
+      rc.degraded_counters = {"ops_retried",        "ops_failed",
+                              "mem.fault_restarts", "mem.bank_failures",
+                              "mem.brownouts",      "mem.fault_aborts"};
+      *hooks.recovery_out = sim::recovery_table(telemetry->series(cycles),
+                                                injector->plan(), rc);
+    }
+  }
   if (hooks.counters_out != nullptr) {
-    hooks.counters_out->merge(engine.shard(domain).counters);
+    for (const auto& [name, n] :
+         {std::pair{"ops_completed", driver.completed()},
+          std::pair{"ops_retried", driver.retried()},
+          std::pair{"ops_failed", driver.failed()}}) {
+      if (n != 0) hooks.counters_out->inc(name, n);
+    }
     hooks.counters_out->merge(memory.counters());
   }
   if (hooks.access_time_out != nullptr) {
-    const auto found = engine.shard(domain).running.find("access_time");
-    if (found != engine.shard(domain).running.end()) {
-      hooks.access_time_out->merge(found->second);
-    }
+    hooks.access_time_out->merge(driver.latency());
   }
 
-  const auto& shard = engine.shard(domain);
-  const auto it = shard.running.find("access_time");
-  const auto completed = driver.completed();
-  const double mean_time =
-      it == shard.running.end() ? 0.0 : it->second.mean();
-
   EfficiencyResult out;
-  out.completed = completed;
-  out.conflicts = 0;
-  out.mean_access_time = mean_time;
+  out.completed = driver.completed();
+  out.mean_access_time = driver.latency().mean();
   out.efficiency =
-      completed == 0 ? 1.0 : static_cast<double>(beta) / mean_time;
+      out.completed == 0
+          ? 1.0
+          : static_cast<double>(memory.config().block_access_time()) /
+                out.mean_access_time;
   out.unfinished = driver.in_flight();
   out.unfinished_retries = driver.in_flight_retries();
   out.failed = driver.failed();
   // Retry accounting over the whole issued population — resolved *and*
-  // in flight.  ops_retried counts every retry event (fault path), so
-  // dividing by finished accesses alone would overstate the mean exactly
-  // when the budget cut off the most-retried accesses.
-  const auto issued_population =
-      completed + driver.failed() + driver.in_flight();
-  out.mean_retries =
-      issued_population == 0
-          ? 0.0
-          : static_cast<double>(
-                engine.shard(domain).counters.get("ops_retried")) /
-                static_cast<double>(issued_population);
+  // in flight.  The retry count covers every retry event, so dividing by
+  // finished accesses alone would overstate the mean exactly when the
+  // budget cut off the most-retried accesses.
+  const auto population = out.completed + out.failed + out.unfinished;
+  out.mean_retries = population == 0
+                         ? 0.0
+                         : static_cast<double>(driver.retried()) /
+                               static_cast<double>(population);
   return out;
 }
+
+template EfficiencyResult measure_instrumented(core::CfmMemory&, double,
+                                               double, sim::Cycle,
+                                               std::uint64_t,
+                                               const RunHooks&);
+template EfficiencyResult measure_instrumented(mem::coded::CodedMemory&,
+                                               double, double, sim::Cycle,
+                                               std::uint64_t,
+                                               const RunHooks&);
 
 }  // namespace cfm::workload

@@ -7,13 +7,21 @@
 // conflict-free).  A conflicting access backs off Uniform[1, beta] cycles
 // and retries — the analytic model's mean-beta/2 assumption.  Efficiency
 // is measured as beta / mean(completion - first attempt).
+//
+// On the cycle-level memories the same closed loop runs as a
+// core::PortDriver over CfmMemory (Fig 3.13's ~100% claim) or over the
+// coded backend (mem/coded).  The coded experiment asks not whether the
+// machine is conflict-free (with banks < c*n it cannot be) but how much
+// of the CFM's efficiency it keeps at a fraction of the bank budget, and
+// whether it keeps any with a bank dead; it therefore mixes reads with
+// block writes, since parity maintenance is the interesting cost.
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "cfm/cfm_memory.hpp"
+#include "cfm/port_driver.hpp"
 #include "sim/component.hpp"
 #include "sim/rng.hpp"
 #include "sim/stats.hpp"
@@ -22,63 +30,75 @@
 
 namespace cfm::workload {
 
-/// Closed-loop random-read driver for one CfmMemory, as a scheduler
-/// component: every Phase::Issue it harvests completed block operations
-/// and issues a fresh read per idle processor with probability `rate`.
-/// The driver lives in the *same tick domain* as its memory, so many
-/// (driver, module) pairs share no mutable state: completions and access
-/// times are recorded in the domain's statistics shard ("ops_completed"
-/// counter, "access_time" running stat) and merged after the run.
-class AccessDriver final : public sim::Component {
+/// The closed-loop request source behind Figs 3.13 / 3.14 on a real
+/// memory (core::PortDriver supplies the port discipline): every cycle
+/// each idle port draws a fresh access with probability `rate`, a block
+/// write with probability `write_fraction` of those (drawn only when the
+/// fraction is > 0).  Distinct blocks per port: the experiments are about
+/// bank traffic, not same-address races.
+class ClosedLoop {
  public:
-  AccessDriver(std::string name, sim::DomainId domain, core::CfmMemory& memory,
-               double rate, std::uint64_t seed, sim::StatShard& shard);
-
-  void tick_phase(sim::Phase phase, sim::Cycle now) override;
-
-  [[nodiscard]] std::uint64_t completed() const noexcept { return completed_; }
-  /// Accesses that exhausted the bounded retry budget (only possible when
-  /// the memory runs with a fault injector).
-  [[nodiscard]] std::uint64_t failed() const noexcept { return failed_; }
-  /// Accesses still outstanding (issued or awaiting a retry slot) — the
-  /// population a fixed cycle budget cuts off mid-flight.
-  [[nodiscard]] std::uint64_t in_flight() const noexcept;
-  /// Retries already accumulated by the in-flight accesses; excluded from
-  /// the ops_retried counter's finished population until the access
-  /// resolves, so retry exports must add these to avoid the same
-  /// survivorship bias the completion side fixed with `unfinished`.
-  [[nodiscard]] std::uint64_t in_flight_retries() const noexcept;
-
- private:
-  struct ProcState {
-    core::CfmMemory::OpToken op = core::CfmMemory::kNoOp;
-    sim::Cycle issued = 0;
-    sim::Cycle retry_at = 0;
-    std::uint32_t retries = 0;
-    bool pending_retry = false;
+  struct Request {
+    sim::BlockAddr block = 0;
+    sim::Cycle arrival = 0;  ///< generated and first issued here
+    bool write = false;
   };
 
-  /// Aborted accesses (bounded-latency fault path) retry this many times
-  /// with jittered back-off before counting as failed, so every access
-  /// resolves within a bounded number of fault windows.
-  static constexpr std::uint32_t kMaxRetries = 8;
+  explicit ClosedLoop(double rate, double write_fraction = 0.0)
+      : rate_(rate), write_fraction_(write_fraction) {}
 
-  /// Publishes the Issue-phase quiescence hint after a tick: any idle
-  /// processor rolls the Bernoulli generator every cycle (kAlways); with
-  /// every processor busy or backing off, the driver sleeps until the
-  /// earliest retry slot or the memory's completion lower bound.  Skipped
-  /// cycles perform no RNG draws on the reference path either, so the
-  /// random stream — and therefore the workload — is bit-identical.
-  void publish_wake(sim::Cycle now);
+  void admit(sim::Cycle) noexcept {}
 
-  core::CfmMemory& mem_;
+  template <typename Memory>
+  bool next(Memory& mem, sim::Cycle now, std::uint32_t p, Request& out,
+            sim::Rng& rng) {
+    if (!rng.chance(rate_)) return false;
+    out.write = write_fraction_ > 0.0 && rng.chance(write_fraction_);
+    out.block = 1000 + p * 7919 + (now % 97);
+    out.arrival = now;
+    if constexpr (requires { mem.txn_tracer(); }) {
+      // Generated and issued in the same cycle, so the queue hint
+      // records a zero wait: the txn trace shows that the driver never
+      // holds work back.
+      if (auto* tracer = mem.txn_tracer()) {
+        tracer->queued_since(mem.txn_unit(), p, now);
+      }
+    }
+    return true;
+  }
+
+  template <typename Memory>
+  typename Memory::OpToken issue(Memory& mem, sim::Cycle now, std::uint32_t p,
+                                 const Request& req) {
+    if (!req.write) {
+      return mem.issue(now, p, core::BlockOpKind::Read, req.block);
+    }
+    // A pure function of (block, word, arrival), so replays and
+    // fast-path-vs-reference runs write the same bits without RNG draws.
+    scratch_.resize(mem.block_words());
+    for (std::uint32_t w = 0; w < scratch_.size(); ++w) {
+      scratch_[w] = (req.block * 0x9E3779B97F4A7C15ULL) ^
+                    (static_cast<sim::Word>(w) << 32) ^ req.arrival;
+    }
+    return mem.issue(now, p, core::BlockOpKind::Write, req.block, scratch_);
+  }
+
+  void resolved(const Request&, const core::BlockOpResult&) noexcept {}
+
+  /// An idle port rolls the generator every cycle, so it can never be
+  /// skipped (skipping would desynchronise the random stream); with every
+  /// port busy the loop has nothing of its own to wake for.
+  static constexpr bool kIdlePortsPoll = true;
+  [[nodiscard]] sim::Cycle wake() const noexcept { return sim::kNeverCycle; }
+
+ private:
   double rate_;
-  sim::Rng rng_;
-  std::vector<ProcState> procs_;
-  sim::StatShard& shard_;
-  std::uint64_t completed_ = 0;
-  std::uint64_t failed_ = 0;
+  double write_fraction_;
+  std::vector<sim::Word> scratch_;
 };
+
+template <typename Memory>
+using ClosedLoopDriver = core::PortDriver<Memory, ClosedLoop>;
 
 struct EfficiencyResult {
   double efficiency = 1.0;        ///< beta / mean access time
@@ -123,34 +143,40 @@ struct EfficiencyResult {
                                            double rate, sim::Cycle cycles,
                                            std::uint64_t seed);
 
-/// Optional instrumentation for measure_cfm_instrumented.  All pointers
-/// may be null; null everything is exactly measure_cfm.  This is the one
-/// machine builder benches and the campaign executor share: the campaign
-/// runner attaches the auditor / fault injector here instead of growing a
-/// parallel construction path.
-struct CfmRunHooks {
-  sim::ConflictAuditor* auditor = nullptr;       ///< ConflictFree scope
-  const sim::FaultInjector* injector = nullptr;  ///< degraded-mode faults
-  std::uint32_t spare_banks = 1;                 ///< for dead-bank remap
-  /// Merged driver-shard counters (ops_completed / ops_retried /
-  /// ops_failed) plus the memory's own counters, written on return.
+/// Optional instrumentation for measure_instrumented; every pointer may
+/// be null.  Auditor, fault injector and spares are set on the memory
+/// itself before the call.
+struct RunHooks {
+  /// The driver's ops_completed / ops_retried / ops_failed counters (each
+  /// only once nonzero) plus the memory's own counters, added on return.
   sim::CounterSet* counters_out = nullptr;
-  /// The full access_time RunningStat (count/mean/min/max/stddev/sum),
-  /// richer than EfficiencyResult's mean — campaign reports merge these
-  /// across grid points.
+  /// The full access_time RunningStat, richer than EfficiencyResult's
+  /// mean: campaign reports merge these across grid points.
   sim::RunningStat* access_time_out = nullptr;
-  /// Time-series telemetry: with `telemetry_window` > 0 and
-  /// `timeseries_out` non-null, a TelemetrySampler rides the run
-  /// (ops/retries/failures per window, in-flight and bank-health gauges)
-  /// and its exported series — horizon = the cycle budget — is written to
-  /// *timeseries_out on return.
+  /// With `telemetry_window` > 0 and `timeseries_out` set, a
+  /// TelemetrySampler rides the run (ops/retries/failures per window,
+  /// in-flight and bank-health gauges) and its series, horizon = the
+  /// cycle budget, is written to *timeseries_out.
   sim::Cycle telemetry_window = 0;
   std::size_t telemetry_capacity = 0;  ///< 0 = sampler default
   sim::Json* timeseries_out = nullptr;
+  /// With telemetry on and a fault injector on the memory: the per-fault
+  /// recovery table derived from that series.
+  sim::Json* recovery_out = nullptr;
 };
 
-[[nodiscard]] EfficiencyResult measure_cfm_instrumented(
-    std::uint32_t processors, std::uint32_t bank_cycle, double rate,
-    sim::Cycle cycles, std::uint64_t seed, const CfmRunHooks& hooks);
+/// The one closed-loop machine builder benches and the campaign runner
+/// share: runs ClosedLoop(rate, write_fraction) against `memory` (built
+/// and configured by the caller, not yet attached to an engine) on its
+/// own engine for `cycles` cycles.  The memory stays readable afterwards
+/// (counters, decode statistics, fault recovery) but is attached to an
+/// engine that no longer exists, so it must not be issued to again.
+/// EfficiencyResult::efficiency is measured against the memory's own
+/// stall-free block time: beta for CfmMemory, data_banks + c - 1 for
+/// CodedMemory.  Instantiated for both.
+template <typename Memory>
+[[nodiscard]] EfficiencyResult measure_instrumented(
+    Memory& memory, double rate, double write_fraction, sim::Cycle cycles,
+    std::uint64_t seed, const RunHooks& hooks = {});
 
 }  // namespace cfm::workload

@@ -10,6 +10,7 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 
 #include "campaign/cache.hpp"
 #include "campaign/campaign.hpp"
@@ -180,6 +181,74 @@ TEST(Scenario, BadFaultPlanRejectedAtParseTime) {
                "params": { "n": 2, "c": 1, "rate": 0.1, "cycles": 10 },
                "fault_plan": "no_such_fault@7" })"),
       std::invalid_argument);
+}
+
+// Regression: the cfm and coded families run one module with no network,
+// so these plans used to expand and measure a healthy machine.
+TEST(Scenario, FaultPlanNamingMissingHardwareFailsTheExpand) {
+  const std::string cfm_params =
+      R"("params": { "n": 4, "c": 2, "rate": 0.1, "cycles": 10 })";
+  const std::string coded_params =
+      R"("params": { "n": 4, "c": 2, "rate": 0.1, "cycles": 10,
+                     "data_banks": 8, "stripe_width": 4, "code_rate": 0.8,
+                     "parity_policy": "rmw" })";
+  for (const auto& [workload, params] :
+       {std::pair{"cfm", cfm_params}, std::pair{"coded", coded_params}}) {
+    for (const char* plan :
+         {"bank_dead@0:module=3,bank=1", "brownout@0+100:module=5",
+          "drop@0:prob=0.5", "omega_link@0:stage=0,link=1"}) {
+      const auto s = Scenario::parse_text(
+          std::string(R"({ "name": "x", "workload": ")") + workload +
+          R"(", "fault_plan": ")" + plan + R"(", )" + params + " }");
+      try {
+        (void)s.expand();
+        ADD_FAILURE() << workload << " expanded " << plan;
+      } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find(plan), std::string::npos)
+            << e.what();
+      }
+    }
+  }
+}
+
+// Regression: base_seed and retries were read with a truncating cast, so
+// "base_seed": 1.5 ran as 1 and -5 as 2^64 - 5.
+TEST(Scenario, NonIntegralTopLevelCountsAreRejected) {
+  const auto parse_error = [](const std::string& extra) -> std::string {
+    try {
+      (void)Scenario::parse_text(
+          R"({ "name": "x", "workload": "tradeoff",
+               "params": { "block_bits": 64, "b": 8, "c": 2 }, )" +
+          extra + " }");
+    } catch (const std::invalid_argument& e) {
+      return e.what();
+    }
+    return "";
+  };
+  const auto names = [](const std::string& what, const std::string& part) {
+    return what.find(part) != std::string::npos;
+  };
+  std::string what = parse_error(R"("base_seed": 1.5)");
+  EXPECT_TRUE(names(what, "'base_seed' = 1.5 is not a non-negative integer"))
+      << what;
+  what = parse_error(R"("base_seed": -5)");
+  EXPECT_TRUE(names(what, "'base_seed' = -5 is not a non-negative integer"))
+      << what;
+  what = parse_error(R"("retries": 2.7)");
+  EXPECT_TRUE(names(what, "'retries' = 2.7 is not a non-negative integer"))
+      << what;
+  what = parse_error(R"("base_seed": "7")");
+  EXPECT_TRUE(names(what, "'base_seed'")) << what;
+  // Integral doubles are exact, so they run as written.
+  EXPECT_EQ(parse_error(R"("base_seed": 7.0, "retries": 2)"), "");
+  EXPECT_EQ(Scenario::parse_text(
+                R"({ "name": "x", "workload": "tradeoff",
+                     "params": { "block_bits": 64, "b": 8, "c": 2 },
+                     "base_seed": 18446744073709551615 })")
+                .to_json()
+                .at("base_seed")
+                .as_uint(),
+            18446744073709551615u);
 }
 
 // ---------------------------------------------------------------------------

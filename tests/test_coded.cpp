@@ -1,8 +1,8 @@
 // Tests for the coded-redundancy memory backend: the code descriptor
 // (stripe layout, rate arithmetic, tradeoff enumeration), CodedMemory's
 // read/decode/write/parity paths under both parity policies, permanent
-// decode of dead banks, the CodedRelaxed audit scope, the closed-loop
-// CodedDriver, and the `coded` campaign workload family.
+// decode of dead banks, the CodedRelaxed audit scope, the closed loop on
+// the coded backend, and the `coded` campaign workload family.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -20,7 +20,7 @@
 #include "sim/engine.hpp"
 #include "sim/fault.hpp"
 #include "sim/rng.hpp"
-#include "workload/coded_gen.hpp"
+#include "workload/access_gen.hpp"
 
 namespace {
 
@@ -379,15 +379,16 @@ TEST(ConflictAuditor, CodedRelaxedProbesDetectBreaks) {
 
 // ----------------------------------------------------------- driver ----
 
-TEST(CodedDriver, ClosedLoopCleanRunCompletes) {
+TEST(CodedClosedLoop, CleanRunCompletes) {
   CodedConfig cfg = small_config(1, ParityPolicy::ReadModifyWrite);
+  CodedMemory mem(cfg);
   sim::ConflictAuditor auditor;
-  workload::CodedRunHooks hooks;
-  hooks.auditor = &auditor;
+  mem.set_audit(auditor);
+  workload::RunHooks hooks;
   sim::CounterSet counters;
   hooks.counters_out = &counters;
-  const auto r = workload::measure_coded_instrumented(
-      cfg, /*rate=*/0.3, /*write_fraction=*/0.3, /*cycles=*/4000,
+  const auto r = workload::measure_instrumented(
+      mem, /*rate=*/0.3, /*write_fraction=*/0.3, /*cycles=*/4000,
       /*seed=*/7, hooks);
   EXPECT_GT(r.completed, 100u);
   EXPECT_EQ(r.failed, 0u);
@@ -397,23 +398,23 @@ TEST(CodedDriver, ClosedLoopCleanRunCompletes) {
             static_cast<double>(cfg.block_access_time()));
 }
 
-TEST(CodedDriver, FaultedRunServesEverythingByDecode) {
+TEST(CodedClosedLoop, FaultedRunServesEverythingByDecode) {
   // The acceptance scenario in miniature: mid-run bank death, zero failed
   // accesses, auditor green, decodes observed.
   CodedConfig cfg = small_config(1, ParityPolicy::ReadModifyWrite);
+  CodedMemory mem(cfg);
   sim::ConflictAuditor auditor;
+  mem.set_audit(auditor);
   sim::FaultInjector injector(
       sim::FaultPlan::parse("bank_dead@2000:module=0,bank=3"));
-  workload::CodedRunHooks hooks;
-  hooks.auditor = &auditor;
-  hooks.injector = &injector;
+  mem.set_fault_injector(injector);
+  workload::RunHooks hooks;
   sim::CounterSet counters;
-  std::uint32_t fanout_max = 0;
   hooks.counters_out = &counters;
-  hooks.decode_fanout_max_out = &fanout_max;
-  const auto r = workload::measure_coded_instrumented(
-      cfg, /*rate=*/0.3, /*write_fraction=*/0.25, /*cycles=*/6000,
+  const auto r = workload::measure_instrumented(
+      mem, /*rate=*/0.3, /*write_fraction=*/0.25, /*cycles=*/6000,
       /*seed=*/11, hooks);
+  const auto fanout_max = mem.decode_fanout_max();
   EXPECT_GT(r.completed, 100u);
   EXPECT_EQ(r.failed, 0u);
   EXPECT_EQ(auditor.violations(), 0u);
@@ -426,15 +427,12 @@ TEST(CodedDriver, FaultedRunServesEverythingByDecode) {
   EXPECT_LE(fanout_max, cfg.code.stripe_width);
 }
 
-TEST(CodedDriver, DeterministicAcrossRuns) {
+TEST(CodedClosedLoop, DeterministicAcrossRuns) {
   CodedConfig cfg = small_config(2, ParityPolicy::Logged);
   const auto run = [&] {
-    sim::CounterSet counters;
-    workload::CodedRunHooks hooks;
-    hooks.counters_out = &counters;
-    const auto r = workload::measure_coded_instrumented(
-        cfg, 0.4, 0.3, 3000, 99, hooks);
-    return std::make_pair(r.completed, counters.get("parity_updates"));
+    CodedMemory mem(cfg);
+    const auto r = workload::measure_instrumented(mem, 0.4, 0.3, 3000, 99);
+    return std::make_pair(r.completed, mem.counters().get("parity_updates"));
   };
   const auto a = run();
   const auto b = run();

@@ -7,6 +7,8 @@
 
 #include <array>
 #include <stdexcept>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "cfm/cfm_memory.hpp"
@@ -18,6 +20,9 @@
 #include "sim/engine.hpp"
 #include "sim/fault.hpp"
 #include "sim/rng.hpp"
+#include "mem/coded/coded_memory.hpp"
+#include "serve/protocol.hpp"
+#include "serve/server.hpp"
 #include "workload/access_gen.hpp"
 
 namespace {
@@ -86,28 +91,70 @@ TEST(FaultPlan, MalformedTextThrows) {
   EXPECT_THROW((void)FaultPlan::parse(";"), std::invalid_argument);
 }
 
-TEST(FaultPlan, ValidateBanksRejectsUnprovisionedTargets) {
-  // A bank_dead aimed past the backend's provisioning would never fire —
-  // the scan only covers provisioned banks — so the plan must be rejected
-  // up front instead of silently running a clean machine.
+TEST(FaultPlan, ValidateSingleModuleRejectsMissingHardware) {
+  // A fault aimed at hardware a one-module, network-free machine lacks
+  // would never fire, so the plan must be rejected up front instead of
+  // silently running a clean machine.
   const auto plan =
-      FaultPlan::parse("bank_dead@100:module=0,bank=11;brownout@200:module=9");
-  EXPECT_NO_THROW(plan.validate_banks(12, "cfm memory"));   // 11 < 12
-  EXPECT_THROW(plan.validate_banks(11, "cfm memory"),       // 11 >= 11
+      FaultPlan::parse("bank_dead@100:module=0,bank=11;brownout@200:module=0");
+  EXPECT_NO_THROW(plan.validate_single_module(12, "cfm memory"));  // 11 < 12
+  EXPECT_THROW(plan.validate_single_module(11, "cfm memory"),      // 11 >= 11
                std::invalid_argument);
-  try {
-    plan.validate_banks(4, "coded memory (data + parity banks)");
-    FAIL() << "expected std::invalid_argument";
-  } catch (const std::invalid_argument& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find("bank 11"), std::string::npos) << what;
-    EXPECT_NE(what.find("coded memory"), std::string::npos) << what;
-    EXPECT_NE(what.find("silently inert"), std::string::npos) << what;
+  const auto message = [](const char* text, std::uint32_t banks) {
+    try {
+      FaultPlan::parse(text).validate_single_module(
+          banks, "coded memory (data + parity banks)");
+    } catch (const std::invalid_argument& e) {
+      return std::string(e.what());
+    }
+    return std::string();
+  };
+  std::string what = message("bank_dead@100:module=0,bank=11", 4);
+  EXPECT_NE(what.find("'bank_dead@100:module=0,bank=11'"), std::string::npos)
+      << what;
+  EXPECT_NE(what.find("bank 11"), std::string::npos) << what;
+  EXPECT_NE(what.find("coded memory"), std::string::npos) << what;
+  EXPECT_NE(what.find("silently inert"), std::string::npos) << what;
+  what = message("bank_dead@0:module=3,bank=1", 16);
+  EXPECT_NE(what.find("'bank_dead@0:module=3,bank=1'"), std::string::npos)
+      << what;
+  EXPECT_NE(what.find("module 3"), std::string::npos) << what;
+  what = message("brownout@0+100:module=5", 16);
+  EXPECT_NE(what.find("'brownout@0+100:module=5'"), std::string::npos)
+      << what;
+  EXPECT_NE(what.find("module 5"), std::string::npos) << what;
+  // Interconnect faults have nothing to act on without a network.
+  what = message("drop@0:prob=0.5", 16);
+  EXPECT_NE(what.find("'drop@0:prob=0.5'"), std::string::npos) << what;
+  EXPECT_NE(what.find("no network"), std::string::npos) << what;
+  what = message("omega_link@10:stage=1,link=2", 16);
+  EXPECT_NE(what.find("'omega_link@10:stage=1,link=2'"), std::string::npos)
+      << what;
+  EXPECT_NE(what.find("no network"), std::string::npos) << what;
+}
+
+// Regression: ids were narrowed from 64 bits, so bank=4294967296 parsed
+// as bank 0 and killed a bank the plan never named.
+TEST(FaultPlan, IdsAbove32BitsAreRejected) {
+  const std::pair<const char*, const char*> cases[] = {
+      {"bank_dead@0:module=4294967296,bank=1", "module"},
+      {"bank_dead@0:bank=4294967296", "bank"},
+      {"omega_link@0:stage=4294967296,link=0", "stage"},
+      {"omega_link@0:stage=0,link=4294967296", "link"},
+  };
+  for (const auto& [text, key] : cases) {
+    try {
+      (void)FaultPlan::parse(text);
+      ADD_FAILURE() << text << " parsed";
+    } catch (const std::invalid_argument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(std::string(key) + " 4294967296 is out of range"),
+                std::string::npos)
+          << what;
+    }
   }
-  // Non-bank faults carry no bank target; they never trip the check.
-  EXPECT_NO_THROW(
-      FaultPlan::parse("brownout@10:module=3;drop@0:prob=0.5")
-          .validate_banks(1, "anything"));
+  const auto max = FaultPlan::parse("bank_dead@0:bank=4294967295");
+  EXPECT_EQ(max.specs()[0].bank, 4294967295u);
 }
 
 TEST(FaultInjector, QueriesHonorTheFaultWindow) {
@@ -203,18 +250,14 @@ TEST(CfmDegradation, FastPathMatchesReferenceUnderFaults) {
     mem.set_fault_injector(inj, 1);
     const auto domain = engine.allocate_domain();
     mem.attach(engine, domain);
-    workload::AccessDriver driver("fault.driver", domain, mem, 0.25, 4321,
-                                  engine.shard(domain));
+    workload::ClosedLoopDriver<core::CfmMemory> driver("fault.driver", domain,
+                                                       mem, 4321, 0.25);
     engine.add(driver);
     engine.run_for(8000);
     Run out;
     out.completed = driver.completed();
     out.failed = driver.failed();
-    const auto& shard = engine.shard(domain);
-    if (const auto it = shard.running.find("access_time");
-        it != shard.running.end()) {
-      out.mean = it->second.mean();
-    }
+    out.mean = driver.latency().mean();
     out.violations = auditor.violations();
     return out;
   };
@@ -303,19 +346,87 @@ TEST(ClosedLoop, CfmRetryMeanCountsWholePopulation) {
   // issued population — completed, failed, *and* still in flight — so
   // a cutoff mid-retry cannot deflate it.
   FaultInjector inj(FaultPlan::parse("bank_dead@100:module=0,bank=1"));
+  core::CfmMemory mem(core::CfmConfig::make(4, 2));
+  mem.set_fault_injector(inj, /*spare_banks=*/0);
   sim::CounterSet counters;
-  workload::CfmRunHooks hooks;
-  hooks.injector = &inj;
-  hooks.spare_banks = 0;
+  workload::RunHooks hooks;
   hooks.counters_out = &counters;
-  const auto r =
-      workload::measure_cfm_instrumented(4, 2, 0.5, 2000, 21, hooks);
+  const auto r = workload::measure_instrumented(mem, 0.5, 0.0, 2000, 21, hooks);
   const auto retried = counters.get("ops_retried");
   ASSERT_GT(retried, 0u);
   const auto population = r.completed + r.failed + r.unfinished;
   ASSERT_GT(population, 0u);
   EXPECT_DOUBLE_EQ(r.mean_retries, static_cast<double>(retried) /
                                        static_cast<double>(population));
+}
+
+// --------------------------------------------- retry-budget exhaustion --
+
+// A permanent brownout aborts every access, so every port driver must
+// walk each request through the whole retry budget to `failed`: nothing
+// completes, and every retry event belongs either to a failed request
+// (exactly kMaxRetries each) or to one still retrying at the cutoff.
+TEST(RetryBudget, PermanentBrownoutExhaustsEveryPortDriver) {
+  const char* plan = "brownout@0+100000000:module=0";
+  {
+    FaultInjector inj(FaultPlan::parse(plan));
+    core::CfmMemory mem(core::CfmConfig::make(4, 2));
+    mem.set_fault_injector(inj);
+    sim::CounterSet counters;
+    workload::RunHooks hooks;
+    hooks.counters_out = &counters;
+    const auto r = workload::measure_instrumented(mem, 0.5, 0.0, 6000, 3,
+                                                  hooks);
+    EXPECT_EQ(r.completed, 0u);
+    EXPECT_GT(r.failed, 0u);
+    EXPECT_EQ(counters.get("ops_retried"),
+              core::kMaxRetries * r.failed + r.unfinished_retries);
+  }
+  // The coded backend has no brownout watchdog: a paused module stalls
+  // its ops instead of aborting them, so the brownout leaves every port
+  // stuck and nothing retries.  An uncoded stripe (r = 0) with a dead
+  // data bank is structurally unserviceable, which does abort, and walks
+  // the same budget.
+  for (const char* coded_plan : {plan, "bank_dead@0:module=0,bank=0"}) {
+    mem::coded::CodedConfig cfg;
+    cfg.processors = 4;
+    cfg.bank_cycle = 1;
+    cfg.code.data_banks = 8;
+    cfg.code.stripe_width = 4;
+    cfg.code.parity_per_stripe = coded_plan == plan ? 1 : 0;
+    FaultInjector inj(FaultPlan::parse(coded_plan));
+    mem::coded::CodedMemory mem(cfg);
+    mem.set_fault_injector(inj);
+    sim::CounterSet counters;
+    workload::RunHooks hooks;
+    hooks.counters_out = &counters;
+    const auto r = workload::measure_instrumented(mem, 0.5, 0.3, 6000, 3,
+                                                  hooks);
+    EXPECT_EQ(r.completed, 0u) << coded_plan;
+    if (coded_plan == plan) {
+      EXPECT_EQ(r.failed, 0u);
+      EXPECT_EQ(r.unfinished, cfg.processors);
+    } else {
+      EXPECT_GT(r.failed, 0u);
+    }
+    EXPECT_EQ(counters.get("ops_retried"),
+              core::kMaxRetries * r.failed + r.unfinished_retries)
+        << coded_plan;
+  }
+  {
+    serve::ServeOptions so;
+    so.processors = 4;
+    so.fault_plan = plan;
+    so.seed = 3;
+    serve::Server server(so);
+    server.submit(serve::synth_requests(40, 0.25, 0.05, 0.05, 64, 3));
+    EXPECT_TRUE(server.drain());
+    const auto st = server.stats();
+    EXPECT_EQ(st.completed, 0u);
+    EXPECT_GT(st.failed, 0u);
+    // Drained: no request is still retrying.
+    EXPECT_EQ(st.retried, core::kMaxRetries * st.failed);
+  }
 }
 
 // --------------------------------------------- Uniform[1, beta] draws --

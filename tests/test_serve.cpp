@@ -251,6 +251,22 @@ TEST(Serve, FaultPlanNamingAMissingBankIsRejected) {
   EXPECT_NO_THROW(Server{opts});
 }
 
+// Regression: serve runs one module with no network, so a fault aimed at
+// another module or at the interconnect used to leave a healthy machine
+// running, and bank=4294967296 wrapped to bank 0 and killed that bank.
+TEST(Serve, FaultPlanNamingMissingHardwareIsRejected) {
+  ServeOptions opts;
+  for (const char* plan :
+       {"bank_dead@0:module=3,bank=1", "brownout@0+100:module=5",
+        "drop@0:prob=0.5", "omega_link@0:stage=0,link=1",
+        "bank_dead@0:bank=4294967296"}) {
+    opts.fault_plan = plan;
+    EXPECT_THROW(Server{opts}, std::invalid_argument) << plan;
+  }
+  opts.fault_plan = "brownout@0+100:module=0";
+  EXPECT_NO_THROW(Server{opts});
+}
+
 TEST(Serve, ThreadsOtherThanOneIsRejected) {
   // The engine is serial; a multi-threaded request is refused, not
   // silently served on one thread.
