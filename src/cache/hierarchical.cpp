@@ -1,7 +1,9 @@
 #include "cache/hierarchical.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <stdexcept>
+#include <string>
 
 namespace cfm::cache {
 
@@ -48,6 +50,14 @@ bool HierarchicalCfm::processor_idle(sim::ProcessorId p) const {
   return !proc_busy_.at(p);
 }
 
+void HierarchicalCfm::check_processor(sim::ProcessorId p) const {
+  if (p >= processor_count()) {
+    throw std::invalid_argument("processor " + std::to_string(p) +
+                                " is out of range (the machine has " +
+                                std::to_string(processor_count()) + ")");
+  }
+}
+
 void HierarchicalCfm::set_txn_trace(sim::TxnTracer& tracer) {
   tracer_ = &tracer;
   tracer_unit_ = tracer.add_unit("hier");
@@ -57,6 +67,7 @@ void HierarchicalCfm::set_txn_trace(sim::TxnTracer& tracer) {
 
 HierarchicalCfm::ReqId HierarchicalCfm::read(sim::Cycle now, sim::ProcessorId p,
                                              sim::BlockAddr offset) {
+  check_processor(p);
   if (!processor_idle(p)) throw std::logic_error("processor busy");
   Pending q;
   q.id = next_req_++;
@@ -94,6 +105,13 @@ HierarchicalCfm::ReqId HierarchicalCfm::write(sim::Cycle now, sim::ProcessorId p
                                               sim::BlockAddr offset,
                                               std::uint32_t word_index,
                                               sim::Word value) {
+  check_processor(p);
+  const auto words = cluster_mem_[0]->block_words();
+  if (word_index >= words) {
+    throw std::invalid_argument("word index " + std::to_string(word_index) +
+                                " is past the " + std::to_string(words) +
+                                "-word block");
+  }
   if (!processor_idle(p)) throw std::logic_error("processor busy");
   Pending q;
   q.id = next_req_++;
@@ -158,7 +176,9 @@ void HierarchicalCfm::finish(sim::Cycle now, Pending& p) {
   if (p.holds_block_lock) {
     global_dir_[p.offset].busy = false;
     p.holds_block_lock = false;
+    lock_freed_ = true;
   }
+  p.retired = true;
   Outcome out;
   out.cls = p.cls;
   out.is_write = p.is_write;
@@ -498,30 +518,49 @@ void HierarchicalCfm::advance(sim::Cycle now, Pending& p) {
 }
 
 void HierarchicalCfm::advance_pending(sim::Cycle now) {
-  for (auto it = pending_.begin(); it != pending_.end();) {
+  lock_freed_ = false;
+  bool chain_cut = false;
+  for (auto& p : pending_) {
     // A phase completion and the next phase's issue happen in the same
     // cycle (the controller reacts combinationally); bound the chain so a
     // blocked issue cannot spin.
-    for (int hop = 0; hop < 3; ++hop) {
-      const auto phase_before = it->phase;
-      const auto op_before = it->op;
-      advance(now, *it);
-      if (results_.contains(it->id)) break;
-      if (it->phase == phase_before && it->op == op_before) break;
+    bool moved = true;
+    for (int hop = 0; hop < 3 && moved && !p.retired; ++hop) {
+      const auto phase_before = p.phase;
+      const auto op_before = p.op;
+      advance(now, p);
+      moved = p.phase != phase_before || p.op != op_before;
     }
-    if (results_.contains(it->id)) {
-      it = pending_.erase(it);
-    } else {
-      ++it;
-    }
+    // Still moving after the last hop means the bound cut the chain,
+    // unless that hop issued an op: all it can do next is poll the op,
+    // which the member's completion hint covers.
+    if (!p.retired && moved && p.op == CfmMemory::kNoOp) chain_cut = true;
   }
-  // Every live request needs per-cycle attention (member-op polling and
-  // phase chains are cycle-granular); with none, the controller sleeps
-  // until the next read()/write() re-publishes kAlways.
-  if (controller_ != nullptr) {
-    controller_->set_next_event(pending_.empty() ? sim::kNeverCycle
-                                                 : sim::Component::kAlways);
+  std::erase_if(pending_, [](const Pending& p) { return p.retired; });
+  if (controller_ == nullptr) return;
+  // A freed block lock may be the one a request earlier in this pass
+  // found busy, and a cut chain has its next hop to run: either way the
+  // next cycle's pass may act whatever the member tours do.
+  controller_->set_next_event(lock_freed_ || chain_cut ? now + 1
+                                                       : next_wake(now));
+}
+
+sim::Cycle HierarchicalCfm::next_wake(sim::Cycle now) const {
+  // With nothing pending only read()/write() can wake the controller.
+  if (pending_.empty()) return sim::kNeverCycle;
+  // Otherwise every request waits for one of: its L1 hit's cycle, a
+  // member tour publishing a result (the only way a member port goes
+  // idle, too), or a block lock being freed (only finish() frees one).
+  // A member with a fault injector answers kAlways, so faulted machines
+  // keep a per-cycle controller.
+  sim::Cycle wake = sim::kNeverCycle;
+  for (const auto& p : pending_) {
+    if (p.phase == Phase::L1Hit) wake = std::min(wake, p.phase_until);
   }
+  for (const auto& mem : cluster_mem_) {
+    wake = std::min(wake, mem->next_completion_hint(now));
+  }
+  return std::min(wake, global_mem_->next_completion_hint(now));
 }
 
 void HierarchicalCfm::tick(sim::Cycle now) {
@@ -540,10 +579,13 @@ void HierarchicalCfm::attach(sim::Engine& engine) {
   controller->on(sim::Phase::Network,
                  [this](sim::Cycle now) { advance_pending(now); });
   controller_ = engine.add(std::move(controller));
-  // Each cluster's CFM is an independent AT-space — its own tick domain.
-  // The global CFM is the cross-cluster omega + banks: shared domain.
-  for (auto& mem : cluster_mem_) mem->attach(engine, engine.allocate_domain());
-  global_mem_->attach(engine, sim::kSharedDomain);
+  // Each cluster's CFM and the global CFM are independent AT-spaces,
+  // each its own tick domain.  The controller is the only component that
+  // issues to them or takes their results, and its wake hint covers
+  // every result they can publish, so the engine runs their tours as
+  // spans up to the controller's next wake.
+  for (auto& mem : cluster_mem_) mem->attach(engine);
+  global_mem_->attach(engine);
 }
 
 std::optional<HierarchicalCfm::Outcome> HierarchicalCfm::take_result(ReqId id) {

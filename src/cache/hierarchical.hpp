@@ -22,7 +22,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -83,6 +82,9 @@ class HierarchicalCfm {
   [[nodiscard]] std::uint32_t beta_global() const noexcept;
 
   [[nodiscard]] bool processor_idle(sim::ProcessorId p) const;
+  /// Both throw std::invalid_argument, before any side effect, for a
+  /// processor past processor_count() or (write) a word index past the
+  /// block; std::logic_error while `p` still has a request outstanding.
   ReqId read(sim::Cycle now, sim::ProcessorId p, sim::BlockAddr offset);
   ReqId write(sim::Cycle now, sim::ProcessorId p, sim::BlockAddr offset,
               std::uint32_t word_index, sim::Word value);
@@ -90,9 +92,11 @@ class HierarchicalCfm {
   std::optional<Outcome> take_result(ReqId id);
 
   /// Engine registration, decomposed by tick domain: the cross-cluster
-  /// controller and the global CFM stay in the shared domain while each
-  /// cluster's CFM gets its own domain.  Drive the machine either via
-  /// attach() + engine stepping or via manual tick() calls, never both.
+  /// controller stays in the shared domain, while each cluster's CFM and
+  /// the global CFM get a domain of their own (the controller is their
+  /// only caller, so their tours can run as spans between its wakes).
+  /// Drive the machine either via attach() + engine stepping or via
+  /// manual tick() calls, never both.
   void attach(sim::Engine& engine);
 
   /// Cluster c's second-level CFM (e.g. for installing trace sinks or
@@ -149,6 +153,7 @@ class HierarchicalCfm {
   /// Called (in the shared domain) whenever a processor
   /// request completes — wake-aware drivers use it to re-publish their
   /// own quiescence hints instead of polling take_result every cycle.
+  /// It runs mid-pass, so it must not call read() or write().
   void set_completion_hook(std::function<void(sim::Cycle)> hook) {
     completion_hook_ = std::move(hook);
   }
@@ -187,6 +192,7 @@ class HierarchicalCfm {
     sim::ProcessorId remote_owner = 0;  ///< for the write-back chain
     std::uint32_t remote_cluster = 0;
     sim::TxnId txn = sim::kNoTxn;
+    bool retired = false;  ///< set by finish(); compacted out after the pass
   };
 
   struct L2Entry {
@@ -198,7 +204,12 @@ class HierarchicalCfm {
     bool busy = false;  ///< serializes global transactions per block
   };
 
+  /// Throws std::invalid_argument naming `p` unless it is a processor.
+  void check_processor(sim::ProcessorId p) const;
   void advance_pending(sim::Cycle now);
+  /// Earliest cycle at which a pass could act again when the pass at
+  /// `now` freed no block lock and cut no phase chain (DESIGN.md §12).
+  [[nodiscard]] sim::Cycle next_wake(sim::Cycle now) const;
   [[nodiscard]] bool cluster_port_idle(std::uint32_t cluster,
                                        sim::ProcessorId port) const;
   [[nodiscard]] std::optional<sim::ProcessorId> borrow_cluster_port(
@@ -217,13 +228,14 @@ class HierarchicalCfm {
   std::vector<std::unique_ptr<DirectCache>> l1_;
   std::vector<std::unordered_map<sim::BlockAddr, L2Entry>> l2_;
   std::unordered_map<sim::BlockAddr, GlobalEntry> global_dir_;
-  std::deque<Pending> pending_;
+  std::vector<Pending> pending_;  ///< issue order
   std::vector<bool> proc_busy_;
+  bool lock_freed_ = false;  ///< finish() released a block lock this pass
   std::unordered_map<ReqId, Outcome> results_;
   sim::CounterSet counters_;
   ReqId next_req_ = 1;
   /// Controller component registered by attach(); carries the
-  /// Phase::Network quiescence hint (pending_ empty <=> quiescent).
+  /// Phase::Network wake hint each pass publishes (DESIGN.md §12).
   sim::Component* controller_ = nullptr;
   std::function<void(sim::Cycle)> completion_hook_;
   sim::TxnTracer* tracer_ = nullptr;

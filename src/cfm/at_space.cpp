@@ -1,6 +1,26 @@
 #include "cfm/at_space.hpp"
 
+#include <cstdint>
+#include <stdexcept>
+#include <string>
+
 namespace cfm::core {
+
+void AtSpace::check_table_size(const CfmConfig& cfg) {
+  const std::uint64_t entries =
+      std::uint64_t{cfg.banks} * std::uint64_t{cfg.processors};
+  if (entries <= kMaxTableBytes / sizeof(sim::BankId)) return;
+  // b * n * 4 passes 2^64 for large enough 32-bit n and b.
+  const std::string bytes =
+      entries > UINT64_MAX / sizeof(sim::BankId)
+          ? std::string("more than 2^64")
+          : std::to_string(entries * sizeof(sim::BankId));
+  throw std::invalid_argument(
+      "CFM with " + std::to_string(cfg.processors) + " processors and " +
+      std::to_string(cfg.banks) + " banks needs a " + bytes +
+      "-byte AT-space table, over the " + std::to_string(kMaxTableBytes) +
+      "-byte limit");
+}
 
 std::optional<sim::ProcessorId> AtSpace::processor_at(sim::Cycle t,
                                                       sim::BankId bank) const noexcept {

@@ -23,8 +23,15 @@ namespace cfm::core {
 
 class AtSpace {
  public:
+  /// Cap on the dense schedule table (b x n bank ids, 2n² at c = 2):
+  /// 2896 processors fit at c = 2, 4096 at c = 1.
+  static constexpr std::uint64_t kMaxTableBytes = std::uint64_t{64} << 20;
+
+  /// Throws std::invalid_argument for an invalid config or one whose
+  /// table exceeds kMaxTableBytes, naming processors, banks and bytes.
   explicit AtSpace(const CfmConfig& cfg) : cfg_(cfg) {
     cfg_.validate();
+    check_table_size(cfg_);
     // The schedule is periodic in b slots, so the whole connection
     // pattern densifies into one b x n table; the hot per-op lookup
     // becomes one modulo (shared by every processor the same slot) and
@@ -92,6 +99,8 @@ class AtSpace {
   [[nodiscard]] bool verify_exclusive() const;
 
  private:
+  static void check_table_size(const CfmConfig& cfg);
+
   CfmConfig cfg_;
   /// bank(t, p) for t in [0, b), p in [0, n): row-major (slot, processor).
   std::vector<sim::BankId> table_;

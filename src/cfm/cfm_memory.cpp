@@ -426,10 +426,11 @@ void CfmMemory::attach(sim::Engine& engine, sim::DomainId domain) {
       "cfm.memory/" + std::to_string(cfg_.processors) + "p", domain,
       sim::Phase::Memory, *this));
   // In an independent domain the memory's ticks touch nothing but its
-  // own state and its own hint, and the domain's drivers wake on
+  // own state and its own hint, and its drivers (in its domain, or a
+  // shared-domain controller such as HierarchicalCfm's) wake on
   // next_completion_hint before any result they could take appears: it
-  // may run sub-spans while they are quiescent.  A shared-domain memory
-  // is driven by cross-domain controllers and must not batch.
+  // may run spans and sub-spans while they are quiescent.  A memory in
+  // the shared domain may be polled every cycle and must not batch.
   if (domain != sim::kSharedDomain) ticker_->set_span_capable();
 }
 

@@ -116,9 +116,10 @@ class CfmMemory {
   /// construction, so each instance is an independent domain.
   void attach(sim::Engine& engine);
 
-  /// Same, but joins an existing tick domain (e.g. the shared domain for
-  /// a memory driven by cross-domain logic like HierarchicalCfm's global
-  /// level).
+  /// Same, but joins an existing tick domain, e.g. the one its driver
+  /// ticks in (serve::Server, the closed-loop port drivers).  In any
+  /// domain but the shared one the memory is span-capable: whoever
+  /// drives it must wake on next_completion_hint.
   void attach(sim::Engine& engine, sim::DomainId domain);
 
   /// Tick domain assigned by the last attach (kSharedDomain before).

@@ -1,6 +1,8 @@
 #include "cfm/config.hpp"
 
+#include <cstdint>
 #include <stdexcept>
+#include <string>
 
 namespace cfm::core {
 
@@ -16,6 +18,13 @@ void CfmConfig::validate() const {
 
 CfmConfig CfmConfig::make(std::uint32_t processors, std::uint32_t bank_cycle,
                           std::uint32_t word_bits) {
+  const std::uint64_t banks = std::uint64_t{bank_cycle} * processors;
+  if (banks > UINT32_MAX) {
+    throw std::invalid_argument(
+        std::to_string(processors) + " processors at bank cycle " +
+        std::to_string(bank_cycle) + " need " + std::to_string(banks) +
+        " banks, past the 32-bit bank count");
+  }
   CfmConfig cfg;
   cfg.processors = processors;
   cfg.bank_cycle = bank_cycle;

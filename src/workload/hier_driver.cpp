@@ -24,7 +24,8 @@ HierDriver::HierDriver(std::string name, sim::Engine& engine,
       params_(params),
       rng_(seed),
       procs_(machine.processor_count()),
-      shard_(shard) {
+      shard_(shard),
+      access_time_(shard.stat("hier.access_time")) {
   engine.add(*this);
   machine.set_completion_hook([this](sim::Cycle) {
     // A request retired mid-cycle (controller's Network tick): harvest at
@@ -63,21 +64,24 @@ sim::Cycle HierDriver::draw_think() {
 
 void HierDriver::tick_phase(sim::Phase, sim::Cycle now) {
   ++ticks_;
-  auto& access_time = shard_.stat("hier.access_time");
   // 1. Harvest completions.  Think times are drawn at the harvest point:
   //    the fast path reaches it at the same cycle as the reference path,
   //    so the random stream stays aligned.
+  std::uint64_t harvested = 0;
   for (std::uint32_t p = 0; p < procs_.size(); ++p) {
     auto& st = procs_[p];
     if (st.req == 0) continue;
     auto result = hier_.take_result(st.req);
     if (!result.has_value()) continue;
-    access_time.add(static_cast<double>(result->completed - st.issued));
-    ++completed_;
-    shard_.counters.inc("hier.ops_completed");
+    access_time_.add(static_cast<double>(result->completed - st.issued));
+    ++harvested;
     st.req = 0;
     st.resume_at =
         params_.barrier ? sim::kNeverCycle : now + draw_think();
+  }
+  if (harvested != 0) {
+    completed_ += harvested;
+    shard_.counters.inc("hier.ops_completed", harvested);
   }
   // 2. Round barrier: with the last completion harvested, the whole
   //    machine thinks for one shared interval (a BSP superstep), leaving

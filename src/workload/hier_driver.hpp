@@ -85,6 +85,7 @@ class HierDriver final : public sim::Component {
   sim::Rng rng_;
   std::vector<ProcState> procs_;
   sim::StatShard& shard_;
+  sim::RunningStat& access_time_;  ///< shard_'s "hier.access_time"
   std::uint64_t completed_ = 0;
   std::uint64_t ticks_ = 0;
 };

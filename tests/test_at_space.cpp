@@ -1,6 +1,10 @@
 // Tests for the AT-space mapping, including the paper's Table 3.1.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <stdexcept>
+#include <string>
+
 #include "cfm/at_space.hpp"
 
 namespace {
@@ -75,6 +79,28 @@ TEST(AtSpace, TimingMatchesFig36) {
   EXPECT_EQ(at.data_slot(0, 1), 2u);
   EXPECT_EQ(at.completion(0), 9u);   // beta = 8 + 2 - 1
   EXPECT_EQ(at.completion(5), 14u);  // non-stall start at any slot
+}
+
+// The dense b x n table is capped: a machine past the cap is refused
+// with a message naming its size instead of dying in the allocator.
+TEST(AtSpace, OversizedTableIsRejectedWithItsSize) {
+  try {
+    AtSpace at(CfmConfig::make(100000, 2));
+    ADD_FAILURE() << "a 2 x 10^10-entry table was accepted";
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("100000 processors"), std::string::npos) << what;
+    EXPECT_NE(what.find("200000 banks"), std::string::npos) << what;
+    EXPECT_NE(what.find("80000000000-byte"), std::string::npos) << what;
+  }
+  EXPECT_THROW(AtSpace(CfmConfig::make(4000000000u, 1)),
+               std::invalid_argument);
+  // At c = 2 the cap sits between n = 2896 and n = 2897.
+  EXPECT_LE(std::uint64_t{2 * 2896} * 2896 * sizeof(cfm::sim::BankId),
+            AtSpace::kMaxTableBytes);
+  EXPECT_THROW(AtSpace(CfmConfig::make(2897, 2)), std::invalid_argument);
+  // b = c * n must not wrap 32 bits into a "conflict-free" config.
+  EXPECT_THROW((void)CfmConfig::make(4000000000u, 2), std::invalid_argument);
 }
 
 class AtSpaceExclusivity

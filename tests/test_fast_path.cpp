@@ -3,9 +3,11 @@
 // guarantee, in-domain sub-spans and batched CfmMemory tours against the
 // per-cycle reference, and the headline cross-product bit-exactness
 // suite — fast path on at max_span {1, 7, 64} against the fast-path-off
-// reference, with {no faults, bank_dead + brownout}, all produce identical
-// results on a 64-processor hierarchical CFM machine driven by the
-// wake-aware think-time workload.
+// reference, with {no faults, bank_dead + brownout, a hot contended pool,
+// the transaction tracer}, all produce identical results on a
+// 64-processor hierarchical CFM machine driven by the wake-aware
+// think-time workload — and a guard that the hierarchical controller
+// sleeps between member-tour completions.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -499,30 +501,56 @@ struct HierRun {
   std::vector<std::pair<std::string, std::uint64_t>> mem_counters;
   bool coupling_ok = false;
   Cycle end_cycle = 0;
+  std::string trace_hash;  ///< empty unless traced
 
   bool operator==(const HierRun&) const = default;
+
+  [[nodiscard]] std::uint64_t machine_counter(const std::string& key) const {
+    for (const auto& [k, v] : machine_counters) {
+      if (k == key) return v;
+    }
+    return 0;
+  }
 };
 
-// One full machine build + run.  `fault_plan` empty = healthy machine.
-HierRun run_hier(bool fast, Cycle span, const std::string& fault_plan,
-                 bool audit = false, bool barrier = false) {
+struct HierCase {
+  std::string fault_plan = {};  ///< empty = healthy machine
+  bool audit = false;
+  bool barrier = false;
+  /// Every request on one of two shared blocks, half of them writes: the
+  /// controller sees block-lock handoffs, dirty-remote chains and phase
+  /// chains cut by the hop bound on almost every pass.
+  bool hot = false;
+  bool traced = false;  ///< TxnTracer on both levels and the controller
+};
+
+// One full machine build + run.
+HierRun run_hier(bool fast, Cycle span, const HierCase& c = {}) {
   constexpr Cycle kCycles = 3000;
   Engine engine(EngineConfig{.fast_path = fast, .max_span = span});
 
   cache::HierarchicalCfm sys({.clusters = 8, .procs_per_cluster = 8});
   std::optional<sim::FaultInjector> injector;
-  if (!fault_plan.empty()) {
-    injector.emplace(sim::FaultPlan::parse(fault_plan));
+  if (!c.fault_plan.empty()) {
+    injector.emplace(sim::FaultPlan::parse(c.fault_plan));
     sys.set_fault_injector(*injector, /*spare_banks=*/1);
   }
   sim::ConflictAuditor auditor;
-  if (audit) sys.set_audit(auditor);
+  if (c.audit) sys.set_audit(auditor);
+  sim::TxnTracer tracer;
+  if (c.traced) sys.set_txn_trace(tracer);
 
-  workload::HierDriver driver(
-      "test.think_driver", engine, sys,
-      {.think_min = 4, .think_max = 120, .write_fraction = 0.35,
-       .shared_fraction = 0.25, .barrier = barrier},
-      /*seed=*/0x5eedULL, engine.shard(sim::kSharedDomain));
+  workload::HierDriver::Params params{
+      .think_min = 4, .think_max = 120, .write_fraction = 0.35,
+      .shared_fraction = 0.25, .barrier = c.barrier};
+  if (c.hot) {
+    params.write_fraction = 0.5;
+    params.shared_fraction = 1.0;
+    params.shared_blocks = 2;
+  }
+  workload::HierDriver driver("test.think_driver", engine, sys, params,
+                              /*seed=*/0x5eedULL,
+                              engine.shard(sim::kSharedDomain));
   sys.attach(engine);
   engine.run_for(kCycles);
 
@@ -538,9 +566,9 @@ HierRun run_hier(bool fast, Cycle span, const std::string& fault_plan,
   for (const auto& [k, v] : sys.counters().all()) {
     out.machine_counters.emplace_back(k, v);
   }
-  for (std::uint32_t c = 0; c < 8; ++c) {
-    for (const auto& [k, v] : sys.cluster_memory(c).counters().all()) {
-      out.mem_counters.emplace_back("c" + std::to_string(c) + "." + k, v);
+  for (std::uint32_t cl = 0; cl < 8; ++cl) {
+    for (const auto& [k, v] : sys.cluster_memory(cl).counters().all()) {
+      out.mem_counters.emplace_back("c" + std::to_string(cl) + "." + k, v);
     }
   }
   for (const auto& [k, v] : sys.global_memory().counters().all()) {
@@ -548,7 +576,10 @@ HierRun run_hier(bool fast, Cycle span, const std::string& fault_plan,
   }
   out.coupling_ok = sys.check_state_coupling();
   out.end_cycle = engine.now();
-  if (audit) {
+  if (c.traced) {
+    out.trace_hash = sim::canonical_hash_hex(tracer.to_json(1u << 20));
+  }
+  if (c.audit) {
     EXPECT_EQ(auditor.violations(), 0u);
   }
   return out;
@@ -557,44 +588,140 @@ HierRun run_hier(bool fast, Cycle span, const std::string& fault_plan,
 // Every fast-path span is bit-exact with the per-cycle reference, healthy
 // machine.
 TEST(FastPathCrossProduct, HealthyMachineIsBitExactEverywhere) {
-  const HierRun ref = run_hier(/*fast=*/false, 1, "");
+  const HierRun ref = run_hier(/*fast=*/false, 1);
   ASSERT_GT(ref.completed, 500u);
   ASSERT_TRUE(ref.coupling_ok);
 
   for (const Cycle span : {Cycle{1}, Cycle{7}, Cycle{64}}) {
-    EXPECT_EQ(run_hier(true, span, ""), ref) << "span " << span;
+    EXPECT_EQ(run_hier(true, span), ref) << "span " << span;
   }
 }
 
 // ...and with bank_dead + brownout faults injected at both levels.
 TEST(FastPathCrossProduct, FaultedMachineIsBitExactEverywhere) {
-  const std::string plan =
-      "bank_dead@400+900:module=0,bank=1;brownout@1400+150:module=0";
-  const HierRun ref = run_hier(/*fast=*/false, 1, plan);
+  const HierCase faulted{
+      .fault_plan =
+          "bank_dead@400+900:module=0,bank=1;brownout@1400+150:module=0"};
+  const HierRun ref = run_hier(/*fast=*/false, 1, faulted);
   ASSERT_GT(ref.completed, 200u);
   ASSERT_TRUE(ref.coupling_ok);
 
   for (const Cycle span : {Cycle{1}, Cycle{7}, Cycle{64}}) {
-    EXPECT_EQ(run_hier(true, span, plan), ref) << "span " << span;
+    EXPECT_EQ(run_hier(true, span, faulted), ref) << "span " << span;
   }
 }
 
 // The bulk-synchronous (BSP superstep) driver mode — the shape the CI
 // throughput gate benchmarks — is bit-exact across the same grid.
 TEST(FastPathCrossProduct, BarrierWorkloadIsBitExactEverywhere) {
-  const HierRun ref = run_hier(false, 1, "", /*audit=*/false, /*barrier=*/true);
+  const HierRun ref = run_hier(false, 1, {.barrier = true});
   ASSERT_GT(ref.completed, 300u);
   for (const Cycle span : {Cycle{1}, Cycle{64}}) {
-    EXPECT_EQ(run_hier(true, span, "", false, true), ref) << "span " << span;
+    EXPECT_EQ(run_hier(true, span, {.barrier = true}), ref)
+        << "span " << span;
+  }
+}
+
+// A hot, contended machine keeps the controller on its now + 1 wake
+// (lock handoffs, dirty-remote chains, cut phase chains) most passes;
+// the wakes it takes from member tours in between must still land on
+// the reference schedule.
+TEST(FastPathCrossProduct, ContendedMachineIsBitExactEverywhere) {
+  const HierRun ref = run_hier(false, 1, {.hot = true});
+  ASSERT_GT(ref.completed, 100u);  // serialized on two block locks
+  ASSERT_TRUE(ref.coupling_ok);
+  EXPECT_GT(ref.machine_counter("class_dirty_remote"), 0u);
+  EXPECT_GT(ref.machine_counter("remote_l1_wbs"), 0u);
+  for (const Cycle span : {Cycle{1}, Cycle{7}, Cycle{64}}) {
+    EXPECT_EQ(run_hier(true, span, {.hot = true}), ref) << "span " << span;
+  }
+}
+
+// With the transaction tracer attached the member memories leave their
+// batched tours for the per-slot path; every record must still match.
+TEST(FastPathCrossProduct, TracedMachineIsBitExactEverywhere) {
+  for (const bool hot : {false, true}) {
+    const HierRun ref = run_hier(false, 1, {.hot = hot, .traced = true});
+    ASSERT_FALSE(ref.trace_hash.empty());
+    for (const Cycle span : {Cycle{1}, Cycle{7}, Cycle{64}}) {
+      EXPECT_EQ(run_hier(true, span, {.hot = hot, .traced = true}), ref)
+          << "hot " << hot << " span " << span;
+    }
   }
 }
 
 // The §9 conflict auditor keeps working on the fast path: zero
 // violations, and auditing does not change results.
 TEST(FastPathCrossProduct, AuditedFastRunMatchesAndStaysClean) {
-  const HierRun ref = run_hier(false, 1, "");
-  EXPECT_EQ(run_hier(false, 1, "", /*audit=*/true), ref);
-  EXPECT_EQ(run_hier(true, 64, "", /*audit=*/true), ref);
+  const HierRun ref = run_hier(false, 1);
+  EXPECT_EQ(run_hier(false, 1, {.audit = true}), ref);
+  EXPECT_EQ(run_hier(true, 64, {.audit = true}), ref);
+}
+
+// The controller sleeps between member-tour completions instead of
+// polling every cycle: while one global-miss read is in flight, a probe
+// alone in its own domain (hint kNeverCycle, so it never asks for a
+// cycle) must be handed spans longer than one cycle.  A controller that
+// stays actionable every cycle forces per-cycle steps and no spans.
+TEST(FastPath, HierarchicalControllerSleepsBetweenTourCompletions) {
+  Engine engine(EngineConfig{.fast_path = true, .max_span = 64});
+  cache::HierarchicalCfm sys({});
+  sys.attach(engine);
+  std::vector<std::pair<Cycle, Cycle>> spans;
+  auto probe = std::make_shared<sim::LambdaComponent>(
+      "test.probe", engine.allocate_domain());
+  probe->on(Phase::Commit, [](Cycle) {});
+  probe->on_span(Phase::Commit,
+                 [&](Cycle begin, Cycle end) { spans.emplace_back(begin, end); });
+  probe->set_next_event(sim::kNeverCycle);
+  engine.add(probe);
+
+  const auto id = sys.read(engine.now(), 0, 42);
+  engine.run_for(200);
+  const auto result = sys.take_result(id);
+  ASSERT_TRUE(result.has_value());
+  EXPECT_EQ(result->cls, cache::HierarchicalCfm::AccessClass::Global);
+  EXPECT_EQ(result->completed - result->issued, 27u);  // Table 5.5
+
+  const bool long_span_in_flight =
+      std::any_of(spans.begin(), spans.end(), [&](const auto& s) {
+        return s.second - s.first > 1 && s.first >= result->issued &&
+               s.second <= result->completed;
+      });
+  EXPECT_TRUE(long_span_in_flight) << spans.size() << " spans";
+}
+
+// A block-lock handoff with no member tour left in flight: request A,
+// earlier in issue order, first flushes a dirty L1 victim, so B takes the
+// block's lock ahead of it.  B retires in a pass that has already
+// visited A; only the controller's now + 1 wake after a retirement lets
+// A take the lock on the reference schedule's cycle.
+TEST(FastPath, HierarchicalLockHandoffWakesTheNextCycle) {
+  using Hier = cache::HierarchicalCfm;
+  auto run = [](bool fast) {
+    Engine engine(EngineConfig{.fast_path = fast, .max_span = 64});
+    Hier sys({});  // 64 L1 lines: blocks 0 and 64 share a slot
+    sys.attach(engine);
+    const auto dirty = sys.write(engine.now(), 0, 64, 0, 1);
+    engine.run_for(200);
+    EXPECT_TRUE(sys.take_result(dirty).has_value());
+    const auto a = sys.read(engine.now(), 0, 0);  // victim flush first
+    const auto b = sys.read(engine.now(), 1, 0);  // same cluster and block
+    engine.run_for(400);
+    const auto ra = sys.take_result(a);
+    const auto rb = sys.take_result(b);
+    EXPECT_TRUE(ra.has_value() && rb.has_value());
+    return std::pair{ra.value_or(Hier::Outcome{}),
+                     rb.value_or(Hier::Outcome{})};
+  };
+  const auto [ref_a, ref_b] = run(false);
+  const auto [fast_a, fast_b] = run(true);
+  EXPECT_EQ(ref_b.cls, Hier::AccessClass::Global);
+  EXPECT_EQ(ref_a.cls, Hier::AccessClass::LocalCluster);
+  EXPECT_GT(ref_a.completed, ref_b.completed);  // A waited on B's lock
+  EXPECT_EQ(fast_a.completed, ref_a.completed);
+  EXPECT_EQ(fast_b.completed, ref_b.completed);
+  EXPECT_EQ(fast_a.cls, ref_a.cls);
 }
 
 // The think-time workload really exercises the skip machinery: on the

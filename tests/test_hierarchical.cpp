@@ -3,6 +3,9 @@
 // across clusters.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "cache/hierarchical.hpp"
 
 namespace {
@@ -156,6 +159,44 @@ TEST(Hierarchical, VictimWriteBackOnL1Conflict) {
   (void)run_one(sys, t, sys.read(t, 0, 4));         // 4 mod 2 == 0: evict
   EXPECT_GE(sys.counters().get("victim_wbs"), 1u);
   EXPECT_TRUE(sys.check_state_coupling());
+}
+
+// Out-of-range arguments are refused before any side effect: the
+// processor stays idle and no block lock is left held, so the machine
+// keeps serving the same block afterwards.
+TEST(Hierarchical, WritePastTheBlockIsRejectedUpFront) {
+  HierarchicalCfm sys({});  // 8-word blocks
+  Cycle t = 0;
+  try {
+    (void)sys.write(t, 0, 42, /*word_index=*/99, 7);
+    ADD_FAILURE() << "write past the block was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("99"), std::string::npos) << e.what();
+  }
+  EXPECT_TRUE(sys.processor_idle(0));
+  for (int i = 0; i < 64; ++i) sys.tick(t++);  // nothing was left pending
+  EXPECT_TRUE(sys.processor_idle(0));
+  const auto w = run_one(sys, t, sys.write(t, 0, 42, 7, 5));
+  EXPECT_EQ(w.cls, HierarchicalCfm::AccessClass::Global);
+  const auto r = run_one(sys, t, sys.read(t, 4, 42));
+  EXPECT_EQ(r.cls, HierarchicalCfm::AccessClass::DirtyRemote);
+}
+
+TEST(Hierarchical, ProcessorOutOfRangeIsRejected) {
+  HierarchicalCfm sys({});  // 16 processors
+  const auto message = [&](auto&& call) {
+    try {
+      call();
+    } catch (const std::invalid_argument& e) {
+      return std::string(e.what());
+    }
+    return std::string("accepted");
+  };
+  const auto read_msg = message([&] { (void)sys.read(0, 16, 1); });
+  EXPECT_NE(read_msg.find("16"), std::string::npos) << read_msg;
+  const auto write_msg = message([&] { (void)sys.write(0, 40, 1, 0, 1); });
+  EXPECT_NE(write_msg.find("40"), std::string::npos) << write_msg;
+  EXPECT_EQ(sys.counters().get("l1_hits"), 0u);
 }
 
 }  // namespace
