@@ -266,13 +266,18 @@ int main(int argc, char** argv) {
       opts.json_out = argv[++i];
     } else if (arg.rfind("--json-out=", 0) == 0) {
       opts.json_out = arg.substr(sizeof("--json-out=") - 1);
-    } else if (arg == "--fast-path" && i + 1 < argc) {
+    } else if (arg == "--fast-path" || arg == "--max-span") {
+      if (i + 1 >= argc) {
+        std::fprintf(stderr, "%s: missing value for %s\n", argv[0],
+                     arg.c_str());
+        return 2;
+      }
       cfm::sim::EngineTuning t = cfm::sim::engine_tuning();
-      t.fast_path = std::string(argv[++i]) != "0";
-      cfm::sim::set_engine_tuning(t);
-    } else if (arg == "--max-span" && i + 1 < argc) {
-      cfm::sim::EngineTuning t = cfm::sim::engine_tuning();
-      t.max_span = static_cast<cfm::sim::Cycle>(std::stoull(argv[++i]));
+      if (arg == "--fast-path") {
+        t.fast_path = cfm::bench::parse_fast_path_flag(argv[0], argv[++i]);
+      } else {
+        t.max_span = cfm::bench::parse_max_span_flag(argv[0], argv[++i]);
+      }
       cfm::sim::set_engine_tuning(t);
     } else {
       passthrough.push_back(argv[i]);

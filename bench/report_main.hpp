@@ -22,9 +22,10 @@
 //   --fast-path <0|1>   force the engine's batch-tick fast path off/on for
 //                       every engine the bench constructs (DESIGN.md §12);
 //                       bit-exact either way, so this only changes speed
-//   --max-span <N>      cap span fusion at N cycles (default 64)
+//   --max-span <N>      cap span fusion at N >= 1 cycles (default 64)
 #pragma once
 
+#include <cerrno>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -35,6 +36,48 @@
 #include "sim/report.hpp"
 
 namespace cfm::bench {
+
+/// Checked flag values, shared with bench mains that parse their own
+/// argument lists (bench_sim_throughput hands the rest to
+/// google-benchmark).  Each prints a message naming the flag and exits 2
+/// on a bad value.
+
+/// An unsigned integer (decimal, or 0x hex / 0 octal), fully consumed.
+inline std::uint64_t parse_uint_flag(const char* argv0, const char* flag,
+                                     const std::string& text) {
+  errno = 0;
+  char* end = nullptr;
+  const unsigned long long v = std::strtoull(text.c_str(), &end, 0);
+  if (text.empty() || text.front() == '-' || end == text.c_str() ||
+      *end != '\0' || errno == ERANGE) {
+    std::fprintf(stderr, "%s: %s wants an unsigned integer, got '%s'\n",
+                 argv0, flag, text.c_str());
+    std::exit(2);
+  }
+  return static_cast<std::uint64_t>(v);
+}
+
+/// --fast-path: exactly 0 or 1.
+inline bool parse_fast_path_flag(const char* argv0, const std::string& text) {
+  if (text != "0" && text != "1") {
+    std::fprintf(stderr, "%s: --fast-path wants 0 or 1, got '%s'\n", argv0,
+                 text.c_str());
+    std::exit(2);
+  }
+  return text == "1";
+}
+
+/// --max-span: a span of at least one cycle.
+inline sim::Cycle parse_max_span_flag(const char* argv0,
+                                      const std::string& text) {
+  const std::uint64_t span = parse_uint_flag(argv0, "--max-span", text);
+  if (span == 0) {
+    std::fprintf(stderr, "%s: --max-span must be at least 1, got '%s'\n",
+                 argv0, text.c_str());
+    std::exit(2);
+  }
+  return static_cast<sim::Cycle>(span);
+}
 
 struct Options {
   std::string json_out;   ///< empty = table output only
@@ -77,31 +120,25 @@ inline Options parse_options(int argc, char** argv) {
     }
     return false;
   };
-  // Numeric flag helper sharing value_flag's spelling rules.
-  const auto uint_flag = [&](int& i, const std::string& arg, const char* flag,
-                             std::optional<std::uint64_t>& out) -> bool {
-    std::string text;
-    if (!value_flag(i, arg, flag, text)) return false;
-    char* end = nullptr;
-    const unsigned long long v = std::strtoull(text.c_str(), &end, 0);
-    if (end == text.c_str() || *end != '\0') {
-      std::fprintf(stderr, "%s: %s wants an unsigned integer, got '%s'\n",
-                   argv[0], flag, text.c_str());
-      std::exit(2);
-    }
-    out = static_cast<std::uint64_t>(v);
-    return true;
-  };
-  std::optional<std::uint64_t> fast_path;
-  std::optional<std::uint64_t> max_span;
+  sim::EngineTuning tuning;
+  std::string text;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (value_flag(i, arg, "--json-out", opts.json_out) ||
         value_flag(i, arg, "--txn-trace", opts.txn_trace_out) ||
-        value_flag(i, arg, "--fault-plan", opts.fault_plan) ||
-        uint_flag(i, arg, "--seed", opts.seed) ||
-        uint_flag(i, arg, "--fast-path", fast_path) ||
-        uint_flag(i, arg, "--max-span", max_span)) {
+        value_flag(i, arg, "--fault-plan", opts.fault_plan)) {
+      continue;
+    }
+    if (value_flag(i, arg, "--seed", text)) {
+      opts.seed = parse_uint_flag(argv[0], "--seed", text);
+      continue;
+    }
+    if (value_flag(i, arg, "--fast-path", text)) {
+      tuning.fast_path = parse_fast_path_flag(argv[0], text);
+      continue;
+    }
+    if (value_flag(i, arg, "--max-span", text)) {
+      tuning.max_span = parse_max_span_flag(argv[0], text);
       continue;
     }
     if (arg == "--audit") {
@@ -115,12 +152,7 @@ inline Options parse_options(int argc, char** argv) {
       std::exit(2);
     }
   }
-  if (fast_path.has_value() || max_span.has_value()) {
-    sim::EngineTuning tuning;
-    if (fast_path.has_value()) tuning.fast_path = *fast_path != 0;
-    if (max_span.has_value()) {
-      tuning.max_span = static_cast<sim::Cycle>(*max_span);
-    }
+  if (tuning.fast_path.has_value() || tuning.max_span.has_value()) {
     sim::set_engine_tuning(tuning);
   }
   return opts;

@@ -4,6 +4,9 @@
 
 #include <cstdint>
 #include <functional>
+#include <optional>
+#include <span>
+#include <unordered_map>
 #include <vector>
 
 #include "cfm/att.hpp"
@@ -52,6 +55,55 @@ struct BlockOpResult {
   sim::Cycle completed = 0;       ///< first cycle the result is available
   std::uint32_t restarts = 0;     ///< read restarts / swap restarts
   std::vector<sim::Word> data;    ///< block read (old value, for swaps)
+};
+
+/// Results a block memory has published and its drivers have not taken
+/// yet, keyed by op token, plus which processors hold one.  A port
+/// driver walks holders() instead of polling take_result for every busy
+/// port (DESIGN.md §13).
+class ResultBox {
+ public:
+  using Token = std::uint64_t;
+
+  explicit ResultBox(std::uint32_t processors)
+      : held_(processors, 0), holders_((processors + 63) / 64, 0) {}
+
+  [[nodiscard]] bool empty() const noexcept { return results_.empty(); }
+
+  void put(Token token, sim::ProcessorId p, BlockOpResult result) {
+    results_.emplace(token, Entry{std::move(result), p});
+    if (held_[p]++ == 0) holders_[p / 64] |= std::uint64_t{1} << (p % 64);
+  }
+
+  [[nodiscard]] const BlockOpResult* find(Token token) const {
+    const auto it = results_.find(token);
+    return it == results_.end() ? nullptr : &it->second.result;
+  }
+
+  std::optional<BlockOpResult> take(Token token) {
+    const auto it = results_.find(token);
+    if (it == results_.end()) return std::nullopt;
+    const sim::ProcessorId p = it->second.proc;
+    std::optional<BlockOpResult> out(std::move(it->second.result));
+    results_.erase(it);
+    if (--held_[p] == 0) holders_[p / 64] &= ~(std::uint64_t{1} << (p % 64));
+    return out;
+  }
+
+  /// Bit p % 64 of word p / 64 is set iff processor p holds an untaken
+  /// result.
+  [[nodiscard]] std::span<const std::uint64_t> holders() const noexcept {
+    return holders_;
+  }
+
+ private:
+  struct Entry {
+    BlockOpResult result;
+    sim::ProcessorId proc = 0;
+  };
+  std::unordered_map<Token, Entry> results_;
+  std::vector<std::uint32_t> held_;  ///< untaken results per processor
+  std::vector<std::uint64_t> holders_;
 };
 
 /// Callback producing the write-phase block of a read-modify-write from

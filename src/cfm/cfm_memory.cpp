@@ -14,7 +14,8 @@ CfmMemory::CfmMemory(const CfmConfig& cfg, ConsistencyPolicy policy)
       module_(0, cfg.banks, cfg.bank_cycle),
       inflight_(cfg.processors),
       active_((cfg.processors + 63) / 64, 0),
-      per_slot_(active_.size(), 0) {
+      per_slot_(active_.size(), 0),
+      results_(cfg.processors) {
   atts_.reserve(cfg_.banks);
   for (std::uint32_t i = 0; i < cfg_.banks; ++i) {
     atts_.emplace_back(cfg_.banks - 1);
@@ -110,6 +111,20 @@ CfmMemory::OpToken CfmMemory::issue(sim::Cycle now, sim::ProcessorId p,
   });
   if (tracer_) {
     op.txn = tracer_->begin(tracer_unit_, now, p, op_kind_name(kind), offset);
+  }
+  // Contention bookkeeping (see contended()): every same-offset op in
+  // flight shares with the new one, and every recent ATT entry for the
+  // offset is foreign to it.
+  for_each_active([&](sim::ProcessorId q) {
+    auto& other = *inflight_[q];
+    if (other.offset != offset) return;
+    ++other.sharers;
+    ++op.sharers;
+  });
+  for (const auto& r : recent_inserts_) {
+    if (r.offset == offset) {
+      op.foreign_att_end = std::max(op.foreign_att_end, r.slot + cfg_.banks);
+    }
   }
   inflight_.at(p) = std::move(op);
   set_active(p, true);
@@ -236,29 +251,12 @@ void CfmMemory::batched_span(sim::Cycle begin, sim::Cycle end) {
   publish_wake(end - 1);
 }
 
-bool CfmMemory::contended(const InFlight& op, sim::Cycle from) const {
-  bool shared = false;
-  for_each_active([&](sim::ProcessorId q) {
-    if (q != op.proc && inflight_[q]->offset == op.offset) shared = true;
-  });
-  if (shared) return true;
-  // An entry inserted at slot s is visible to find() through s + (b - 1).
-  const sim::Cycle life = cfg_.banks - 1;
-  for (const auto& r : recent_inserts_) {
-    if (r.offset == op.offset && r.token != op.token && r.slot + life >= from) {
-      return true;
-    }
-  }
-  return false;
-}
-
 void CfmMemory::advance_uncontended(InFlight& op, sim::Cycle begin,
                                     sim::Cycle end) {
   // The per-slot path with every ATT lookup known to miss: no restart,
   // no abort, one word per slot on bank (t + c*p) mod b.
   const std::uint32_t b = cfg_.banks;
   const sim::ProcessorId p = op.proc;
-  auto& store = module_.store();
   sim::Cycle t = begin;
   for (;;) {
     if (op.drain_until != sim::kNeverCycle) {
@@ -279,7 +277,7 @@ void CfmMemory::advance_uncontended(InFlight& op, sim::Cycle begin,
     assert(bank == at_.visit_bank(op.tour_start, p, op.progress));
     if (writing) {
       if (op.progress == 0) att_insert(t, bank, op, att_kind(op));
-      sim::Word* row = store.row(op.offset);
+      sim::Word* row = write_row(op);
       for (; t < stop; ++t) {
         assert(at_.processor_at(t, bank) == p);
         row[bank] = op.write_buf[bank];
@@ -288,7 +286,7 @@ void CfmMemory::advance_uncontended(InFlight& op, sim::Cycle begin,
         bank = bank + 1 == b ? 0 : bank + 1;
       }
     } else {
-      const sim::Word* row = store.find_row(op.offset);
+      const sim::Word* row = read_row(op);
       for (; t < stop; ++t) {
         assert(at_.processor_at(t, bank) == p);
         op.read_buf[bank] = row != nullptr ? row[bank] : 0;
@@ -406,14 +404,12 @@ void CfmMemory::check_faults(sim::Cycle now) {
 }
 
 sim::Word CfmMemory::bank_access(sim::Cycle now, sim::BankId bank,
-                                 mem::WordOp op, sim::BlockAddr block,
+                                 mem::WordOp op, sim::Word* row,
                                  sim::Word value) {
-  if (faults_ != nullptr) [[unlikely]] {
-    // Degraded mode: the logical slot may be served by a spare, which
-    // inherits the dead bank's word slice (same backing store).
-    return module_.bank(remap_[bank]).access_as(now, op, block, bank, value);
-  }
-  return module_.bank(bank).access(now, op, block, value);
+  // Degraded mode: the logical slot may be served by a spare, which
+  // inherits the dead bank's word slice (same backing store).
+  const sim::BankId physical = faults_ != nullptr ? remap_[bank] : bank;
+  return module_.bank(physical).access_row(now, op, row, bank, value);
 }
 
 void CfmMemory::attach(sim::Engine& engine) {
@@ -421,24 +417,36 @@ void CfmMemory::attach(sim::Engine& engine) {
 }
 
 void CfmMemory::attach(sim::Engine& engine, sim::DomainId domain) {
-  domain_ = domain;
-  ticker_ = engine.add(std::make_shared<sim::TickComponent<CfmMemory>>(
+  attach(*engine.add(std::make_shared<sim::TickComponent<CfmMemory>>(
       "cfm.memory/" + std::to_string(cfg_.processors) + "p", domain,
-      sim::Phase::Memory, *this));
+      sim::Phase::Memory, *this)));
+}
+
+void CfmMemory::attach(sim::Component& ticker) {
+  domain_ = ticker.domain();
+  ticker_ = &ticker;
   // In an independent domain the memory's ticks touch nothing but its
   // own state and its own hint, and its drivers (in its domain, or a
   // shared-domain controller such as HierarchicalCfm's) wake on
   // next_completion_hint before any result they could take appears: it
   // may run spans and sub-spans while they are quiescent.  A memory in
   // the shared domain may be polled every cycle and must not batch.
-  if (domain != sim::kSharedDomain) ticker_->set_span_capable();
+  if (domain_ != sim::kSharedDomain) ticker_->set_span_capable();
 }
 
 void CfmMemory::att_insert(sim::Cycle now, sim::BankId bank,
                            const InFlight& op, OpKind kind) {
   atts_[bank].insert(now, op.offset, kind, op.token, op.proc);
-  // Slots here only ever run ahead of the next span's begin, so pruning
-  // against `now` keeps every entry the contention test could need.
+  if (op.sharers != 0) {
+    // The entry is foreign to every other op on this offset.
+    for_each_active([&](sim::ProcessorId q) {
+      auto& other = *inflight_[q];
+      if (q == op.proc || other.offset != op.offset) return;
+      other.foreign_att_end = std::max(other.foreign_att_end, now + cfg_.banks);
+    });
+  }
+  // Every later issue() comes at a slot past `now`, so pruning against
+  // `now` keeps every entry it could need to seed foreign_att_end.
   // Inserts come (almost) in slot order: prune once the oldest expires.
   const sim::Cycle life = cfg_.banks - 1;
   if (!recent_inserts_.empty() && recent_inserts_.front().slot + life < now) {
@@ -446,7 +454,7 @@ void CfmMemory::att_insert(sim::Cycle now, sim::BankId bank,
       return r.slot + life < now;
     });
   }
-  recent_inserts_.push_back(RecentInsert{now, op.offset, op.token});
+  recent_inserts_.push_back(RecentInsert{now, op.offset});
 }
 
 OpKind CfmMemory::att_kind(const InFlight& op) const noexcept {
@@ -511,7 +519,7 @@ void CfmMemory::finish(sim::Cycle now, InFlight& op, OpStatus status) {
                          : now + 1;
   result.restarts = op.restarts;
   if (op.kind != BlockOpKind::Write && status == OpStatus::Completed) {
-    result.data = op.read_buf;
+    result.data = std::move(op.read_buf);  // the op retires below
   }
   log_.lazy(now, status == OpStatus::Completed ? "complete" : "abort",
             [&](std::ostream& os) {
@@ -539,7 +547,14 @@ void CfmMemory::finish(sim::Cycle now, InFlight& op, OpStatus status) {
   } else if (tracer_) {
     tracer_->end(op.txn, now + 1, false);
   }
-  results_.emplace(op.token, std::move(result));
+  results_.put(op.token, op.proc, std::move(result));
+  if (op.sharers != 0) {
+    for_each_active([&](sim::ProcessorId q) {
+      if (q != op.proc && inflight_[q]->offset == op.offset) {
+        --inflight_[q]->sharers;
+      }
+    });
+  }
   set_active(op.proc, false);
   inflight_.at(op.proc).reset();
 }
@@ -612,7 +627,8 @@ bool CfmMemory::handle_write_side(sim::Cycle now, InFlight& op,
     os << "op " << op.token << " proc " << op.proc << " bank " << bank
        << " value " << op.write_buf[bank];
   });
-  bank_access(now, bank, mem::WordOp::Write, op.offset, op.write_buf[bank]);
+  bank_access(now, bank, mem::WordOp::Write, write_row(op),
+              op.write_buf[bank]);
   if (tracer_ != nullptr) [[unlikely]] {
     tracer_->span(op.txn, sim::TxnPhase::Bank, now, now + 1, bank);
   }
@@ -642,7 +658,7 @@ bool CfmMemory::handle_read_side(sim::Cycle now, InFlight& op,
     // position >= 0), so reading it right now starts the fresh tour on
     // the new version.
   }
-  op.read_buf[bank] = bank_access(now, bank, mem::WordOp::Read, op.offset);
+  op.read_buf[bank] = bank_access(now, bank, mem::WordOp::Read, read_row(op));
   if (tracer_ != nullptr) [[unlikely]] {
     tracer_->span(op.txn, sim::TxnPhase::Bank, now, now + 1, bank);
   }
@@ -686,16 +702,11 @@ void CfmMemory::step_op(sim::Cycle now, InFlight& op) {
 }
 
 const BlockOpResult* CfmMemory::result(OpToken token) const {
-  const auto it = results_.find(token);
-  return it == results_.end() ? nullptr : &it->second;
+  return results_.find(token);
 }
 
 std::optional<BlockOpResult> CfmMemory::take_result(OpToken token) {
-  const auto it = results_.find(token);
-  if (it == results_.end()) return std::nullopt;
-  auto out = std::move(it->second);
-  results_.erase(it);
-  return out;
+  return results_.take(token);
 }
 
 std::vector<sim::Word> CfmMemory::peek_block(sim::BlockAddr offset) const {

@@ -26,7 +26,6 @@
 #include <memory>
 #include <optional>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "cfm/at_space.hpp"
@@ -122,6 +121,12 @@ class CfmMemory {
   /// drives it must wake on next_completion_hint.
   void attach(sim::Engine& engine, sim::DomainId domain);
 
+  /// Same, on a Phase::Memory component the caller registered that
+  /// forwards tick_phase to tick() and tick_span to tick_span(), e.g. a
+  /// probe that records the spans the engine hands out.  The memory
+  /// publishes its hints on `ticker` and joins its domain.
+  void attach(sim::Component& ticker);
+
   /// Tick domain assigned by the last attach (kSharedDomain before).
   [[nodiscard]] sim::DomainId domain() const noexcept { return domain_; }
 
@@ -131,6 +136,12 @@ class CfmMemory {
 
   /// Destructive result retrieval (erases the stored result).
   std::optional<BlockOpResult> take_result(OpToken token);
+
+  /// Bit p % 64 of word p / 64 is set iff processor p holds a result
+  /// take_result has not collected yet.
+  [[nodiscard]] std::span<const std::uint64_t> result_holders() const noexcept {
+    return results_.holders();
+  }
 
   /// Functional (zero-time) accessors for test setup and checkers.
   [[nodiscard]] std::vector<sim::Word> peek_block(sim::BlockAddr offset) const;
@@ -227,6 +238,17 @@ class CfmMemory {
     /// published at tour_start + beta.
     sim::Cycle drain_until = sim::kNeverCycle;
     sim::TxnId txn = sim::kNoTxn;
+    /// The block's backing-store row, resolved on first use (rows never
+    /// move).  A read of a never-written block leaves it null and looks
+    /// again once the store has grown, since a racing write may have
+    /// materialized it.
+    sim::Word* row = nullptr;
+    std::size_t rows_seen = 0;  ///< store size at the last failed lookup
+    /// Other in-flight ops with this offset (issue and finish keep it).
+    std::uint32_t sharers = 0;
+    /// One past the last slot at which another op's ATT entry for this
+    /// offset is visible to find(); 0 while there is none.
+    sim::Cycle foreign_att_end = 0;
     /// First cycle a fault (remap / brownout) interrupted this op, for
     /// the recovery-latency statistic.
     sim::Cycle fault_at = sim::kNeverCycle;
@@ -236,7 +258,6 @@ class CfmMemory {
   struct RecentInsert {
     sim::Cycle slot = 0;
     sim::BlockAddr offset = 0;
-    OpToken token = kNoOp;
   };
 
   [[nodiscard]] OpKind att_kind(const InFlight& op) const noexcept;
@@ -250,8 +271,26 @@ class CfmMemory {
                                           sim::Cycle now) noexcept;
   /// True iff another in-flight op has op's offset, or another op's ATT
   /// entry for it is live at some slot >= `from`: the only ways op can
-  /// restart or abort (§4.1.2).
-  [[nodiscard]] bool contended(const InFlight& op, sim::Cycle from) const;
+  /// restart or abort (§4.1.2).  O(1): issue, finish and att_insert keep
+  /// the op's sharers and foreign_att_end current.
+  [[nodiscard]] bool contended(const InFlight& op,
+                               sim::Cycle from) const noexcept {
+    return op.sharers != 0 || op.foreign_att_end > from;
+  }
+  /// The op's backing-store row: materialized for a write, null for a
+  /// read of a block nothing has written yet.
+  sim::Word* write_row(InFlight& op) {
+    if (op.row == nullptr) op.row = module_.store().row(op.offset);
+    return op.row;
+  }
+  sim::Word* read_row(InFlight& op) {
+    auto& store = module_.store();
+    if (op.row == nullptr && op.rows_seen != store.touched_blocks()) {
+      op.rows_seen = store.touched_blocks();
+      op.row = store.find_row(op.offset);
+    }
+    return op.row;
+  }
   /// tick_span's batched path (see tick_span).
   void batched_span(sim::Cycle begin, sim::Cycle end);
   /// Runs one uncontended op through [begin, end) op-major.
@@ -276,7 +315,7 @@ class CfmMemory {
   }
   void check_faults(sim::Cycle now);
   sim::Word bank_access(sim::Cycle now, sim::BankId bank, mem::WordOp op,
-                        sim::BlockAddr block, sim::Word value = 0);
+                        sim::Word* row, sim::Word value = 0);
   void step_op(sim::Cycle now, InFlight& op);
   bool handle_write_side(sim::Cycle now, InFlight& op, sim::BankId bank);
   bool handle_read_side(sim::Cycle now, InFlight& op, sim::BankId bank);
@@ -300,12 +339,12 @@ class CfmMemory {
   /// batched_span scratch, same layout: ops kept on the per-slot loop.
   std::vector<std::uint64_t> per_slot_;
   /// ATT inserts of about the last b slots, memory-wide (pruned on each
-  /// insert; contended() checks liveness), so the contention test needs
-  /// no scan of all b tables.
+  /// insert), so issue() can seed a new op's foreign_att_end without a
+  /// scan of all b tables.
   std::vector<RecentInsert> recent_inserts_;
   /// Slot after the last tick (or span); issue() may not precede it.
   sim::Cycle next_slot_ = 0;
-  std::unordered_map<OpToken, BlockOpResult> results_;
+  ResultBox results_;
   sim::CounterSet counters_;
   sim::TraceLog log_;
   sim::DomainId domain_ = sim::kSharedDomain;

@@ -1,6 +1,9 @@
 #include "mem/backing_store.hpp"
 
+#include <algorithm>
 #include <cassert>
+#include <stdexcept>
+#include <string>
 
 namespace cfm::mem {
 
@@ -31,6 +34,11 @@ sim::Word* BackingStore::row(sim::BlockAddr block) {
   return it->second.data();
 }
 
+sim::Word* BackingStore::find_row(sim::BlockAddr block) {
+  const auto it = blocks_.find(block);
+  return it == blocks_.end() ? nullptr : it->second.data();
+}
+
 const sim::Word* BackingStore::find_row(sim::BlockAddr block) const {
   const auto it = blocks_.find(block);
   return it == blocks_.end() ? nullptr : it->second.data();
@@ -44,10 +52,12 @@ std::vector<sim::Word> BackingStore::read_block(sim::BlockAddr block) const {
 
 void BackingStore::write_block(sim::BlockAddr block,
                                std::span<const sim::Word> words) {
-  assert(words.size() == words_per_block_);
-  auto [it, inserted] = blocks_.try_emplace(block);
-  if (inserted) it->second.resize(words_per_block_);
-  it->second.assign(words.begin(), words.end());
+  if (words.size() != words_per_block_) {
+    throw std::invalid_argument(
+        "backing store: a block has " + std::to_string(words_per_block_) +
+        " words, not " + std::to_string(words.size()));
+  }
+  std::copy(words.begin(), words.end(), row(block));
 }
 
 }  // namespace cfm::mem

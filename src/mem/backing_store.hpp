@@ -40,12 +40,15 @@ class BackingStore {
   /// per op instead of hashing the offset for every word.
   [[nodiscard]] sim::Word* row(sim::BlockAddr block);
 
-  /// Read-only row of a written block, or nullptr while the block has
-  /// never been written (it reads as zero and stays unmaterialized).
+  /// Row of a written block, or nullptr while the block has never been
+  /// written (it reads as zero and stays unmaterialized).
+  [[nodiscard]] sim::Word* find_row(sim::BlockAddr block);
   [[nodiscard]] const sim::Word* find_row(sim::BlockAddr block) const;
 
   /// Whole-block convenience accessors (used by tests and by functional —
-  /// as opposed to cycle-accurate — paths).
+  /// as opposed to cycle-accurate — paths).  write_block throws
+  /// std::invalid_argument unless `words` holds exactly one block, so a
+  /// row never changes size.
   [[nodiscard]] std::vector<sim::Word> read_block(sim::BlockAddr block) const;
   void write_block(sim::BlockAddr block, std::span<const sim::Word> words);
 

@@ -14,17 +14,27 @@ sim::Word Bank::access(sim::Cycle now, WordOp op, sim::BlockAddr block,
 
 sim::Word Bank::access_as(sim::Cycle now, WordOp op, sim::BlockAddr block,
                           sim::BankId word_index, sim::Word value) {
+  return access_row(now, op,
+                    op == WordOp::Read ? store_.find_row(block)
+                                       : store_.row(block),
+                    word_index, value);
+}
+
+sim::Word Bank::access_row(sim::Cycle now, WordOp op, sim::Word* row,
+                           sim::BankId word_index, sim::Word value) {
   // The AT-space partitioning must keep banks conflict-free; a violation
   // here is a scheduling bug in the caller, not a runtime condition.
   assert(!busy(now) && "bank conflict: AT-space schedule violated");
+  assert(word_index < store_.words_per_block());
   if (audit_ != nullptr) [[unlikely]] {
     audit_->on_bank_access(audit_scope_, now, index_);
   }
   busy_until_ = now + cycle_time_;
   ++accesses_;
   busy_cycles_ += cycle_time_;
-  if (op == WordOp::Read) return store_.read_word(block, word_index);
-  store_.write_word(block, word_index, value);
+  if (op == WordOp::Read) return row == nullptr ? 0 : row[word_index];
+  assert(row != nullptr);
+  row[word_index] = value;
   return value;
 }
 

@@ -46,6 +46,13 @@ class Bank {
   sim::Word access_as(sim::Cycle now, WordOp op, sim::BlockAddr block,
                       sim::BankId word_index, sim::Word value = 0);
 
+  /// Like access_as(), on a row the caller already resolved in the
+  /// backing store (BackingStore::row / find_row), so the block is not
+  /// hashed again.  A read may pass nullptr for a never-written block,
+  /// which reads as zero; a write needs a materialized row.
+  sim::Word access_row(sim::Cycle now, WordOp op, sim::Word* row,
+                       sim::BankId word_index, sim::Word value = 0);
+
   /// Accounts one word access that a batched tour served straight on the
   /// backing-store row (CfmMemory::tick_span), possibly out of slot order
   /// with respect to this bank's other accesses.  Every update is

@@ -19,7 +19,8 @@ void CodedConfig::validate() const {
 CodedMemory::CodedMemory(const CodedConfig& cfg)
     : cfg_(cfg),
       store_(cfg.code.data_banks + cfg.code.parity_banks()),
-      log_capacity_(cfg.log_capacity == 0 ? 4 : cfg.log_capacity) {
+      log_capacity_(cfg.log_capacity == 0 ? 4 : cfg.log_capacity),
+      results_(cfg.processors) {
   cfg_.validate();
   const std::uint32_t total = cfg_.code.total_banks();
   banks_.reserve(total);  // Bank holds a store reference: never reallocate
@@ -331,7 +332,7 @@ void CodedMemory::finish(sim::Cycle now, InFlight& op, core::OpStatus status) {
   counters_.inc(status == core::OpStatus::Completed ? "ops_completed"
                                                     : "ops_aborted");
   const sim::ProcessorId p = op.proc;
-  results_[op.token] = std::move(result);
+  results_.put(op.token, p, std::move(result));
   inflight_[p].reset();
 }
 
@@ -414,11 +415,7 @@ sim::Cycle CodedMemory::next_completion_hint(sim::Cycle now) const {
 }
 
 std::optional<core::BlockOpResult> CodedMemory::take_result(OpToken token) {
-  const auto it = results_.find(token);
-  if (it == results_.end()) return std::nullopt;
-  core::BlockOpResult result = std::move(it->second);
-  results_.erase(it);
-  return result;
+  return results_.take(token);
 }
 
 std::vector<sim::Word> CodedMemory::peek_block(sim::BlockAddr block) const {

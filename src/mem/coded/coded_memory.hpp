@@ -44,7 +44,6 @@
 #include <memory>
 #include <optional>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "cfm/block_engine.hpp"
@@ -123,6 +122,11 @@ class CodedMemory {
   [[nodiscard]] sim::Cycle next_completion_hint(sim::Cycle now) const;
 
   std::optional<core::BlockOpResult> take_result(OpToken token);
+  /// Bit p % 64 of word p / 64 is set iff processor p holds a result
+  /// take_result has not collected yet.
+  [[nodiscard]] std::span<const std::uint64_t> result_holders() const noexcept {
+    return results_.holders();
+  }
 
   /// Functional (zero-time) accessors.  poke_block also rebuilds the
   /// parity of every touched group, so the code stays consistent.
@@ -220,7 +224,7 @@ class CodedMemory {
   std::uint64_t pending_total_ = 0;
   std::uint32_t log_capacity_ = 4;
   std::vector<std::optional<InFlight>> inflight_;
-  std::unordered_map<OpToken, core::BlockOpResult> results_;
+  core::ResultBox results_;
   OpToken next_token_ = 1;
   sim::CounterSet counters_;
   std::uint32_t decode_fanout_max_ = 0;

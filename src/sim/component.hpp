@@ -127,9 +127,11 @@ class Component {
   ///   * the component is the *sole* schedulable entry of its tick
   ///     domain, or a span-capable shared-domain component; or
   ///   * it is single-phase, span-capable, and the *only actionable*
-  ///     entry of its independent domain, with `end` no later than the
-  ///     earliest hint of the domain's other entries (an in-domain
-  ///     sub-span, DESIGN.md §12);
+  ///     entry of its independent domain once the phases before it at
+  ///     `begin` have run, with `end` no later than the earliest hint of
+  ///     the domain's other entries (an in-domain sub-span, DESIGN.md
+  ///     §12; an entry that already ticked at `begin` counts as waking
+  ///     at `begin + 1` at the earliest);
   ///
   /// so nothing can observe intermediate state or mutate the component
   /// mid-span.

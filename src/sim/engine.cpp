@@ -263,6 +263,31 @@ void Engine::run_shared_span(Cycle begin, Cycle end) {
   }
 }
 
+Engine::GroupScan Engine::scan_group(const FastPlan::DomainGroup& group,
+                                     std::size_t from_phase, Cycle t,
+                                     Cycle end) {
+  GroupScan scan;
+  scan.others = end;
+  for (std::size_t pi = 0; pi < kPhaseCount; ++pi) {
+    const auto phase = static_cast<Phase>(pi);
+    for (auto* c : group.by_phase[pi]) {
+      const Cycle w = c->next_event(phase);
+      if (pi < from_phase) {
+        // Already past its tick point this cycle: acts at t + 1 at the
+        // earliest.
+        scan.others = std::min(scan.others, std::max(w, t + 1));
+      } else if (w <= t) {
+        ++scan.actionable;
+        scan.sole = c;
+        scan.sole_phase = phase;
+      } else {
+        scan.others = std::min(scan.others, w);
+      }
+    }
+  }
+  return scan;
+}
+
 void Engine::run_group_span(const FastPlan::DomainGroup& group, Cycle begin,
                             Cycle end) {
   if (group.entry_count == 1) {
@@ -280,44 +305,51 @@ void Engine::run_group_span(const FastPlan::DomainGroup& group, Cycle begin,
   //     every cycle of the sub-span runs that one entry alone, as the
   //     per-cycle loop below would;
   //   * otherwise: one cycle in the reference phase order, with the same
-  //     hint guards as step_cycle_fast.
+  //     hint guards as step_cycle_fast.  Before each later phase the
+  //     tail rule rescans: once the earlier phases have run, if exactly
+  //     one such entry is still actionable at t, it gets the sub-span
+  //     from t, with each earlier-phase hint read as at least t + 1.
+  //     This is how a memory joins the span in the cycle its driver
+  //     issues.  A 1-cycle tail span would only replace a tick, so the
+  //     rule needs the others to sleep past t + 1.
   // Legal because nothing outside the domain runs during the span and
   // shared state is frozen across it.
+  const auto lone = [](const GroupScan& scan) {
+    return scan.actionable == 1 && scan.sole->span_capable() &&
+           std::has_single_bit(scan.sole->phases());
+  };
   for (Cycle t = begin; t < end;) {
-    Component* sole = nullptr;
-    Phase sole_phase = Phase::Issue;
-    std::size_t actionable = 0;
-    Cycle others = end;
+    const GroupScan scan = scan_group(group, 0, t, end);
+    if (scan.actionable == 0) {
+      t = scan.others;
+      continue;
+    }
+    if (lone(scan)) {
+      scan.sole->tick_span(scan.sole_phase, t, scan.others);
+      t = scan.others;
+      continue;
+    }
+    Cycle next = t + 1;
+    bool ticked = false;
     for (std::size_t pi = 0; pi < kPhaseCount; ++pi) {
+      if (ticked) {
+        const GroupScan tail = scan_group(group, pi, t, end);
+        if (lone(tail) && tail.others > t + 1) {
+          tail.sole->tick_span(tail.sole_phase, t, tail.others);
+          next = tail.others;
+          break;
+        }
+      }
       const auto phase = static_cast<Phase>(pi);
+      ticked = false;
       for (auto* c : group.by_phase[pi]) {
-        const Cycle w = c->next_event(phase);
-        if (w <= t) {
-          ++actionable;
-          sole = c;
-          sole_phase = phase;
-        } else {
-          others = std::min(others, w);
+        if (c->next_event(phase) <= t) {
+          c->tick_phase(phase, t);
+          ticked = true;
         }
       }
     }
-    if (actionable == 0) {
-      t = others;
-      continue;
-    }
-    if (actionable == 1 && sole->span_capable() &&
-        std::has_single_bit(sole->phases())) {
-      sole->tick_span(sole_phase, t, others);
-      t = others;
-      continue;
-    }
-    for (std::size_t pi = 0; pi < kPhaseCount; ++pi) {
-      const auto phase = static_cast<Phase>(pi);
-      for (auto* c : group.by_phase[pi]) {
-        if (c->next_event(phase) <= t) c->tick_phase(phase, t);
-      }
-    }
-    ++t;
+    t = next;
   }
 }
 

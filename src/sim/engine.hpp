@@ -221,11 +221,26 @@ class Engine {
   /// Batch-dispatches every span-capable shared component over
   /// [begin, end) via tick_span, phase-major in registration order.
   void run_shared_span(Cycle begin, Cycle end);
+  /// What scan_group saw at one point of a cycle.
+  struct GroupScan {
+    std::size_t actionable = 0;  ///< entries that may act at t
+    Component* sole = nullptr;   ///< the last actionable entry found
+    Phase sole_phase = Phase::Issue;
+    Cycle others = 0;  ///< earliest hint of the non-actionable entries
+  };
+  /// Reads a group's hints at cycle t just before phase `from_phase`
+  /// runs: entries of earlier phases have had their tick at t, so their
+  /// hints count as at least t + 1 and never as actionable.  `others`
+  /// is clamped to `end`.
+  [[nodiscard]] static GroupScan scan_group(const FastPlan::DomainGroup& group,
+                                            std::size_t from_phase, Cycle t,
+                                            Cycle end);
   /// Runs one domain group over [begin, end) with the phase order of the
   /// reference schedule and per-tick quiescence guards; single-entry
   /// groups get the whole span as one tick_span call.  Multi-entry
   /// groups jump while no entry is actionable and hand a lone actionable
-  /// span-capable entry a sub-span up to the others' earliest hint.
+  /// span-capable entry a sub-span up to the others' earliest hint, at
+  /// the start of a cycle or, by the tail rule, after its earlier phases.
   static void run_group_span(const FastPlan::DomainGroup& group, Cycle begin,
                              Cycle end);
   [[nodiscard]] bool fast_path_usable() const noexcept {

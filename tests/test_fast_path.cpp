@@ -1,7 +1,8 @@
 // Tests for the batch-tick + quiescence fast path (DESIGN.md §12): the
 // skip / jump / span rules in isolation, the run_until per-cycle
-// guarantee, in-domain sub-spans and batched CfmMemory tours against the
-// per-cycle reference, and the headline cross-product bit-exactness
+// guarantee, in-domain sub-spans (the issue-cycle tail rule included)
+// and batched CfmMemory tours against the per-cycle reference, and the
+// headline cross-product bit-exactness
 // suite — fast path on at max_span {1, 7, 64} against the fast-path-off
 // reference, with {no faults, bank_dead + brownout, a hot contended pool,
 // the transaction tracer}, all produce identical results on a
@@ -21,6 +22,8 @@
 
 #include "cache/hierarchical.hpp"
 #include "cfm/cfm_memory.hpp"
+#include "cfm/port_driver.hpp"
+#include "serve/server.hpp"
 #include "sim/audit.hpp"
 #include "sim/engine.hpp"
 #include "sim/fault.hpp"
@@ -28,6 +31,7 @@
 #include "sim/rng.hpp"
 #include "sim/stats.hpp"
 #include "sim/txn_trace.hpp"
+#include "workload/access_gen.hpp"
 #include "workload/hier_driver.hpp"
 
 namespace {
@@ -488,6 +492,107 @@ TEST(BatchedTours, InstrumentedMemoryStaysOnThePerSlotPath) {
   EXPECT_GT(run_stream(policy, true, 64, Instrument::Audit).audit_checks,
             plain.bank_accesses.size());
   EXPECT_FALSE(run_stream(policy, true, 64, Instrument::Trace).trace.empty());
+}
+
+// ------------------------------------------- the issue-cycle tail rule --
+
+// Stands in for CfmMemory's own tick component: forwards every tick and
+// span to the memory and records which the engine handed out.
+struct MemoryProbe {
+  explicit MemoryProbe(core::CfmMemory& memory) : mem(memory) {}
+
+  core::CfmMemory& mem;
+  std::vector<std::pair<Cycle, Cycle>> spans;
+  std::uint64_t slot_ticks = 0;
+
+  void tick(Cycle now) {
+    ++slot_ticks;
+    mem.tick(now);
+  }
+  void tick_span(Cycle begin, Cycle end) {
+    spans.emplace_back(begin, end);
+    mem.tick_span(begin, end);
+  }
+};
+
+// One port driver and its memory in one domain, attached through a
+// MemoryProbe, which records the ticks and spans the memory gets.
+template <typename Source, typename... SourceArgs>
+struct ProbedDomain {
+  Engine engine;
+  core::CfmMemory mem;
+  MemoryProbe probe{mem};
+  core::PortDriver<core::CfmMemory, Source> driver;
+
+  ProbedDomain(bool fast, std::uint32_t processors, SourceArgs... args)
+      : engine(EngineConfig{.fast_path = fast, .max_span = 64}),
+        mem(core::CfmConfig::make(processors, 2)),
+        driver("test.driver", engine.allocate_domain(), mem, 0x1551eULL,
+               args...) {
+    auto ticker = std::make_shared<sim::TickComponent<MemoryProbe>>(
+        "test.memory", driver.domain(), Phase::Memory, probe);
+    mem.attach(*engine.add(ticker));
+    engine.add(driver);
+  }
+};
+
+// Sparse open-loop arrivals: each request issues in the cycle it arrives,
+// and the driver then sleeps until the tour completes.  The memory must
+// run that whole tour, issue slot included, as one span: the cycle the
+// driver wakes in is part of the memory's batched span, not a per-slot
+// tick() followed by a span from the next cycle.
+TEST(FastPath, IssueCycleJoinsTheMemorySpan) {
+  using Queue = serve::AdmissionQueue;
+  const auto run = [](bool fast) {
+    auto d = std::make_unique<ProbedDomain<Queue, Cycle, std::size_t, double,
+                                           std::size_t>>(
+        fast, 8, Cycle{1000}, std::size_t{16}, 1.0, std::size_t{64});
+    for (Cycle a = 100; a < 4000; a += 200) {
+      d->driver.source().submit({.kind = a % 400 == 100
+                                             ? serve::RequestKind::Write
+                                             : serve::RequestKind::Read,
+                                 .block = a / 200},
+                                a);
+    }
+    d->engine.run_for(4200);
+    return d;
+  };
+  const auto ref = run(false);
+  const auto fast = run(true);
+  ASSERT_EQ(fast->driver.completed(), 20u);
+  EXPECT_EQ(fast->driver.latency().mean(), ref->driver.latency().mean());
+  EXPECT_EQ(fast->mem.counters().all(), ref->mem.counters().all());
+
+  EXPECT_EQ(fast->probe.slot_ticks, 0u);
+  for (Cycle a = 100; a < 4000; a += 200) {
+    const bool starts_at_issue = std::any_of(
+        fast->probe.spans.begin(), fast->probe.spans.end(),
+        [&](const auto& s) { return s.first == a && s.second > a + 1; });
+    EXPECT_TRUE(starts_at_issue) << "no span starts at issue cycle " << a;
+  }
+}
+
+// A closed-loop driver with an idle port polls every cycle (kAlways), so
+// after its Issue phase the others' earliest hint is t + 1.  The tail
+// rule must leave such a cycle to tick(): a 1-cycle span only adds the
+// span bookkeeping to the same work.
+TEST(FastPath, TailRuleLeavesKAlwaysClosedLoopDomainsPerSlot) {
+  const auto run = [](bool fast) {
+    auto d = std::make_unique<ProbedDomain<workload::ClosedLoop, double,
+                                           double>>(fast, 8, 0.01, 0.3);
+    d->engine.run_for(5000);
+    return d;
+  };
+  const auto ref = run(false);
+  const auto fast = run(true);
+  ASSERT_GT(fast->driver.completed(), 100u);
+  EXPECT_EQ(fast->driver.completed(), ref->driver.completed());
+  EXPECT_EQ(fast->driver.latency().mean(), ref->driver.latency().mean());
+  EXPECT_EQ(fast->mem.counters().all(), ref->mem.counters().all());
+  EXPECT_GT(fast->probe.slot_ticks, 0u);
+  for (const auto& [begin, end] : fast->probe.spans) {
+    EXPECT_GT(end - begin, 1u) << "1-cycle span at " << begin;
+  }
 }
 
 // ----------------------------------------- hierarchical cross-product --

@@ -2,6 +2,9 @@
 // the conventional contended baseline.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <vector>
+
 #include "mem/backing_store.hpp"
 #include "mem/bank.hpp"
 #include "mem/conventional.hpp"
@@ -42,6 +45,31 @@ TEST(BackingStore, SparseAcrossLargeAddressSpace) {
   EXPECT_EQ(store.read_word(1ull << 40, 0), 1u);
   EXPECT_EQ(store.read_word(1ull << 50, 1), 2u);
   EXPECT_EQ(store.touched_blocks(), 2u);
+}
+
+TEST(BackingStore, RowsStayPutAsTheStoreGrows) {
+  // Block memories keep an op's row pointer across its whole tour, while
+  // other ops materialize new blocks: growing the store must move no row.
+  BackingStore store(32);
+  sim::Word* first = store.row(7);
+  first[3] = 42;
+  for (sim::BlockAddr b = 100; b < 5000; ++b) store.row(b)[0] = b;
+  EXPECT_EQ(store.row(7), first);
+  EXPECT_EQ(store.find_row(7), first);
+  EXPECT_EQ(store.read_word(7, 3), 42u);
+  EXPECT_EQ(store.read_word(4999, 0), 4999u);
+  EXPECT_EQ(store.read_word(4999, 1), 0u);  // new rows start zeroed
+  EXPECT_EQ(store.find_row(6), nullptr);
+  EXPECT_EQ(store.touched_blocks(), 4901u);
+}
+
+TEST(BackingStore, WriteBlockRejectsAWrongSizedBlock) {
+  BackingStore store(4);
+  EXPECT_THROW(store.write_block(1, std::vector<sim::Word>{1, 2, 3}),
+               std::invalid_argument);
+  EXPECT_THROW(store.write_block(1, std::vector<sim::Word>(5, 0)),
+               std::invalid_argument);
+  EXPECT_EQ(store.touched_blocks(), 0u);
 }
 
 TEST(Bank, AccessOccupiesForCycleTime) {

@@ -26,12 +26,12 @@
 // Serving options:
 //   --load <shape[:k=v,...]>  poisson | bursty | diurnal (arrival.hpp)
 //   --slo <cycles>            latency SLO (default 4*beta)
-//   --queue-depth <n>         admission bound (default 4*processors)
+//   --queue-depth <n>         admission bound, n >= 1 (default 4*processors)
 //   --processors <c> --bank-cycle <n> --seed <s>
 //   --fault-plan <plan>       sim::FaultPlan grammar
 //   --spares <n>              spare banks for dead-bank remap
 //   --audit                   attach the conflict-freedom auditor
-//   --fast-path <0|1> --max-span <n>   engine tuning override
+//   --fast-path <0|1> --max-span <n>   engine tuning override (n >= 1)
 //   --json-out <path>         write the cfm-serve-report/v1 document
 //   --metrics-out <path>      write the final Prometheus text exposition
 //   --no-telemetry            disable the flight recorder
@@ -162,6 +162,15 @@ CliOptions parse_cli(int argc, char** argv) {
   const auto as_u64 = [&](const char* flag, const std::string& v) {
     return parse_u64(argv[0], flag, v);
   };
+  const auto as_positive = [&](const char* flag, const std::string& v) {
+    const auto value = parse_u64(argv[0], flag, v);
+    if (value == 0) {
+      std::fprintf(stderr, "%s: %s must be at least 1, got '%s'\n", argv[0],
+                   flag, v.c_str());
+      std::exit(2);
+    }
+    return value;
+  };
   const auto as_u32 = [&](const char* flag, const std::string& v) {
     return static_cast<std::uint32_t>(parse_u64_max(
         argv[0], flag, v, std::numeric_limits<std::uint32_t>::max()));
@@ -192,8 +201,10 @@ CliOptions parse_cli(int argc, char** argv) {
       } else if (arg == "--slo") {
         opts.serve.slo = as_u64("--slo", value_of(i, "--slo"));
       } else if (arg == "--queue-depth") {
+        // 0 is ServeOptions' "4 x processors" default; asked for
+        // explicitly it is refused, not silently replaced.
         opts.serve.queue_depth = static_cast<std::size_t>(
-            as_u64("--queue-depth", value_of(i, "--queue-depth")));
+            as_positive("--queue-depth", value_of(i, "--queue-depth")));
       } else if (arg == "--processors") {
         opts.serve.processors =
             as_u32("--processors", value_of(i, "--processors"));
@@ -228,7 +239,8 @@ CliOptions parse_cli(int argc, char** argv) {
                           1) != 0;
         opts.tuning_set = true;
       } else if (arg == "--max-span") {
-        opts.tuning.max_span = as_u64("--max-span", value_of(i, "--max-span"));
+        opts.tuning.max_span =
+            as_positive("--max-span", value_of(i, "--max-span"));
         opts.tuning_set = true;
       } else if (arg == "--quiet") {
         opts.quiet = true;
