@@ -91,7 +91,7 @@ void CfmCacheSystem::fail_request(sim::Cycle now, sim::ProcessorId p) {
   out.issued = r.issued;
   out.completed = now;
   out.proto_retries = r.retries;
-  counters_.inc("fault_timeouts");
+  counters_.inc(counters_.fault_timeouts);
   if (tracer_) tracer_->end(r.txn, now, false);
   log_.lazy(now, "fault_timeout", [&](std::ostream& os) {
     os << req_kind_name(r.kind) << " proc " << p << " offset " << r.offset;
@@ -105,7 +105,7 @@ void CfmCacheSystem::fail_request(sim::Cycle now, sim::ProcessorId p) {
 void CfmCacheSystem::check_faults(sim::Cycle now) {
   const bool paused = faults_->module_paused(now, module_.id());
   if (paused && !halted_) {
-    counters_.inc("brownouts");
+    counters_.inc(counters_.brownouts);
     if (audit_) audit_->on_injected(audit_scope_, now, "module_brownout");
   }
   bool dead_unmapped = false;
@@ -113,11 +113,11 @@ void CfmCacheSystem::check_faults(sim::Cycle now) {
     if (faults_->bank_dead(now, module_.id(), b)) {
       if (!dead_[b]) {
         dead_[b] = true;
-        counters_.inc("bank_failures");
+        counters_.inc(counters_.bank_failures);
         if (audit_) audit_->on_injected(audit_scope_, now, "bank_failure");
         if (next_spare_ < module_.bank_count()) {
           remap_[b] = next_spare_++;
-          counters_.inc("bank_remaps");
+          counters_.inc(counters_.bank_remaps);
           // Reconfiguration flushes in-flight tours: each restarts from
           // scratch in place (progress 0 at the current slot).  Restart —
           // not lose-and-retry — because a write-back must rewrite every
@@ -128,11 +128,11 @@ void CfmCacheSystem::check_faults(sim::Cycle now) {
               c.proto->progress = 0;
               c.proto->bank0_passed = false;
               c.proto->tour_start = now;
-              counters_.inc("fault_restarts");
+              counters_.inc(counters_.fault_restarts);
             }
           }
         } else {
-          counters_.inc("bank_failures_unmapped");
+          counters_.inc(counters_.bank_failures_unmapped);
         }
       }
     } else if (dead_[b]) {
@@ -152,7 +152,7 @@ void CfmCacheSystem::check_faults(sim::Cycle now) {
           c.proto->progress > 0) {
         c.proto->progress = 0;
         c.proto->bank0_passed = false;
-        counters_.inc("fault_restarts");
+        counters_.inc(counters_.fault_restarts);
       }
     }
   }
@@ -250,7 +250,7 @@ void CfmCacheSystem::accept(sim::Cycle now, sim::ProcessorId p, Request req) {
     case ReqKind::Load:
       if (line != nullptr) {  // Table 5.1 read hit: no memory access
         cache.count_hit();
-        counters_.inc("local_hits");
+        counters_.inc(counters_.local_hits);
         r.old_block = line->data;
         c.stage = Stage::LocalHit;
         c.stage_until = now + 1;
@@ -264,7 +264,7 @@ void CfmCacheSystem::accept(sim::Cycle now, sim::ProcessorId p, Request req) {
       if (line != nullptr && line->state == LineState::Dirty) {
         // Write hit on a dirty line: update locally, no memory access.
         cache.count_hit();
-        counters_.inc("local_hits");
+        counters_.inc(counters_.local_hits);
         line->data.at(r.word_index) = r.value;
         c.stage = Stage::LocalHit;
         c.stage_until = now + 1;
@@ -322,7 +322,7 @@ void CfmCacheSystem::begin_request_ops(sim::Cycle now, sim::ProcessorId p) {
   const bool need_evict = victim.state == LineState::Dirty &&
                           victim.tag != r.offset && !victim.wb_locked;
   if (need_evict) {
-    counters_.inc("evict_wbs");
+    counters_.inc(counters_.evict_wbs);
     c.stage = Stage::EvictWb;
     start_primitive(now, p, OpKind::ProtoWriteBack, victim.tag);
     c.proto->buf = victim.data;
@@ -352,9 +352,9 @@ void CfmCacheSystem::start_primitive(sim::Cycle now, sim::ProcessorId p,
   if (c.req.has_value()) op.txn = c.req->txn;
   c.proto = std::move(op);
   c.proto_is_remote_wb = false;
-  counters_.inc(kind == OpKind::ProtoRead ? "proto_reads"
-                : kind == OpKind::ProtoReadInv ? "proto_read_invs"
-                                               : "proto_write_backs");
+  counters_.inc(kind == OpKind::ProtoRead ? counters_.proto_reads
+                : kind == OpKind::ProtoReadInv ? counters_.proto_read_invs
+                                               : counters_.proto_write_backs);
 }
 
 void CfmCacheSystem::start_remote_wb_if_due(sim::Cycle now, sim::ProcessorId p) {
@@ -374,7 +374,7 @@ void CfmCacheSystem::start_remote_wb_if_due(sim::Cycle now, sim::ProcessorId p) 
     if (tracer_) {
       c.proto->txn = tracer_->begin(tracer_unit_, now, p, "remote_wb", offset);
     }
-    counters_.inc("remote_wbs_served");
+    counters_.inc(counters_.remote_wbs_served);
     return;
   }
 }
@@ -391,7 +391,7 @@ void CfmCacheSystem::trigger_remote_wb(sim::ProcessorId owner,
     return;  // already being flushed
   }
   c.remote_wb_queue.push_back(offset);
-  counters_.inc("remote_wbs_triggered");
+  counters_.inc(counters_.remote_wbs_triggered);
 }
 
 void CfmCacheSystem::complete(sim::Cycle now, sim::ProcessorId p) {
@@ -484,7 +484,7 @@ void CfmCacheSystem::controller_step(sim::Cycle now, sim::ProcessorId p) {
       // symmetric competitors cannot phase-lock into starvation.
       Request& r = *c.req;
       ++r.retries;
-      counters_.inc("proto_retries");
+      counters_.inc(counters_.proto_retries);
       if (tracer_) tracer_->restart(r.txn, now, "proto_retry");
       c.stage = Stage::RetryWait;
       const sim::Cycle base =
@@ -614,7 +614,7 @@ void CfmCacheSystem::proto_step(sim::Cycle now, ProtoOp& op) {
             qproto->offset == op.offset && qproto->fate != Fate::RetryNow &&
             qproto->fate != Fate::RetryLater) {
           qproto->fate = Fate::RetryLater;
-          counters_.inc("fill_squashes");
+          counters_.inc(counters_.fill_squashes);
         }
         // Any in-flight same-block exclusive wins: every tour crosses
         // every coupled bank, so the later-starting tour is guaranteed to
@@ -638,7 +638,7 @@ void CfmCacheSystem::proto_step(sim::Cycle now, ProtoOp& op) {
           }
           // Valid remote copy: invalidate in-flight, no acknowledgement.
           caches_[q]->invalidate(op.offset);
-          counters_.inc("invalidations");
+          counters_.inc(counters_.invalidations);
           if (tracer_) tracer_->event(op.txn, now, "invalidate");
           log_.lazy(now, "invalidate", [&](std::ostream& os) {
             os << "proc " << op.proc << " invalidated copy at proc " << q;

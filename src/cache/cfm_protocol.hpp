@@ -253,7 +253,26 @@ class CfmCacheSystem {
   std::vector<std::unique_ptr<DirectCache>> caches_;
   std::vector<Ctl> ctls_;
   std::unordered_map<ReqId, Outcome> results_;
-  sim::CounterSet counters_;
+  /// The protocol's counters, with every id interned at construction.
+  struct Counters : sim::CounterSet {
+    sim::CounterId fault_timeouts = intern("fault_timeouts");
+    sim::CounterId brownouts = intern("brownouts");
+    sim::CounterId bank_failures = intern("bank_failures");
+    sim::CounterId bank_remaps = intern("bank_remaps");
+    sim::CounterId fault_restarts = intern("fault_restarts");
+    sim::CounterId bank_failures_unmapped = intern("bank_failures_unmapped");
+    sim::CounterId local_hits = intern("local_hits");
+    sim::CounterId evict_wbs = intern("evict_wbs");
+    sim::CounterId proto_reads = intern("proto_reads");
+    sim::CounterId proto_read_invs = intern("proto_read_invs");
+    sim::CounterId proto_write_backs = intern("proto_write_backs");
+    sim::CounterId remote_wbs_served = intern("remote_wbs_served");
+    sim::CounterId remote_wbs_triggered = intern("remote_wbs_triggered");
+    sim::CounterId proto_retries = intern("proto_retries");
+    sim::CounterId fill_squashes = intern("fill_squashes");
+    sim::CounterId invalidations = intern("invalidations");
+  };
+  Counters counters_;
   sim::TraceLog log_;
   sim::Rng retry_rng_{0x5eedULL};
   sim::DomainId domain_ = sim::kSharedDomain;

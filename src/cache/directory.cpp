@@ -83,7 +83,7 @@ void DirectoryProtocol::start(sim::Cycle now, Pending& p) {
     latency = params_.remote_dirty_cycles;
     // request -> home -> owner -> (flush) home -> reply
     messages_ += 4;
-    counters_.inc("dirty_forwards");
+    counters_.inc(counters_.dirty_forwards);
   } else if (remote) {
     latency = params_.remote_clean_cycles;
     messages_ += 2;  // request + reply
@@ -102,7 +102,7 @@ void DirectoryProtocol::start(sim::Cycle now, Pending& p) {
       latency += params_.inv_ack_cycles;
       messages_ += 2ull * n_inv;
       acks_ += n_inv;
-      counters_.inc("invalidations", n_inv);
+      counters_.inc(counters_.invalidations, n_inv);
     }
     p.out.invalidations = n_inv;
     dir.state = BlockState::Dirty;
@@ -148,7 +148,7 @@ void DirectoryProtocol::tick(sim::Cycle now) {
     if (faults_ != nullptr && faults_->drop_message(now)) [[unlikely]] {
       // The request message was lost before reaching the home node.
       ++message_drops_;
-      counters_.inc("message_drops");
+      counters_.inc(counters_.message_drops);
       if (audit_) audit_->on_injected(audit_scope_, now, "message_drop");
       if (tracer_) tracer_->event(p.txn, now, "message_drop");
       if (++p.drops > max_drop_retries_) {

@@ -147,7 +147,13 @@ class DirectoryProtocol {
   std::unordered_map<ReqId, Outcome> results_;
   std::uint64_t messages_ = 0;
   std::uint64_t acks_ = 0;
-  sim::CounterSet counters_;
+  /// The protocol's counters, with every id interned at construction.
+  struct Counters : sim::CounterSet {
+    sim::CounterId dirty_forwards = intern("dirty_forwards");
+    sim::CounterId invalidations = intern("invalidations");
+    sim::CounterId message_drops = intern("message_drops");
+  };
+  Counters counters_;
   sim::DomainId domain_ = sim::kSharedDomain;
   /// Component registered by attach(); carries the quiescence hint.
   sim::Component* ticker_ = nullptr;

@@ -79,7 +79,7 @@ HierarchicalCfm::ReqId HierarchicalCfm::read(sim::Cycle now, sim::ProcessorId p,
   auto& cache = *l1_[p];
   if (const auto* line = cache.find(offset)) {
     cache.count_hit();
-    counters_.inc("l1_hits");
+    counters_.inc(counters_.l1_hits);
     q.phase = Phase::L1Hit;
     q.phase_until = now + 1;
     q.cls = AccessClass::L1Hit;
@@ -127,7 +127,7 @@ HierarchicalCfm::ReqId HierarchicalCfm::write(sim::Cycle now, sim::ProcessorId p
   auto* line = cache.find(offset);
   if (line != nullptr && line->state == LineState::Dirty) {
     cache.count_hit();
-    counters_.inc("l1_hits");
+    counters_.inc(counters_.l1_hits);
     line->data.at(word_index) = value;
     q.phase = Phase::L1Hit;
     q.phase_until = now + 1;
@@ -189,10 +189,11 @@ void HierarchicalCfm::finish(sim::Cycle now, Pending& p) {
   results_.emplace(p.id, out);
   proc_busy_.at(p.proc) = false;
   if (completion_hook_) completion_hook_(now);
-  counters_.inc(p.cls == AccessClass::L1Hit          ? "class_l1_hit"
-                : p.cls == AccessClass::LocalCluster ? "class_local"
-                : p.cls == AccessClass::Global       ? "class_global"
-                                                     : "class_dirty_remote");
+  const auto& c = counters_;
+  counters_.inc(p.cls == AccessClass::L1Hit          ? c.class_l1_hit
+                : p.cls == AccessClass::LocalCluster ? c.class_local
+                : p.cls == AccessClass::Global       ? c.class_global
+                                                     : c.class_dirty_remote);
 }
 
 void HierarchicalCfm::enter_cluster_fill(sim::Cycle now, Pending& p) {
@@ -223,7 +224,7 @@ void HierarchicalCfm::advance(sim::Cycle now, Pending& p) {
                           victim.data);
         p.op_is_global = false;
         p.op_port = port;
-        counters_.inc("victim_wbs");
+        counters_.inc(counters_.victim_wbs);
         if (tracer_) tracer_->event(p.txn, now, "victim_wb");
         break;
       }
@@ -280,7 +281,7 @@ void HierarchicalCfm::advance(sim::Cycle now, Pending& p) {
         p.op = cmem.issue(now, port, BlockOpKind::Write, p.offset, line->data);
         p.op_is_global = false;
         p.op_port = port;
-        counters_.inc("local_l1_wbs");
+        counters_.inc(counters_.local_l1_wbs);
         if (tracer_) tracer_->event(p.txn, now, "local_l1_wb");
         break;
       }
@@ -291,7 +292,7 @@ void HierarchicalCfm::advance(sim::Cycle now, Pending& p) {
         p.op = global_mem_->issue(now, port, BlockOpKind::Read, p.offset);
         p.op_is_global = true;
         p.op_port = port;
-        counters_.inc("global_reads");
+        counters_.inc(counters_.global_reads);
         if (tracer_) {
           tracer_->event(p.txn, now,
                          p.phase == Phase::GlobalRetry ? "global_retry"
@@ -311,7 +312,7 @@ void HierarchicalCfm::advance(sim::Cycle now, Pending& p) {
         p.op = rmem.issue(now, port, BlockOpKind::Write, p.offset, line->data);
         p.op_is_global = false;
         p.op_port = port;
-        counters_.inc("remote_l1_wbs");
+        counters_.inc(counters_.remote_l1_wbs);
         if (tracer_) tracer_->event(p.txn, now, "remote_l1_wb");
         break;
       }
@@ -330,7 +331,7 @@ void HierarchicalCfm::advance(sim::Cycle now, Pending& p) {
         p.op = global_mem_->issue(now, port, BlockOpKind::Write, p.offset, data);
         p.op_is_global = true;
         p.op_port = port;
-        counters_.inc("remote_l2_wbs");
+        counters_.inc(counters_.remote_l2_wbs);
         if (tracer_) tracer_->event(p.txn, now, "remote_l2_wb");
         break;
       }
@@ -340,7 +341,7 @@ void HierarchicalCfm::advance(sim::Cycle now, Pending& p) {
         p.op = cmem.issue(now, *port, BlockOpKind::Write, p.offset, p.block);
         p.op_is_global = false;
         p.op_port = *port;
-        counters_.inc("l2_fills");
+        counters_.inc(counters_.l2_fills);
         if (tracer_) tracer_->event(p.txn, now, "l2_fill");
         break;
       }
@@ -360,7 +361,7 @@ void HierarchicalCfm::advance(sim::Cycle now, Pending& p) {
   if (result->status == core::OpStatus::Aborted) {
     // A write lost a same-address race (possible only under heavy sharing);
     // reissue the phase.
-    counters_.inc("phase_retries");
+    counters_.inc(counters_.phase_retries);
     if (tracer_) tracer_->restart(p.txn, now, "phase_retry");
     return;
   }
@@ -489,7 +490,7 @@ void HierarchicalCfm::advance(sim::Cycle now, Pending& p) {
       const auto l2s =
           it2 == l2.end() ? LineState::Invalid : it2->second.state;
       if (l2s == LineState::Invalid || (p.is_write && l2s != LineState::Dirty)) {
-        counters_.inc("fill_races");
+        counters_.inc(counters_.fill_races);
         break;  // phase stays ClusterOp; the issue path re-decides
       }
       auto& cache = *l1_[p.proc];

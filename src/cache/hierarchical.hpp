@@ -232,7 +232,23 @@ class HierarchicalCfm {
   std::vector<bool> proc_busy_;
   bool lock_freed_ = false;  ///< finish() released a block lock this pass
   std::unordered_map<ReqId, Outcome> results_;
-  sim::CounterSet counters_;
+  /// The protocol's counters, with every id interned at construction.
+  struct Counters : sim::CounterSet {
+    sim::CounterId l1_hits = intern("l1_hits");
+    sim::CounterId class_l1_hit = intern("class_l1_hit");
+    sim::CounterId class_local = intern("class_local");
+    sim::CounterId class_global = intern("class_global");
+    sim::CounterId class_dirty_remote = intern("class_dirty_remote");
+    sim::CounterId victim_wbs = intern("victim_wbs");
+    sim::CounterId local_l1_wbs = intern("local_l1_wbs");
+    sim::CounterId global_reads = intern("global_reads");
+    sim::CounterId remote_l1_wbs = intern("remote_l1_wbs");
+    sim::CounterId remote_l2_wbs = intern("remote_l2_wbs");
+    sim::CounterId l2_fills = intern("l2_fills");
+    sim::CounterId phase_retries = intern("phase_retries");
+    sim::CounterId fill_races = intern("fill_races");
+  };
+  Counters counters_;
   ReqId next_req_ = 1;
   /// Controller component registered by attach(); carries the
   /// Phase::Network wake hint each pass publishes (DESIGN.md §12).

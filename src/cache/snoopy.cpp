@@ -136,7 +136,7 @@ SnoopyBus::ReqId SnoopyBus::rmw(sim::Cycle now, sim::ProcessorId p,
 void SnoopyBus::enqueue(sim::Cycle now, TxnKind kind, sim::ProcessorId p,
                         sim::BlockAddr offset) {
   bus_queue_.push_back(Txn{kind, p, offset, now});
-  counters_.inc("bus_txns");
+  counters_.inc(counters_.bus_txns);
 }
 
 void SnoopyBus::apply_txn(sim::Cycle now, const Txn& txn) {
@@ -155,7 +155,7 @@ void SnoopyBus::apply_txn(sim::Cycle now, const Txn& txn) {
           line != nullptr && line->state == LineState::Dirty) {
         block_of(offset) = line->data;
         line->state = LineState::Valid;
-        counters_.inc("snoop_flushes");
+        counters_.inc(counters_.snoop_flushes);
       }
     }
   };
@@ -163,7 +163,9 @@ void SnoopyBus::apply_txn(sim::Cycle now, const Txn& txn) {
   auto invalidate_others = [&](sim::BlockAddr offset) {
     for (std::uint32_t q = 0; q < params_.processors; ++q) {
       if (q == txn.proc) continue;
-      if (caches_[q]->invalidate(offset)) counters_.inc("invalidations");
+      if (caches_[q]->invalidate(offset)) {
+        counters_.inc(counters_.invalidations);
+      }
     }
   };
 
@@ -176,7 +178,7 @@ void SnoopyBus::apply_txn(sim::Cycle now, const Txn& txn) {
       auto& victim = cache.slot_for(txn.offset);
       if (victim.state == LineState::Dirty && victim.tag != txn.offset) {
         block_of(victim.tag) = victim.data;
-        counters_.inc("evict_wbs");
+        counters_.inc(counters_.evict_wbs);
       }
       auto& line = cache.fill(txn.offset, block_of(txn.offset), LineState::Valid);
       if (c.req.has_value() && c.req->offset == txn.offset) {
@@ -192,7 +194,7 @@ void SnoopyBus::apply_txn(sim::Cycle now, const Txn& txn) {
       auto& victim = cache.slot_for(txn.offset);
       if (victim.state == LineState::Dirty && victim.tag != txn.offset) {
         block_of(victim.tag) = victim.data;
-        counters_.inc("evict_wbs");
+        counters_.inc(counters_.evict_wbs);
       }
       auto& line = cache.fill(txn.offset, block_of(txn.offset), LineState::Dirty);
       if (!c.req.has_value() || c.req->offset != txn.offset) break;
@@ -251,7 +253,7 @@ void SnoopyBus::tick(sim::Cycle now) {
   if (faults_ != nullptr) [[unlikely]] {
     const bool paused = faults_->module_paused(now, 0);
     if (paused && !bus_paused_) {
-      counters_.inc("brownouts");
+      counters_.inc(counters_.brownouts);
       if (audit_) audit_->on_injected(audit_scope_, now, "module_brownout");
     }
     bus_paused_ = paused;
@@ -294,7 +296,7 @@ void SnoopyBus::tick(sim::Cycle now) {
         // protocol prevents this with wb_locked; a bus has no such hook.)
         c.stage = Stage::WaitBus;
         enqueue(now, TxnKind::BusRdX, p, c.req->offset);
-        counters_.inc("rmw_reacquires");
+        counters_.inc(counters_.rmw_reacquires);
         if (tracer_) tracer_->restart(c.req->txn, now, "rmw_reacquire");
         continue;
       }

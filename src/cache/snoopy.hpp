@@ -147,7 +147,16 @@ class SnoopyBus {
   std::uint64_t bus_busy_ = 0;
   sim::RunningStat bus_wait_;
   std::unordered_map<ReqId, Outcome> results_;
-  sim::CounterSet counters_;
+  /// The protocol's counters, with every id interned at construction.
+  struct Counters : sim::CounterSet {
+    sim::CounterId bus_txns = intern("bus_txns");
+    sim::CounterId snoop_flushes = intern("snoop_flushes");
+    sim::CounterId invalidations = intern("invalidations");
+    sim::CounterId evict_wbs = intern("evict_wbs");
+    sim::CounterId brownouts = intern("brownouts");
+    sim::CounterId rmw_reacquires = intern("rmw_reacquires");
+  };
+  Counters counters_;
   sim::DomainId domain_ = sim::kSharedDomain;
   /// Component registered by attach(); carries the quiescence hint.
   sim::Component* ticker_ = nullptr;

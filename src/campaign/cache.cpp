@@ -44,7 +44,19 @@ std::optional<sim::Json> ResultCache::load(const PointSpec& point) const {
   // Guard against hash collisions and stale schemas: the stored spec
   // must match the requesting point exactly, not just its hash.
   if (!(entry.at("key") == point.canonical())) return std::nullopt;
-  return entry.at("result");
+  // Counters the aggregate would reject (negative, fractional) mark the
+  // entry corrupt as well: the point runs again.
+  const auto& result = entry.at("result");
+  if (result.is_object() && result.contains("counters")) {
+    try {
+      for (const auto& [name, value] : result.at("counters").as_object()) {
+        (void)sim::exact_u64(value, "counter ", name);
+      }
+    } catch (const std::logic_error&) {
+      return std::nullopt;
+    }
+  }
+  return result;
 }
 
 void ResultCache::store(const PointSpec& point, const sim::Json& result) const {

@@ -83,7 +83,7 @@ Json aggregate(const Scenario& scenario, const std::vector<PointRun>& runs) {
 
   // Per-point rows (expansion order) + the merged containers.
   Json points = Json::array();
-  Json merged_counters = Json::object();
+  sim::CounterSet merged_counters;
   std::map<std::string, sim::StatSummary> merged_stats;
   std::uint64_t violations = 0, conflicts = 0, checks = 0;
   std::uint64_t points_with_violations = 0;
@@ -114,8 +114,7 @@ Json aggregate(const Scenario& scenario, const std::vector<PointRun>& runs) {
       if (value.is_number()) metric_keys.insert(name);
     }
     if (run.result.contains("counters")) {
-      merged_counters =
-          sim::merge_counters_json(merged_counters, run.result.at("counters"));
+      sim::add_counters_json(merged_counters, run.result.at("counters"));
     }
     if (run.result.contains("stats")) {
       for (const auto& [name, summary] : run.result.at("stats").as_object()) {
@@ -144,7 +143,7 @@ Json aggregate(const Scenario& scenario, const std::vector<PointRun>& runs) {
     points.push_back(std::move(row));
   }
   report["points"] = std::move(points);
-  report["counters"] = std::move(merged_counters);
+  report["counters"] = sim::to_json(merged_counters);
   Json stats = Json::object();
   for (const auto& [name, summary] : merged_stats) {
     stats[name] = sim::to_json(summary);

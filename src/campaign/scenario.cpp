@@ -15,6 +15,7 @@
 namespace cfm::campaign {
 namespace {
 
+using sim::exact_u64;
 using sim::Json;
 
 [[noreturn]] void bad(const std::string& msg) {
@@ -90,34 +91,6 @@ void check_param_value(WorkloadKind kind, const std::string& key,
   if (!value.is_number()) {
     bad(std::string(where) + " '" + key + "' must be a number");
   }
-}
-
-/// `v` as an exact non-negative integer.  Throws std::invalid_argument
-/// naming `key` and the value for anything that would be truncated or
-/// wrap (2.5, -4, 1e30, a string); integral doubles ("4.0") are exact.
-/// The message is built only on failure: expand() runs every integer
-/// parameter of every point through here.
-std::uint64_t exact_u64(const Json& v, const char* prefix,
-                        const std::string& key) {
-  switch (v.kind()) {
-    case Json::Kind::Uint:
-      return v.as_uint();
-    case Json::Kind::Int:
-      if (v.as_int() >= 0) return v.as_uint();
-      break;
-    case Json::Kind::Double: {
-      // 2^64 is the first double past the uint64 range.
-      const double d = v.as_double();
-      if (d >= 0.0 && d < 18446744073709551616.0 && std::floor(d) == d) {
-        return static_cast<std::uint64_t>(d);
-      }
-      break;
-    }
-    default:
-      break;
-  }
-  throw std::invalid_argument(std::string(prefix) + "'" + key + "' = " +
-                              v.dump() + " is not a non-negative integer");
 }
 
 std::string point_desc(const Json& params) {

@@ -128,7 +128,7 @@ CfmMemory::OpToken CfmMemory::issue(sim::Cycle now, sim::ProcessorId p,
   }
   inflight_.at(p) = std::move(op);
   set_active(p, true);
-  counters_.inc("ops_issued");
+  counters_.inc(counters_.ops_issued);
   // A quiescent memory just became actionable: the Memory phase of this
   // same cycle must tick the fresh tour.
   if (ticker_ != nullptr) ticker_->set_next_event(sim::Component::kAlways);
@@ -338,7 +338,7 @@ sim::Cycle CfmMemory::next_completion_hint(sim::Cycle now) const {
 void CfmMemory::check_faults(sim::Cycle now) {
   const bool paused = faults_->module_paused(now, module_.id());
   if (paused && !halted_) {
-    counters_.inc("brownouts");
+    counters_.inc(counters_.brownouts);
     if (audit_) audit_->on_injected(audit_scope_, now, "module_brownout");
   }
   bool dead_unmapped = false;
@@ -346,7 +346,7 @@ void CfmMemory::check_faults(sim::Cycle now) {
     if (faults_->bank_dead(now, module_.id(), b)) {
       if (!dead_[b]) {
         dead_[b] = true;
-        counters_.inc("bank_failures");
+        counters_.inc(counters_.bank_failures);
         if (audit_) audit_->on_injected(audit_scope_, now, "bank_failure");
         if (next_spare_ < module_.bank_count()) {
           // Remap the logical slot onto a spare.  The AT schedule is
@@ -355,17 +355,17 @@ void CfmMemory::check_faults(sim::Cycle now) {
           // flushes the address tours, so every op restarts this slot on
           // the repaired machine.
           remap_[b] = next_spare_++;
-          counters_.inc("bank_remaps");
+          counters_.inc(counters_.bank_remaps);
           for (auto& slot : inflight_) {
             if (!slot.has_value()) continue;
             if (slot->drain_until != sim::kNeverCycle) continue;
             if (slot->tour_start > now) continue;
             if (slot->fault_at == sim::kNeverCycle) slot->fault_at = now;
             restart(now, *slot, at_.bank_at(now, slot->proc),
-                    "fault_restarts");
+                    counters_.fault_restarts);
           }
         } else {
-          counters_.inc("bank_failures_unmapped");
+          counters_.inc(counters_.bank_failures_unmapped);
         }
       }
     } else if (dead_[b]) {
@@ -383,7 +383,8 @@ void CfmMemory::check_faults(sim::Cycle now) {
       if (!slot.has_value()) continue;
       if (slot->drain_until != sim::kNeverCycle) continue;
       if (slot->tour_start > now) continue;
-      restart(now, *slot, at_.bank_at(now, slot->proc), "fault_restarts");
+      restart(now, *slot, at_.bank_at(now, slot->proc),
+              counters_.fault_restarts);
     }
   }
   halted_ = halted;
@@ -396,7 +397,7 @@ void CfmMemory::check_faults(sim::Cycle now) {
       if (slot->fault_at == sim::kNeverCycle) {
         slot->fault_at = now;
       } else if (now >= slot->fault_at + fault_timeout_) {
-        counters_.inc("fault_aborts");
+        counters_.inc(counters_.fault_aborts);
         abort_write(now, *slot, at_.bank_at(now, slot->proc));
       }
     }
@@ -470,7 +471,7 @@ OpKind CfmMemory::att_kind(const InFlight& op) const noexcept {
 }
 
 void CfmMemory::restart(sim::Cycle now, InFlight& op, sim::BankId bank,
-                        const char* counter) {
+                        sim::CounterId counter) {
   log_.lazy(now, "restart", [&](std::ostream& os) {
     os << "op " << op.token << " proc " << op.proc << " progress "
        << op.progress << (op.write_phase ? " (write phase)" : "");
@@ -487,7 +488,7 @@ void CfmMemory::restart(sim::Cycle now, InFlight& op, sim::BankId bank,
   }
   ++op.restarts;
   counters_.inc(counter);
-  if (tracer_) tracer_->restart(op.txn, now, counter);
+  if (tracer_) tracer_->restart(op.txn, now, counters_.name(counter));
   op.tour_start = now;
   op.progress = 0;
   op.bank0_done = false;
@@ -525,7 +526,8 @@ void CfmMemory::finish(sim::Cycle now, InFlight& op, OpStatus status) {
             [&](std::ostream& os) {
               os << "op " << op.token << " proc " << op.proc;
             });
-  counters_.inc(status == OpStatus::Completed ? "ops_completed" : "ops_aborted");
+  counters_.inc(status == OpStatus::Completed ? counters_.ops_completed
+                                             : counters_.ops_aborted);
   if (status == OpStatus::Completed &&
       op.fault_at != sim::kNeverCycle) [[unlikely]] {
     recovery_latency_.add(
@@ -593,7 +595,7 @@ bool CfmMemory::handle_write_side(sim::Cycle now, InFlight& op,
         op.progress == 0 ? 0
                          : (op.bank0_done ? op.progress : op.progress - 1);
     if (att.find(now, op.offset, earlier_lo, cap, kWriteLike, op.token)) {
-      restart(now, op, bank, "swap_restarts");
+      restart(now, op, bank, counters_.swap_restarts);
       // "The operation retries, with or without delay" (§5.2.3): a
       // deterministic, processor- and attempt-varied back-off breaks the
       // phase-locked livelock of symmetric competing swaps.
@@ -607,7 +609,7 @@ bool CfmMemory::handle_write_side(sim::Cycle now, InFlight& op,
     // retrying this bank immediately would re-detect the same entry.
     if (att.find(now, op.offset, 0, cap, kind_bit(OpKind::SwapWrite),
                  op.token)) {
-      restart(now, op, bank, "write_restarts");
+      restart(now, op, bank, counters_.write_restarts);
       op.tour_start = now + 1;
       return false;
     }
@@ -653,7 +655,8 @@ bool CfmMemory::handle_read_side(sim::Cycle now, InFlight& op,
                      op.token);
   if (hit.has_value()) {
     restart(now, op, bank,
-            op.kind == BlockOpKind::Swap ? "swap_restarts" : "read_restarts");
+            op.kind == BlockOpKind::Swap ? counters_.swap_restarts
+                                         : counters_.read_restarts);
     // The triggering write has already updated this bank (its entry is at
     // position >= 0), so reading it right now starts the fresh tour on
     // the new version.

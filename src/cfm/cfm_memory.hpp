@@ -320,7 +320,7 @@ class CfmMemory {
   bool handle_write_side(sim::Cycle now, InFlight& op, sim::BankId bank);
   bool handle_read_side(sim::Cycle now, InFlight& op, sim::BankId bank);
   void restart(sim::Cycle now, InFlight& op, sim::BankId bank,
-               const char* counter);
+               sim::CounterId counter);
   void abort_write(sim::Cycle now, InFlight& op, sim::BankId bank);
   void complete_or_drain(sim::Cycle now, InFlight& op);
   void finish(sim::Cycle now, InFlight& op, OpStatus status);
@@ -345,7 +345,22 @@ class CfmMemory {
   /// Slot after the last tick (or span); issue() may not precede it.
   sim::Cycle next_slot_ = 0;
   ResultBox results_;
-  sim::CounterSet counters_;
+  /// The memory's counters, with every id interned at construction.
+  struct Counters : sim::CounterSet {
+    sim::CounterId ops_issued = intern("ops_issued");
+    sim::CounterId ops_completed = intern("ops_completed");
+    sim::CounterId ops_aborted = intern("ops_aborted");
+    sim::CounterId read_restarts = intern("read_restarts");
+    sim::CounterId write_restarts = intern("write_restarts");
+    sim::CounterId swap_restarts = intern("swap_restarts");
+    sim::CounterId fault_restarts = intern("fault_restarts");
+    sim::CounterId fault_aborts = intern("fault_aborts");
+    sim::CounterId brownouts = intern("brownouts");
+    sim::CounterId bank_failures = intern("bank_failures");
+    sim::CounterId bank_remaps = intern("bank_remaps");
+    sim::CounterId bank_failures_unmapped = intern("bank_failures_unmapped");
+  };
+  Counters counters_;
   sim::TraceLog log_;
   sim::DomainId domain_ = sim::kSharedDomain;
   /// Component registered by attach(); carries the quiescence hints the

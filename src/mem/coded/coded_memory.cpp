@@ -39,11 +39,13 @@ CodedMemory::CodedMemory(const CodedConfig& cfg)
   // Materialize the headline counters at zero so every report carries the
   // same keys whether or not the path fired (validators check arithmetic
   // over these; absent-vs-zero should not depend on the workload).
-  for (const char* name :
-       {"word_reads_direct", "word_reads_decoded", "word_writes_direct",
-        "word_writes_decoded", "parity_updates", "decode_mismatches",
-        "decode_bank_reads", "bank_failures", "fault_aborts"}) {
-    counters_.inc(name, 0);
+  for (const sim::CounterId id :
+       {counters_.word_reads_direct, counters_.word_reads_decoded,
+        counters_.word_writes_direct, counters_.word_writes_decoded,
+        counters_.parity_updates, counters_.decode_mismatches,
+        counters_.decode_bank_reads, counters_.bank_failures,
+        counters_.fault_aborts}) {
+    counters_.inc(id, 0);
   }
 }
 
@@ -81,7 +83,8 @@ CodedMemory::OpToken CodedMemory::issue(sim::Cycle now, sim::ProcessorId p,
   }
   const OpToken token = op.token;
   inflight_[p] = std::move(op);
-  counters_.inc(kind == core::BlockOpKind::Read ? "reads" : "writes");
+  counters_.inc(kind == core::BlockOpKind::Read ? counters_.reads
+                                                : counters_.writes);
   publish_wake();
   return token;
 }
@@ -90,7 +93,7 @@ void CodedMemory::tick(sim::Cycle now) {
   if (faults_ != nullptr) check_faults(now);
   const bool paused = faults_ != nullptr && faults_->module_paused(now, 0);
   if (paused && !was_paused_) {
-    counters_.inc("brownouts");
+    counters_.inc(counters_.brownouts);
     if (audit_ != nullptr) audit_->on_injected(audit_scope_, now, "brownout");
   }
   was_paused_ = paused;
@@ -109,9 +112,9 @@ void CodedMemory::check_faults(sim::Cycle now) {
   for (std::uint32_t i = 0; i < dead_.size(); ++i) {
     if (!dead_[i] && faults_->bank_dead(now, 0, i)) {
       dead_[i] = true;
-      counters_.inc("bank_failures");
-      counters_.inc(i < cfg_.code.data_banks ? "data_bank_failures"
-                                             : "parity_bank_failures");
+      counters_.inc(counters_.bank_failures);
+      counters_.inc(i < cfg_.code.data_banks ? counters_.data_bank_failures
+                                             : counters_.parity_bank_failures);
       if (audit_ != nullptr) {
         audit_->on_injected(audit_scope_, now, "bank_dead");
       }
@@ -120,7 +123,7 @@ void CodedMemory::check_faults(sim::Cycle now) {
       if (i >= cfg_.code.data_banks) {
         auto& log = logs_[i - cfg_.code.data_banks];
         if (!log.empty()) {
-          counters_.inc("parity_deltas_orphaned", log.size());
+          counters_.inc(counters_.parity_deltas_orphaned, log.size());
           pending_total_ -= log.size();
           log.clear();
         }
@@ -162,7 +165,7 @@ sim::Word CodedMemory::decode_word(sim::Cycle now, sim::BlockAddr block,
     acc ^= banks_[peer].access(now, WordOp::Read, block);
     ++fanout;
   }
-  counters_.inc("decode_bank_reads", fanout);
+  counters_.inc(counters_.decode_bank_reads, fanout);
   decode_fanout_max_ = std::max(decode_fanout_max_, fanout);
   if (audit_ != nullptr) {
     audit_->on_decode(audit_scope_, now, fanout);
@@ -171,7 +174,7 @@ sim::Word CodedMemory::decode_word(sim::Cycle now, sim::BlockAddr block,
   // The code is checked, not assumed: the XOR of parity and survivors
   // must equal the architectural word.
   if (acc != store_.read_word(block, word)) {
-    counters_.inc("decode_mismatches");
+    counters_.inc(counters_.decode_mismatches);
   }
   return acc;
 }
@@ -190,10 +193,10 @@ void CodedMemory::step_op(sim::Cycle now, InFlight& op) {
   if (structurally_unserviceable(word)) {
     if (!op.unserviceable_noted) {
       op.unserviceable_noted = true;
-      counters_.inc("bank_failures_unmapped");
+      counters_.inc(counters_.bank_failures_unmapped);
     }
     if (faults_ != nullptr && now - op.stalled_since >= fault_timeout_) {
-      counters_.inc("fault_aborts");
+      counters_.inc(counters_.fault_aborts);
       finish(now, op, core::OpStatus::Aborted);
     }
   }
@@ -203,22 +206,22 @@ bool CodedMemory::step_read_word(sim::Cycle now, InFlight& op,
                                  std::uint32_t word) {
   if (!dead_[word] && !banks_[word].busy(now)) {
     op.read_buf[word] = banks_[word].access(now, WordOp::Read, op.block);
-    counters_.inc("word_reads_direct");
+    counters_.inc(counters_.word_reads_direct);
     return true;
   }
   if (!group_claimable(now, word)) {
-    counters_.inc("bank_stalls");
+    counters_.inc(counters_.bank_stalls);
     return false;
   }
   // Logged policy: decoding through unapplied deltas would reconstruct
   // from stale parity — wait for the group's log to drain.
   const std::uint32_t g = cfg_.code.group_of(word);
   if (cfg_.code.policy == ParityPolicy::Logged && !logs_[g].empty()) {
-    counters_.inc("torn_parity_waits");
+    counters_.inc(counters_.torn_parity_waits);
     return false;
   }
   op.read_buf[word] = decode_word(now, op.block, word);
-  counters_.inc("word_reads_decoded");
+  counters_.inc(counters_.word_reads_decoded);
   return true;
 }
 
@@ -231,51 +234,51 @@ bool CodedMemory::step_write_word(sim::Cycle now, InFlight& op,
 
   if (!dead_[word]) {
     if (banks_[word].busy(now)) {
-      counters_.inc("bank_stalls");
+      counters_.inc(counters_.bank_stalls);
       return false;
     }
     if (uncoded || parity_dead(g)) {
       banks_[word].access(now, WordOp::Write, op.block, value);
-      if (!uncoded) counters_.inc("parity_skipped");
-      counters_.inc("word_writes_direct");
+      if (!uncoded) counters_.inc(counters_.parity_skipped);
+      counters_.inc(counters_.word_writes_direct);
       return true;
     }
     if (cfg_.code.policy == ParityPolicy::ReadModifyWrite) {
       Bank& pb = parity_bank(g);
       if (pb.busy(now)) {
-        counters_.inc("bank_stalls");
+        counters_.inc(counters_.bank_stalls);
         return false;
       }
       banks_[word].access(now, WordOp::Write, op.block, value);
       const sim::Word pold =
           store_.read_word(op.block, cfg_.code.data_banks + g);
       pb.access(now, WordOp::Write, op.block, pold ^ old ^ value);
-      counters_.inc("parity_updates");
-      counters_.inc("word_writes_direct");
+      counters_.inc(counters_.parity_updates);
+      counters_.inc(counters_.word_writes_direct);
       return true;
     }
     // Logged: the data bank commits now, the parity XOR delta queues on
     // the bounded per-group log for the background drain.
     if (logs_[g].size() >= log_capacity_) {
-      counters_.inc("log_stalls");
+      counters_.inc(counters_.log_stalls);
       return false;
     }
     banks_[word].access(now, WordOp::Write, op.block, value);
     logs_[g].push_back(PendingDelta{op.block, old ^ value});
     ++pending_total_;
-    counters_.inc("parity_deltas_logged");
-    counters_.inc("word_writes_direct");
+    counters_.inc(counters_.parity_deltas_logged);
+    counters_.inc(counters_.word_writes_direct);
     return true;
   }
 
   // Dead data bank: recover the old word from the survivors and fold the
   // update into parity — the written word lives on only through the code.
   if (!group_claimable(now, word)) {
-    counters_.inc("bank_stalls");
+    counters_.inc(counters_.bank_stalls);
     return false;
   }
   if (cfg_.code.policy == ParityPolicy::Logged && !logs_[g].empty()) {
-    counters_.inc("torn_parity_waits");
+    counters_.inc(counters_.torn_parity_waits);
     return false;
   }
   const std::uint32_t parity_word = cfg_.code.data_banks + g;
@@ -287,20 +290,20 @@ bool CodedMemory::step_write_word(sim::Cycle now, InFlight& op,
     ++fanout;
   }
   const sim::Word recovered_old = pold ^ others;
-  counters_.inc("decode_bank_reads", fanout);
+  counters_.inc(counters_.decode_bank_reads, fanout);
   decode_fanout_max_ = std::max(decode_fanout_max_, fanout);
   if (audit_ != nullptr) {
     audit_->on_decode(audit_scope_, now, fanout);
     audit_->on_parity_guard(audit_scope_, now, 0);
   }
-  if (recovered_old != old) counters_.inc("decode_mismatches");
+  if (recovered_old != old) counters_.inc(counters_.decode_mismatches);
   parity_bank(g).access(now, WordOp::Write, op.block,
                         pold ^ recovered_old ^ value);
   // Keep the architectural store current: the dead cell itself is stale
   // forever, but it is also unreachable — every future read decodes.
   store_.write_word(op.block, word, value);
-  counters_.inc("parity_updates");
-  counters_.inc("word_writes_decoded");
+  counters_.inc(counters_.parity_updates);
+  counters_.inc(counters_.word_writes_decoded);
   return true;
 }
 
@@ -329,8 +332,8 @@ void CodedMemory::finish(sim::Cycle now, InFlight& op, core::OpStatus status) {
       status == core::OpStatus::Completed) {
     result.data = std::move(op.read_buf);
   }
-  counters_.inc(status == core::OpStatus::Completed ? "ops_completed"
-                                                    : "ops_aborted");
+  counters_.inc(status == core::OpStatus::Completed ? counters_.ops_completed
+                                                    : counters_.ops_aborted);
   const sim::ProcessorId p = op.proc;
   results_.put(op.token, p, std::move(result));
   inflight_[p].reset();
@@ -360,8 +363,8 @@ void CodedMemory::drain_logs(sim::Cycle now) {
     const sim::Word pold = store_.read_word(block, parity_word);
     pb.access(now, WordOp::Write, block, pold ^ merged);
     pending_total_ -= taken;
-    counters_.inc("parity_updates");
-    if (taken > 1) counters_.inc("parity_deltas_coalesced", taken - 1);
+    counters_.inc(counters_.parity_updates);
+    if (taken > 1) counters_.inc(counters_.parity_deltas_coalesced, taken - 1);
   }
 }
 

@@ -226,7 +226,34 @@ class CodedMemory {
   std::vector<std::optional<InFlight>> inflight_;
   core::ResultBox results_;
   OpToken next_token_ = 1;
-  sim::CounterSet counters_;
+  /// The memory's counters, with every id interned at construction.
+  struct Counters : sim::CounterSet {
+    sim::CounterId reads = intern("reads");
+    sim::CounterId writes = intern("writes");
+    sim::CounterId ops_completed = intern("ops_completed");
+    sim::CounterId ops_aborted = intern("ops_aborted");
+    sim::CounterId word_reads_direct = intern("word_reads_direct");
+    sim::CounterId word_reads_decoded = intern("word_reads_decoded");
+    sim::CounterId word_writes_direct = intern("word_writes_direct");
+    sim::CounterId word_writes_decoded = intern("word_writes_decoded");
+    sim::CounterId parity_updates = intern("parity_updates");
+    sim::CounterId parity_skipped = intern("parity_skipped");
+    sim::CounterId parity_deltas_logged = intern("parity_deltas_logged");
+    sim::CounterId parity_deltas_coalesced = intern("parity_deltas_coalesced");
+    sim::CounterId parity_deltas_orphaned = intern("parity_deltas_orphaned");
+    sim::CounterId decode_bank_reads = intern("decode_bank_reads");
+    sim::CounterId decode_mismatches = intern("decode_mismatches");
+    sim::CounterId bank_stalls = intern("bank_stalls");
+    sim::CounterId log_stalls = intern("log_stalls");
+    sim::CounterId torn_parity_waits = intern("torn_parity_waits");
+    sim::CounterId brownouts = intern("brownouts");
+    sim::CounterId bank_failures = intern("bank_failures");
+    sim::CounterId data_bank_failures = intern("data_bank_failures");
+    sim::CounterId parity_bank_failures = intern("parity_bank_failures");
+    sim::CounterId bank_failures_unmapped = intern("bank_failures_unmapped");
+    sim::CounterId fault_aborts = intern("fault_aborts");
+  };
+  Counters counters_;
   std::uint32_t decode_fanout_max_ = 0;
   sim::DomainId domain_ = sim::kSharedDomain;
   sim::Component* ticker_ = nullptr;

@@ -224,8 +224,10 @@ void Server::register_telemetry() {
   for (const char* name :
        {"ops_completed", "fault_restarts", "bank_failures", "bank_remaps",
         "brownouts", "fault_aborts", "fault_timeouts"}) {
-    t.add_counter(std::string("mem.") + name, [mem, name] {
-      return mem->counters().get(name);
+    // A counter this memory never interns reads 0 for the whole run.
+    const auto id = mem->counters().find(name);
+    t.add_counter(std::string("mem.") + name, [mem, id] {
+      return id ? mem->counters().get(*id) : 0;
     });
   }
   t.add_gauge("live_banks", [mem](sim::Cycle) {
@@ -351,14 +353,18 @@ sim::Json Server::report_json() const {
   metrics["latency_max"] = st.latency.max();
 
   sim::CounterSet serve_counters;
-  serve_counters.inc("offered", st.offered);
-  serve_counters.inc("accepted", st.accepted);
-  serve_counters.inc("rejected", st.rejected);
-  serve_counters.inc("completed", st.completed);
-  serve_counters.inc("failed", st.failed);
-  serve_counters.inc("retried", st.retried);
-  serve_counters.inc("lock_acquired", st.lock_acquired);
-  serve_counters.inc("lock_busy", st.lock_busy);
+  const auto add = [&serve_counters](std::string_view name,
+                                     std::uint64_t value) {
+    serve_counters.inc(serve_counters.intern(name), value);
+  };
+  add("offered", st.offered);
+  add("accepted", st.accepted);
+  add("rejected", st.rejected);
+  add("completed", st.completed);
+  add("failed", st.failed);
+  add("retried", st.retried);
+  add("lock_acquired", st.lock_acquired);
+  add("lock_busy", st.lock_busy);
   Json counters = Json::object();
   counters["serve"] = sim::to_json(serve_counters);
   counters["memory"] = sim::to_json(memory_->counters());

@@ -32,7 +32,7 @@ ConflictAuditor::ScopeId ConflictAuditor::add_scope(
 
 void ConflictAuditor::flag(Scope& s, ScopeId id, Cycle now,
                            std::string_view kind, std::string detail) {
-  s.issues.inc(std::string(kind));
+  s.issues.inc(s.issues.intern(kind));
   if (s.samples.size() < kMaxSamples) {
     s.samples.push_back(Violation{now, id, std::string(kind), std::move(detail)});
   }
@@ -40,7 +40,7 @@ void ConflictAuditor::flag(Scope& s, ScopeId id, Cycle now,
 
 void ConflictAuditor::on_bank_access(ScopeId scope, Cycle now, BankId bank) {
   auto& s = scopes_[scope];
-  s.checks.inc("bank_accesses");
+  s.checks.inc(s.checks.bank_accesses);
   if (bank >= s.busy_until.size()) {
     // Spare banks provisioned for degraded mode may join after the scope
     // was registered; they still get the overlap check.
@@ -58,7 +58,7 @@ void ConflictAuditor::on_bank_access(ScopeId scope, Cycle now, BankId bank) {
 void ConflictAuditor::on_scheduled_access(ScopeId scope, Cycle now,
                                           ProcessorId proc, BankId bank) {
   auto& s = scopes_[scope];
-  s.checks.inc("scheduled_accesses");
+  s.checks.inc(s.checks.scheduled_accesses);
   const auto expected = static_cast<BankId>(
       (now + static_cast<Cycle>(s.bank_cycle) * proc) % s.banks);
   if (bank != expected) {
@@ -72,7 +72,7 @@ void ConflictAuditor::on_scheduled_access(ScopeId scope, Cycle now,
 void ConflictAuditor::on_block_complete(ScopeId scope, Cycle final_tour_start,
                                         Cycle completed) {
   auto& s = scopes_[scope];
-  s.checks.inc("blocks_completed");
+  s.checks.inc(s.checks.blocks_completed);
   if (s.beta == 0) return;
   if (completed - final_tour_start != s.beta) {
     flag(s, scope, completed, "beta_violation",
@@ -85,7 +85,7 @@ void ConflictAuditor::on_block_complete(ScopeId scope, Cycle final_tour_start,
 void ConflictAuditor::on_omega_slot(ScopeId scope, Cycle slot,
                                     std::span<const std::uint32_t> outputs) {
   auto& s = scopes_[scope];
-  s.checks.inc("omega_slots");
+  s.checks.inc(s.checks.omega_slots);
   const auto n = outputs.size();
   if (s.perm_seen.size() != n) s.perm_seen.assign(n, 0);
   ++s.perm_stamp;
@@ -121,7 +121,7 @@ void ConflictAuditor::on_module_access(ScopeId scope, Cycle now,
                                        std::uint32_t resource,
                                        std::uint32_t hold) {
   auto& s = scopes_[scope];
-  s.checks.inc("module_accesses");
+  s.checks.inc(s.checks.module_accesses);
   if (resource >= s.busy_until.size()) s.busy_until.resize(resource + 1, 0);
   auto& busy = s.busy_until[resource];
   if (now < busy) {
@@ -136,13 +136,13 @@ void ConflictAuditor::on_module_access(ScopeId scope, Cycle now,
 void ConflictAuditor::on_contention(ScopeId scope, Cycle now,
                                     std::string_view kind) {
   auto& s = scopes_[scope];
-  s.checks.inc("contention_checks");
+  s.checks.inc(s.checks.contention_checks);
   flag(s, scope, now, kind, "");
 }
 
 void ConflictAuditor::on_phase_stall(ScopeId scope, Cycle now, Cycle cycles) {
   auto& s = scopes_[scope];
-  s.checks.inc("phase_checks");
+  s.checks.inc(s.checks.phase_checks);
   if (cycles == 0) return;
   flag(s, scope, now, "phase_stall",
        std::to_string(cycles) + "-cycle alignment stall");
@@ -151,7 +151,7 @@ void ConflictAuditor::on_phase_stall(ScopeId scope, Cycle now, Cycle cycles) {
 void ConflictAuditor::on_decode(ScopeId scope, Cycle now,
                                 std::uint32_t fanout) {
   auto& s = scopes_[scope];
-  s.checks.inc("decodes");
+  s.checks.inc(s.checks.decodes);
   if (s.fanout_limit != 0 && fanout > s.fanout_limit) {
     flag(s, scope, now, "decode_fanout",
          "decode touched " + std::to_string(fanout) +
@@ -163,7 +163,7 @@ void ConflictAuditor::on_decode(ScopeId scope, Cycle now,
 void ConflictAuditor::on_parity_guard(ScopeId scope, Cycle now,
                                       std::uint64_t pending) {
   auto& s = scopes_[scope];
-  s.checks.inc("parity_guards");
+  s.checks.inc(s.checks.parity_guards);
   if (pending != 0) {
     flag(s, scope, now, "torn_parity",
          "decode through a stripe group with " + std::to_string(pending) +
@@ -174,15 +174,17 @@ void ConflictAuditor::on_parity_guard(ScopeId scope, Cycle now,
 void ConflictAuditor::on_injected(ScopeId scope, Cycle /*now*/,
                                   std::string_view kind) {
   auto& s = scopes_[scope];
-  s.checks.inc("injected_checks");
-  s.injected.inc(std::string(kind));
+  s.checks.inc(s.checks.injected_checks);
+  s.injected.inc(s.injected.intern(kind));
 }
 
 namespace {
 
 [[nodiscard]] std::uint64_t sum_counters(const CounterSet& set) {
   std::uint64_t total = 0;
-  for (const auto& [name, value] : set.all()) total += value;
+  set.for_each([&total](const std::string&, std::uint64_t value) {
+    total += value;
+  });
   return total;
 }
 
@@ -241,15 +243,9 @@ Json ConflictAuditor::to_json() const {
     sj["bank_cycle"] = s.bank_cycle;
     sj["beta"] = s.beta;
     if (s.fanout_limit != 0) sj["fanout_limit"] = s.fanout_limit;
-    Json checks = Json::object();
-    for (const auto& [name, value] : s.checks.all()) checks[name] = value;
-    sj["checks"] = std::move(checks);
-    Json issues = Json::object();
-    for (const auto& [name, value] : s.issues.all()) issues[name] = value;
-    sj["issues"] = std::move(issues);
-    Json injected = Json::object();
-    for (const auto& [name, value] : s.injected.all()) injected[name] = value;
-    sj["injected"] = std::move(injected);
+    sj["checks"] = sim::to_json(s.checks);
+    sj["issues"] = sim::to_json(s.issues);
+    sj["injected"] = sim::to_json(s.injected);
     scopes[s.name] = std::move(sj);
   }
   doc["scopes"] = std::move(scopes);

@@ -189,7 +189,21 @@ class ConflictAuditor {
     std::vector<Cycle> busy_until;      ///< per bank/module/channel
     std::vector<std::uint32_t> perm_seen;  ///< omega scratch, slot-stamped
     std::uint64_t perm_stamp = 0;
-    CounterSet checks;
+    /// Check counters, interned at registration.  Issue and injected
+    /// kinds are caller literals, interned on first use.
+    struct Checks : CounterSet {
+      CounterId bank_accesses = intern("bank_accesses");
+      CounterId scheduled_accesses = intern("scheduled_accesses");
+      CounterId blocks_completed = intern("blocks_completed");
+      CounterId omega_slots = intern("omega_slots");
+      CounterId module_accesses = intern("module_accesses");
+      CounterId contention_checks = intern("contention_checks");
+      CounterId phase_checks = intern("phase_checks");
+      CounterId decodes = intern("decodes");
+      CounterId parity_guards = intern("parity_guards");
+      CounterId injected_checks = intern("injected_checks");
+    };
+    Checks checks;
     CounterSet issues;
     CounterSet injected;  ///< fault-injection observations, never violations
     std::vector<Violation> samples;

@@ -248,11 +248,11 @@ std::uint32_t FaultInjector::active_count(Cycle now) const {
 }
 
 bool FaultInjector::drop_message(Cycle now) {
-  counters_.inc("messages_offered");
+  counters_.inc(counters_.messages_offered);
   for (const auto& s : plan_.specs()) {
     if (s.kind != FaultKind::MessageDrop || !s.active(now)) continue;
     if (rng_.chance(s.probability)) {
-      counters_.inc("messages_dropped");
+      counters_.inc(counters_.messages_dropped);
       return true;
     }
   }

@@ -132,7 +132,12 @@ class FaultInjector {
  private:
   FaultPlan plan_;
   Rng rng_;
-  CounterSet counters_;
+  /// The injector's counters, with every id interned at construction.
+  struct Counters : CounterSet {
+    CounterId messages_offered = intern("messages_offered");
+    CounterId messages_dropped = intern("messages_dropped");
+  };
+  Counters counters_;
 };
 
 }  // namespace cfm::sim

@@ -6,6 +6,7 @@
 #include <fstream>
 #include <ostream>
 #include <sstream>
+#include <stdexcept>
 #include <utility>
 
 namespace cfm::sim {
@@ -444,7 +445,9 @@ bool Json::operator==(const Json& other) const {
 
 Json to_json(const CounterSet& counters) {
   Json out = Json::object();
-  for (const auto& [name, value] : counters.all()) out[name] = value;
+  counters.for_each([&out](const std::string& name, std::uint64_t value) {
+    out[name] = value;
+  });
   return out;
 }
 
@@ -498,12 +501,39 @@ StatSummary stat_summary_from_json(const Json& j) {
   return out;
 }
 
+std::uint64_t exact_u64(const Json& v, const char* prefix,
+                        const std::string& key) {
+  switch (v.kind()) {
+    case Json::Kind::Uint:
+      return v.as_uint();
+    case Json::Kind::Int:
+      if (v.as_int() >= 0) return v.as_uint();
+      break;
+    case Json::Kind::Double: {
+      // 2^64 is the first double past the uint64 range.
+      const double d = v.as_double();
+      if (d >= 0.0 && d < 18446744073709551616.0 && std::floor(d) == d) {
+        return static_cast<std::uint64_t>(d);
+      }
+      break;
+    }
+    default:
+      break;
+  }
+  throw std::invalid_argument(std::string(prefix) + "'" + key + "' = " +
+                              v.dump() + " is not a non-negative integer");
+}
+
 CounterSet counters_from_json(const Json& j) {
   CounterSet out;
-  for (const auto& [name, value] : j.as_object()) {
-    out.inc(name, value.as_uint());
-  }
+  add_counters_json(out, j);
   return out;
+}
+
+void add_counters_json(CounterSet& into, const Json& j) {
+  for (const auto& [name, value] : j.as_object()) {
+    into.inc(into.intern(name), exact_u64(value, "counter ", name));
+  }
 }
 
 Json to_json(const StatSummary& s) {
@@ -556,12 +586,6 @@ std::string canonical_hash_hex(const Json& value) {
     h >>= 4;
   }
   return out;
-}
-
-Json merge_counters_json(const Json& a, const Json& b) {
-  CounterSet merged = counters_from_json(a);
-  merged.merge(counters_from_json(b));
-  return to_json(merged);
 }
 
 // ---- Report -----------------------------------------------------------

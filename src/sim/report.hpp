@@ -140,7 +140,18 @@ struct StatSummary {
   double mean = 0.0, min = 0.0, max = 0.0, stddev = 0.0, sum = 0.0;
 };
 [[nodiscard]] StatSummary stat_summary_from_json(const Json& j);
+/// `v` as an exact non-negative integer.  Throws std::invalid_argument
+/// naming `prefix`, `key` and the value for anything that would be
+/// truncated or wrap (2.5, -4, 1e30, a string); integral doubles ("4.0")
+/// are exact.  The message is built only on failure.
+[[nodiscard]] std::uint64_t exact_u64(const Json& v, const char* prefix,
+                                      const std::string& key);
+/// Parses a to_json(CounterSet) object.  Throws std::invalid_argument
+/// naming the counter when a value is not a non-negative integer.
 [[nodiscard]] CounterSet counters_from_json(const Json& j);
+/// Adds the counters of a to_json(CounterSet) object into `into`, with
+/// counters_from_json's checks.
+void add_counters_json(CounterSet& into, const Json& j);
 /// Serializes a StatSummary with the same six fields to_json(RunningStat)
 /// emits, so summaries merged outside a RunningStat stay schema-compatible.
 [[nodiscard]] Json to_json(const StatSummary& s);
@@ -161,10 +172,6 @@ struct StatSummary {
 [[nodiscard]] std::uint64_t canonical_hash(const Json& value);
 /// canonical_hash rendered as 16 lowercase hex digits (cache file names).
 [[nodiscard]] std::string canonical_hash_hex(const Json& value);
-
-/// Merges two counter-set JSON objects (as produced by
-/// to_json(CounterSet)) through CounterSet::merge; counters are additive.
-[[nodiscard]] Json merge_counters_json(const Json& a, const Json& b);
 
 // ---- Report -----------------------------------------------------------
 

@@ -131,13 +131,44 @@ double Log2Histogram::quantile(double q) const noexcept {
   return static_cast<double>(bucket_upper(kBuckets - 1));
 }
 
-std::uint64_t CounterSet::get(const std::string& name) const {
-  const auto it = counters_.find(name);
-  return it == counters_.end() ? 0 : it->second;
+CounterId CounterSet::intern(std::string_view name) {
+  if (const auto it = index_.find(name); it != index_.end()) {
+    return it->second;
+  }
+  const auto id = static_cast<CounterId>(slots_.size());
+  slots_.emplace_back();
+  names_.emplace_back(name);
+  index_.emplace(name, id);
+  return id;
+}
+
+std::optional<CounterId> CounterSet::find(std::string_view name) const {
+  const auto it = index_.find(name);
+  if (it == index_.end()) return std::nullopt;
+  return it->second;
+}
+
+std::uint64_t CounterSet::get(std::string_view name) const {
+  const auto id = find(name);
+  return id ? get(*id) : 0;
+}
+
+std::map<std::string, std::uint64_t> CounterSet::all() const {
+  std::map<std::string, std::uint64_t> out;
+  for_each([&](const std::string& name, std::uint64_t value) {
+    out.emplace_hint(out.end(), name, value);
+  });
+  return out;
 }
 
 void CounterSet::merge(const CounterSet& other) {
-  for (const auto& [name, value] : other.counters_) counters_[name] += value;
+  other.for_each([this](const std::string& name, std::uint64_t value) {
+    inc(intern(name), value);
+  });
+}
+
+void CounterSet::reset() noexcept {
+  for (auto& slot : slots_) slot = Slot{};
 }
 
 void StatShard::merge(const StatShard& other) {

@@ -4,8 +4,11 @@
 #include <algorithm>
 #include <array>
 #include <cstdint>
+#include <functional>
 #include <map>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace cfm::sim {
@@ -100,22 +103,58 @@ class Log2Histogram {
   double sum_ = 0.0;
 };
 
+/// Index of one counter inside the CounterSet that interned it.
+using CounterId = std::uint32_t;
+
 /// Named counters, for protocol event accounting (invalidations issued,
-/// retries, aborted writes, restarted reads, ...).
+/// retries, aborted writes, restarted reads, ...).  Names are interned:
+/// a unit resolves each name to a CounterId once, at construction, and
+/// every hot-path bump is a flat-array increment.  An id belongs to the
+/// set that interned it (and to copies of that set).  A counter is
+/// reported only once it has been incremented, even by 0: interning alone
+/// adds nothing to all() or to_json.
 class CounterSet {
  public:
-  void inc(const std::string& name, std::uint64_t by = 1) { counters_[name] += by; }
-  [[nodiscard]] std::uint64_t get(const std::string& name) const;
-  [[nodiscard]] const std::map<std::string, std::uint64_t>& all() const noexcept {
-    return counters_;
+  /// Returns `name`'s id, registering it on first use.  Idempotent.
+  CounterId intern(std::string_view name);
+  /// The id of an already interned `name`, if any.
+  [[nodiscard]] std::optional<CounterId> find(std::string_view name) const;
+  void inc(CounterId id, std::uint64_t by = 1) noexcept {
+    auto& slot = slots_[id];
+    slot.value += by;
+    slot.live = true;
   }
-  /// Adds every counter of `other` into this set (counters are additive,
-  /// so merging is order-independent).
+  [[nodiscard]] std::uint64_t get(CounterId id) const noexcept {
+    return slots_[id].value;
+  }
+  [[nodiscard]] std::uint64_t get(std::string_view name) const;
+  [[nodiscard]] const std::string& name(CounterId id) const {
+    return names_[id];
+  }
+  /// Calls fn(name, value) for every incremented counter, by name.
+  template <typename Fn>
+  void for_each(Fn&& fn) const {
+    for (const auto& [name, id] : index_) {
+      if (slots_[id].live) fn(name, slots_[id].value);
+    }
+  }
+  /// Every incremented counter, sorted by name.
+  [[nodiscard]] std::map<std::string, std::uint64_t> all() const;
+  /// Adds every incremented counter of `other` into this set, matching
+  /// counters by name (counters are additive, so merging is
+  /// order-independent).
   void merge(const CounterSet& other);
-  void reset() noexcept { counters_.clear(); }
+  /// Zeroes every counter and withdraws it from reports; ids stay valid.
+  void reset() noexcept;
 
  private:
-  std::map<std::string, std::uint64_t> counters_;
+  struct Slot {
+    std::uint64_t value = 0;
+    bool live = false;  ///< incremented since construction or reset()
+  };
+  std::vector<Slot> slots_;         ///< by id
+  std::vector<std::string> names_;  ///< by id
+  std::map<std::string, CounterId, std::less<>> index_;
 };
 
 /// Alignment for per-domain hot state.  A fixed 64 bytes (the line size

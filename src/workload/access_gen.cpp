@@ -198,8 +198,10 @@ EfficiencyResult measure_instrumented(Memory& memory, double rate,
                            [&driver] { return driver.retried(); });
     telemetry->add_counter("ops_failed", [&driver] { return driver.failed(); });
     for (const char* name : kCoded ? kCodedSeries : kCfmSeries) {
-      telemetry->add_counter(std::string("mem.") + name, [&memory, name] {
-        return memory.counters().get(name);
+      // A counter this memory never interns reads 0 for the whole run.
+      const auto id = memory.counters().find(name);
+      telemetry->add_counter(std::string("mem.") + name, [&memory, id] {
+        return id ? memory.counters().get(*id) : 0;
       });
     }
     telemetry->add_gauge("in_flight", [&driver](sim::Cycle) {
@@ -238,7 +240,8 @@ EfficiencyResult measure_instrumented(Memory& memory, double rate,
          {std::pair{"ops_completed", driver.completed()},
           std::pair{"ops_retried", driver.retried()},
           std::pair{"ops_failed", driver.failed()}}) {
-      if (n != 0) hooks.counters_out->inc(name, n);
+      auto& out = *hooks.counters_out;
+      if (n != 0) out.inc(out.intern(name), n);
     }
     hooks.counters_out->merge(memory.counters());
   }

@@ -25,7 +25,8 @@ HierDriver::HierDriver(std::string name, sim::Engine& engine,
       rng_(seed),
       procs_(machine.processor_count()),
       shard_(shard),
-      access_time_(shard.stat("hier.access_time")) {
+      access_time_(shard.stat("hier.access_time")),
+      ops_completed_(shard.counters.intern("hier.ops_completed")) {
   engine.add(*this);
   machine.set_completion_hook([this](sim::Cycle) {
     // A request retired mid-cycle (controller's Network tick): harvest at
@@ -81,7 +82,7 @@ void HierDriver::tick_phase(sim::Phase, sim::Cycle now) {
   }
   if (harvested != 0) {
     completed_ += harvested;
-    shard_.counters.inc("hier.ops_completed", harvested);
+    shard_.counters.inc(ops_completed_, harvested);
   }
   // 2. Round barrier: with the last completion harvested, the whole
   //    machine thinks for one shared interval (a BSP superstep), leaving

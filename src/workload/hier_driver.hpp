@@ -86,6 +86,7 @@ class HierDriver final : public sim::Component {
   std::vector<ProcState> procs_;
   sim::StatShard& shard_;
   sim::RunningStat& access_time_;  ///< shard_'s "hier.access_time"
+  sim::CounterId ops_completed_;   ///< shard_'s "hier.ops_completed"
   std::uint64_t completed_ = 0;
   std::uint64_t ticks_ = 0;
 };

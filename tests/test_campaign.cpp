@@ -328,6 +328,28 @@ TEST(ResultCache, CorruptEntryIsAMiss) {
   EXPECT_FALSE(cache.load(point).has_value());
 }
 
+TEST(ResultCache, EntryWithBadCounterValuesIsAMiss) {
+  // A negative or fractional counter would wrap or truncate in the
+  // campaign aggregate: the entry reads as corrupt and the point reruns.
+  ScratchDir dir("badcounters");
+  ResultCache cache((dir.path / "c").string());
+  const auto point = small_grid().expand().front();
+  for (const char* bad : {"-1", "2.7"}) {
+    auto result = sim::Json::object();
+    result["metrics"] = sim::Json::object();
+    result["counters"] = sim::Json::parse(
+        std::string(R"({"ops_completed": 5, "restarts": )") + bad + "}");
+    cache.store(point, result);
+    EXPECT_FALSE(cache.load(point).has_value()) << bad;
+  }
+  auto good = sim::Json::object();
+  good["metrics"] = sim::Json::object();
+  good["counters"] =
+      sim::Json::parse(R"({"ops_completed": 5, "restarts": 2.0})");
+  cache.store(point, good);
+  EXPECT_TRUE(cache.load(point).has_value());
+}
+
 TEST(ResultCache, ConcurrentStoresOfSameKeyLandSafely) {
   // Sharded sweeps point several campaign *processes* at one cache
   // directory, so temp names carry the pid as well as the thread id (two

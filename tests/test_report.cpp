@@ -122,8 +122,8 @@ TEST(Report, EmitsSchemaAndAllSections) {
   report.add_scalar("efficiency", 0.5);
 
   CounterSet counters;
-  counters.inc("hits", 3);
-  counters.inc("misses", 1);
+  counters.inc(counters.intern("hits"), 3);
+  counters.inc(counters.intern("misses"), 1);
   report.add_counters("cache", counters);
 
   RunningStat stat;
@@ -170,12 +170,37 @@ TEST(Report, StatSummaryRoundTrip) {
 
 TEST(Report, CountersRoundTrip) {
   CounterSet counters;
-  counters.inc("restarts", 17);
-  counters.inc("invalidations", 5);
+  counters.inc(counters.intern("restarts"), 17);
+  counters.inc(counters.intern("invalidations"), 5);
   const auto back = counters_from_json(to_json(counters));
   EXPECT_EQ(back.get("restarts"), 17u);
   EXPECT_EQ(back.get("invalidations"), 5u);
   EXPECT_EQ(back.all().size(), 2u);
+}
+
+TEST(Report, CounterValuesMustBeNonNegativeIntegers) {
+  // A negative value used to wrap and a fractional one to truncate:
+  // merging {"ops_completed":5} with {"ops_completed":-1,"restarts":2.7}
+  // gave {"ops_completed":4,"restarts":2}.
+  const auto five = Json::parse(R"({"ops_completed": 5})");
+  for (const char* bad : {R"({"ops_completed": -1})", R"({"restarts": 2.7})",
+                          R"({"restarts": 1e30})", R"({"restarts": "3"})"}) {
+    const auto b = Json::parse(bad);
+    EXPECT_THROW((void)counters_from_json(b), std::invalid_argument) << bad;
+    CounterSet merged = counters_from_json(five);
+    EXPECT_THROW(add_counters_json(merged, b), std::invalid_argument) << bad;
+  }
+  try {
+    (void)counters_from_json(Json::parse(R"({"restarts": 2.7})"));
+    ADD_FAILURE() << "2.7 accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("restarts"), std::string::npos)
+        << e.what();
+  }
+  // Integral doubles are exact.
+  CounterSet merged = counters_from_json(five);
+  add_counters_json(merged, Json::parse(R"({"ops_completed": 2.0})"));
+  EXPECT_EQ(merged.get("ops_completed"), 7u);
 }
 
 TEST(Report, HistogramJsonIncludesQuantiles) {
@@ -200,7 +225,7 @@ TEST(MetricsRegistry, SnapshotSeesLiveUpdates) {
   EXPECT_EQ(registry.size(), 3u);
 
   // Mutations after registration must be visible at snapshot time.
-  counters.inc("ticks", 2);
+  counters.inc(counters.intern("ticks"), 2);
   stat.add(7.0);
   hist.add(1.5);
 

@@ -8,11 +8,16 @@
 #include <string>
 #include <vector>
 
+#include "cfm/cfm_memory.hpp"
+#include "mem/coded/coded_memory.hpp"
+#include "sim/audit.hpp"
 #include "sim/engine.hpp"
+#include "sim/fault.hpp"
 #include "sim/log.hpp"
 #include "sim/report.hpp"
 #include "sim/rng.hpp"
 #include "sim/stats.hpp"
+#include "workload/access_gen.hpp"
 
 namespace {
 
@@ -260,10 +265,10 @@ TEST(RunningStat, MergedHalvesMatchWholeStream) {
 TEST(CounterSet, MergeIsAdditive) {
   CounterSet a;
   CounterSet b;
-  a.inc("x", 3);
-  a.inc("y");
-  b.inc("x", 2);
-  b.inc("z", 5);
+  a.inc(a.intern("x"), 3);
+  a.inc(a.intern("y"));
+  b.inc(b.intern("x"), 2);
+  b.inc(b.intern("z"), 5);
   a.merge(b);
   EXPECT_EQ(a.get("x"), 5u);
   EXPECT_EQ(a.get("y"), 1u);
@@ -274,9 +279,9 @@ TEST(CounterSet, MergeIsAdditive) {
 TEST(StatShard, MergeCombinesCountersAndRunningStats) {
   StatShard a;
   StatShard b;
-  a.counters.inc("ops", 10);
+  a.counters.inc(a.counters.intern("ops"), 10);
   a.stat("lat").add(4.0);
-  b.counters.inc("ops", 5);
+  b.counters.inc(b.counters.intern("ops"), 5);
   b.stat("lat").add(8.0);
   b.stat("depth").add(1.0);
   a.merge(b);
@@ -289,14 +294,183 @@ TEST(StatShard, MergeCombinesCountersAndRunningStats) {
 TEST(CounterSet, IncrementAndQuery) {
   CounterSet c;
   EXPECT_EQ(c.get("x"), 0u);
-  c.inc("x");
-  c.inc("x", 4);
-  c.inc("y");
+  c.inc(c.intern("x"));
+  c.inc(c.intern("x"), 4);
+  c.inc(c.intern("y"));
   EXPECT_EQ(c.get("x"), 5u);
   EXPECT_EQ(c.get("y"), 1u);
   EXPECT_EQ(c.all().size(), 2u);
   c.reset();
   EXPECT_EQ(c.get("x"), 0u);
+}
+
+TEST(CounterSet, InternIsIdempotent) {
+  CounterSet c;
+  const auto x = c.intern("x");
+  const auto y = c.intern("y");
+  EXPECT_NE(x, y);
+  EXPECT_EQ(c.intern("x"), x);
+  EXPECT_EQ(c.intern(std::string("y")), y);
+  EXPECT_EQ(c.find("x"), x);
+  EXPECT_FALSE(c.find("z").has_value());
+  c.inc(x, 2);
+  EXPECT_EQ(c.intern("x"), x);
+  EXPECT_EQ(c.get(x), 2u);
+  EXPECT_EQ(c.name(x), "x");
+}
+
+TEST(CounterSet, InternedButNeverIncrementedIsAbsent) {
+  CounterSet c;
+  const auto quiet = c.intern("quiet");
+  const auto zero = c.intern("zero");
+  c.inc(c.intern("loud"), 3);
+  EXPECT_EQ(to_json(c).dump(), R"({"loud":3})");
+  EXPECT_EQ(c.get("quiet"), 0u);
+  c.inc(zero, 0);  // an increment by 0 still makes the counter reportable
+  EXPECT_EQ(to_json(c).dump(), R"({"loud":3,"zero":0})");
+  EXPECT_EQ(c.all().size(), 2u);
+  CounterSet merged;
+  merged.merge(c);
+  EXPECT_EQ(to_json(merged).dump(), R"({"loud":3,"zero":0})");
+  EXPECT_FALSE(merged.find("quiet").has_value());
+  (void)quiet;
+}
+
+TEST(CounterSet, MergeMatchesCountersByName) {
+  CounterSet a;
+  CounterSet b;
+  const auto ax = a.intern("x");
+  const auto ay = a.intern("y");
+  const auto by = b.intern("y");
+  const auto bz = b.intern("z");
+  const auto bx = b.intern("x");
+  ASSERT_EQ(ax, by);  // the same id names different counters in a and b
+  a.inc(ax, 1);
+  a.inc(ay, 10);
+  b.inc(bx, 100);
+  b.inc(by, 1000);
+  b.inc(bz, 10000);
+  a.merge(b);
+  EXPECT_EQ(a.get("x"), 101u);
+  EXPECT_EQ(a.get("y"), 1010u);
+  EXPECT_EQ(a.get("z"), 10000u);
+  EXPECT_EQ(b.get("x"), 100u);  // source untouched
+}
+
+TEST(CounterSet, CopyMoveAndResetKeepIdsValid) {
+  CounterSet a;
+  const auto x = a.intern("x");
+  const auto y = a.intern("y");
+  a.inc(x, 4);
+  CounterSet copy = a;
+  copy.inc(x);
+  copy.inc(y);
+  EXPECT_EQ(copy.get(x), 5u);
+  EXPECT_EQ(copy.get(y), 1u);
+  EXPECT_EQ(a.get(x), 4u);  // the copy is independent
+  EXPECT_EQ(a.get(y), 0u);
+  CounterSet moved = std::move(copy);
+  moved.inc(x);
+  EXPECT_EQ(moved.get(x), 6u);
+  CounterSet assigned;
+  assigned = moved;
+  EXPECT_EQ(assigned.get(y), 1u);
+  assigned.reset();
+  EXPECT_EQ(to_json(assigned).dump(), "{}");
+  EXPECT_EQ(assigned.get(x), 0u);
+  assigned.inc(y, 2);
+  EXPECT_EQ(assigned.intern("y"), y);
+  EXPECT_EQ(to_json(assigned).dump(), R"({"y":2})");
+}
+
+TEST(CounterSet, ToJsonKeysAreSortedByName) {
+  CounterSet c;
+  for (const char* name : {"zeta", "alpha", "mid", "Beta", "alpha2"}) {
+    c.inc(c.intern(name));
+  }
+  EXPECT_EQ(to_json(c).dump(),
+            R"({"Beta":1,"alpha":1,"alpha2":1,"mid":1,"zeta":1})");
+  std::vector<std::string> seen;
+  c.for_each([&seen](const std::string& name, std::uint64_t) {
+    seen.push_back(name);
+  });
+  EXPECT_EQ(seen, (std::vector<std::string>{"Beta", "alpha", "alpha2", "mid",
+                                            "zeta"}));
+}
+
+std::vector<std::string> keys_of(const Json& object) {
+  std::vector<std::string> out;
+  for (const auto& [key, value] : object.as_object()) out.push_back(key);
+  return out;
+}
+
+using Keys = std::vector<std::string>;
+
+// Units intern every counter they may bump at construction; a report must
+// still list only the counters that fired.  Pins the key sets of an
+// audited CfmMemory run and a faulted CodedMemory run.
+TEST(CounterSet, AuditedRunReportKeySetsArePinned) {
+  {
+    cfm::core::CfmMemory mem(cfm::core::CfmConfig::make(8, 2));
+    ConflictAuditor auditor;
+    mem.set_audit(auditor);
+    cfm::workload::RunHooks hooks;
+    CounterSet out;
+    hooks.counters_out = &out;
+    (void)cfm::workload::measure_instrumented(mem, 0.3, 0.3, 4000, 7, hooks);
+    const Keys memory{"ops_completed", "ops_issued"};
+    EXPECT_EQ(keys_of(to_json(mem.counters())), memory);
+    EXPECT_EQ(keys_of(to_json(out)), memory);
+    const auto audit = auditor.to_json();
+    EXPECT_EQ(keys_of(audit.at("scopes")), (Keys{"module0"}));
+    const auto& scope = audit.at("scopes").at("module0");
+    EXPECT_EQ(keys_of(scope.at("checks")),
+              (Keys{"bank_accesses", "blocks_completed",
+                    "scheduled_accesses"}));
+    EXPECT_EQ(keys_of(scope.at("issues")), (Keys{}));
+    EXPECT_EQ(keys_of(scope.at("injected")), (Keys{}));
+  }
+  {
+    cfm::mem::coded::CodedConfig cfg;
+    cfg.processors = 4;
+    cfg.bank_cycle = 1;
+    cfg.code.data_banks = 8;
+    cfg.code.stripe_width = 4;
+    cfg.code.parity_per_stripe = 1;
+    cfg.code.policy = cfm::mem::coded::ParityPolicy::Logged;
+    cfm::mem::coded::CodedMemory mem(cfg);
+    ConflictAuditor auditor;
+    mem.set_audit(auditor);
+    FaultInjector injector(FaultPlan::parse(
+        "bank_dead@2000:module=0,bank=3;brownout@3000+50:module=0"));
+    mem.set_fault_injector(injector);
+    cfm::workload::RunHooks hooks;
+    CounterSet out;
+    hooks.counters_out = &out;
+    (void)cfm::workload::measure_instrumented(mem, 0.3, 0.25, 6000, 11, hooks);
+    // fault_aborts is materialized at zero; parity_skipped, ops_aborted,
+    // bank_failures_unmapped and the rest never fire here.
+    const Keys memory{"bank_failures",        "bank_stalls",
+                      "brownouts",            "data_bank_failures",
+                      "decode_bank_reads",    "decode_mismatches",
+                      "fault_aborts",         "log_stalls",
+                      "ops_completed",        "parity_deltas_coalesced",
+                      "parity_deltas_logged", "parity_updates",
+                      "reads",                "torn_parity_waits",
+                      "word_reads_decoded",   "word_reads_direct",
+                      "word_writes_decoded",  "word_writes_direct",
+                      "writes"};
+    EXPECT_EQ(keys_of(to_json(mem.counters())), memory);
+    EXPECT_EQ(keys_of(to_json(out)), memory);
+    const auto audit = auditor.to_json();
+    EXPECT_EQ(keys_of(audit.at("scopes")), (Keys{"coded_memory"}));
+    const auto& scope = audit.at("scopes").at("coded_memory");
+    EXPECT_EQ(keys_of(scope.at("checks")),
+              (Keys{"bank_accesses", "decodes", "injected_checks",
+                    "parity_guards"}));
+    EXPECT_EQ(keys_of(scope.at("issues")), (Keys{}));
+    EXPECT_EQ(keys_of(scope.at("injected")), (Keys{"bank_dead", "brownout"}));
+  }
 }
 
 TEST(Engine, PhasesRunInOrderEveryCycle) {

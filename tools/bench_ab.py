@@ -16,7 +16,16 @@ the median of each side, the parent's quartiles and how many pairs the
 change won, and appends one row per side to the trajectory file:
 workload, metric, unit, side, source digest, base SHA, seed, pairs,
 median, quartiles, wins, the simulated-statistics digest and the host
-line.  --dry-run prints the table without touching the file.
+line.  After the pairs of a seed, each side runs once more with
+`--trace 1`; every per-layer metric of BENCHMARK.json that run reports
+becomes one more row per side, marked `"kind": "per_layer"` (its median
+and quartiles are the single traced value), except metrics that read 0
+on both sides (layers the workload does not exercise).  A row without
+`kind` is end-to-end.  --dry-run prints the tables without touching the file.
+
+The parent and the change must simulate the same thing: when a seed's
+digests differ between the sides the tool prints DIGEST MISMATCH and,
+after appending the rows, exits 1.
 
 A row's `source_digest` (perfbench's hash of the sources it built)
 identifies the code measured.  `base_sha` is the commit the measured tree
@@ -78,11 +87,11 @@ def extract_parent(ref, work_dir):
     return sha, tree
 
 
-def run_once(tree, workload, seed):
+def run_once(tree, workload, seed, trace=0):
     """One perfbench run; returns (metrics dict, digest, source digest)."""
     proc = subprocess.run(
         [sys.executable, os.path.join("perfbench", "run.py"),
-         "--workload", workload, "--seed", str(seed), "--trace", "0"],
+         "--workload", workload, "--seed", str(seed), "--trace", str(trace)],
         cwd=tree, capture_output=True, text=True)
     if proc.returncode != 0:
         sys.stderr.write(proc.stderr[-4000:])
@@ -121,6 +130,7 @@ def main():
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as f:
         bench = json.load(f)
     spec = {m["name"]: m for m in bench["end_to_end"]}
+    layers = {m["name"]: m for m in bench["per_layer"]}
     parent_sha, parent_tree = extract_parent(args.parent, args.work_dir)
     head = git("rev-parse", "HEAD")
     dirty = bool(git("status", "--porcelain", "--untracked-files=no"))
@@ -128,6 +138,7 @@ def main():
     stamp = datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
 
     rows = []
+    mismatched = []
     for seed in args.seed:
         runs = {"parent": [], "change": []}
         digests = {"parent": set(), "change": set()}
@@ -148,6 +159,9 @@ def main():
               f"{' + uncommitted changes' if dirty else ''}")
         print(f"   digests: parent {sorted(digests['parent'])} "
               f"change {sorted(digests['change'])}")
+        if digests["parent"] != digests["change"]:
+            print(f"   DIGEST MISMATCH on seed {seed}")
+            mismatched.append(seed)
         for name, m in spec.items():
             a = [r[name] for r in runs["parent"]]
             b = [r[name] for r in runs["change"]]
@@ -178,8 +192,47 @@ def main():
                     "digest": ",".join(sorted(digests[side])),
                     "host": host, "measured": stamp})
 
+        traced, traced_digests = {}, {}
+        for side in ("parent", "change"):
+            tree = parent_tree if side == "parent" else ROOT
+            traced[side], traced_digests[side], sources[side] = run_once(
+                tree, args.workload, seed, trace=1)
+            log(f"{args.workload} seed {seed} traced {side}: "
+                f"digest {traced_digests[side]}")
+        print("   per-layer (one --trace 1 run per side)")
+        if (traced_digests["parent"] != traced_digests["change"]
+                and seed not in mismatched):
+            print(f"   DIGEST MISMATCH on seed {seed} (traced runs)")
+            mismatched.append(seed)
+        for name, m in layers.items():
+            if name not in traced["parent"] or name not in traced["change"]:
+                continue
+            a, b = traced["parent"][name], traced["change"][name]
+            if a == 0 and b == 0:
+                continue  # a layer this workload does not exercise
+            print(f"   {name:34s} {a:>14.6g} -> {b:>14.6g}  "
+                  f"x{(b / a if a else float('nan')):.3f}")
+            for side, value, sha, side_dirty in (
+                    ("parent", a, parent_sha, False),
+                    ("change", b, head, dirty)):
+                rows.append({
+                    "workload": args.workload, "metric": name,
+                    "kind": "per_layer", "unit": m["unit"],
+                    "better": m["better"], "side": side,
+                    "source_digest": sources[side], "base_sha": sha,
+                    "dirty": side_dirty, "seed": seed, "pairs": 1,
+                    "seconds": bench["run_seconds"],
+                    "median": value, "q1": value, "q3": value,
+                    "digest": ",".join(sorted(digests[side])),
+                    "host": host, "measured": stamp})
+
+    status = 0
+    if mismatched:
+        log(f"DIGEST MISMATCH: parent and change simulate differently on "
+            f"seed(s) {mismatched}")
+        status = 1
     if args.dry_run:
-        return 0
+        return status
     doc = {"schema": SCHEMA, "rows": []}
     if os.path.exists(args.out):
         with open(args.out, encoding="utf-8") as f:
@@ -192,7 +245,7 @@ def main():
         json.dump(doc, f, indent=1)
         f.write("\n")
     log(f"appended {len(rows)} rows to {args.out}")
-    return 0
+    return status
 
 
 if __name__ == "__main__":
