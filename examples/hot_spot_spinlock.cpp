@@ -29,16 +29,16 @@ int main() {
   std::printf("%-12s %-22s %-22s %-22s\n", "contenders", "CFM swap (acq/kcyc)",
               "CFM cached (acq/kcyc)", "snoopy bus (acq/kcyc)");
   for (const std::uint32_t n : {2u, 4u, 8u, 16u}) {
-    const auto cfm = run_lock_farm_cfm(n, 20, 40000, 1);
-    const auto cached = run_lock_farm_cached(n, 20, 40000, 1);
-    const auto bus = run_lock_farm_snoopy(n, 20, 40000, 1);
+    const auto cfm = run_lock_farm_cfm(n, 20, 40000);
+    const auto cached = run_lock_farm_cached(n, 20, 40000);
+    const auto bus = run_lock_farm_snoopy(n, 20, 40000);
     std::printf("%-12u %-22.2f %-22.2f %-22.2f\n", n, cfm.throughput,
                 cached.throughput, bus.throughput);
   }
 
   std::printf("\n=== Where the contention lives ===\n");
-  const auto bus = run_lock_farm_snoopy(16, 20, 40000, 1);
-  const auto cached = run_lock_farm_cached(16, 20, 40000, 1);
+  const auto bus = run_lock_farm_snoopy(16, 20, 40000);
+  const auto cached = run_lock_farm_cached(16, 20, 40000);
   std::printf("snoopy bus utilization at 16 contenders: %.0f%%\n",
               100.0 * bus.aux_pressure);
   std::printf("CFM invalidations per lock hand-off:     %.1f\n",

@@ -13,7 +13,7 @@ using core::CfmMemory;
 HierarchicalCfm::HierarchicalCfm(const Params& params)
     : params_(params),
       l2_(params.clusters),
-      proc_busy_(params.clusters * params.procs_per_cluster, false) {
+      slots_(params.clusters * params.procs_per_cluster) {
   const auto cluster_cfg = core::CfmConfig::make(
       params.procs_per_cluster, params.bank_cycle, params.word_bits);
   cluster_mem_.reserve(params.clusters);
@@ -47,7 +47,7 @@ std::uint32_t HierarchicalCfm::beta_global() const noexcept {
 }
 
 bool HierarchicalCfm::processor_idle(sim::ProcessorId p) const {
-  return !proc_busy_.at(p);
+  return slots_.at(p).id == 0;
 }
 
 void HierarchicalCfm::check_processor(sim::ProcessorId p) const {
@@ -56,6 +56,25 @@ void HierarchicalCfm::check_processor(sim::ProcessorId p) const {
                                 " is out of range (the machine has " +
                                 std::to_string(processor_count()) + ")");
   }
+}
+
+void HierarchicalCfm::check_idle(sim::ProcessorId p) const {
+  const Slot& slot = slots_[p];
+  if (slot.id == 0) return;
+  throw std::logic_error("processor " + std::to_string(p) +
+                         " is busy: request " + std::to_string(slot.id) +
+                         (slot.done ? " has an untaken result"
+                                    : " is in flight"));
+}
+
+HierarchicalCfm::ReqId HierarchicalCfm::submit(Pending&& q) {
+  slots_[q.proc].id = q.id;  // idle, so the slot is empty
+  pending_.push_back(std::move(q));
+  // A sleeping controller must see the new request this very cycle.
+  if (controller_ != nullptr) {
+    controller_->set_next_event(sim::Component::kAlways);
+  }
+  return pending_.back().id;
 }
 
 void HierarchicalCfm::set_txn_trace(sim::TxnTracer& tracer) {
@@ -68,22 +87,21 @@ void HierarchicalCfm::set_txn_trace(sim::TxnTracer& tracer) {
 HierarchicalCfm::ReqId HierarchicalCfm::read(sim::Cycle now, sim::ProcessorId p,
                                              sim::BlockAddr offset) {
   check_processor(p);
-  if (!processor_idle(p)) throw std::logic_error("processor busy");
+  check_idle(p);
   Pending q;
   q.id = next_req_++;
   q.proc = p;
   q.offset = offset;
   q.issued = now;
   if (tracer_) q.txn = tracer_->begin(tracer_unit_, now, p, "read", offset);
-  proc_busy_.at(p) = true;
   auto& cache = *l1_[p];
-  if (const auto* line = cache.find(offset)) {
+  if (cache.find(offset) != nullptr) {
+    // The hit's data is the line itself; nothing downstream reads a copy.
     cache.count_hit();
     counters_.inc(counters_.l1_hits);
     q.phase = Phase::L1Hit;
     q.phase_until = now + 1;
     q.cls = AccessClass::L1Hit;
-    q.block = line->data;
     if (tracer_) tracer_->span(q.txn, sim::TxnPhase::Cache, now, now + 1);
   } else {
     cache.count_miss();
@@ -93,12 +111,7 @@ HierarchicalCfm::ReqId HierarchicalCfm::read(sim::Cycle now, sim::ProcessorId p,
                   : Phase::ClusterOp;  // resolved further in try-issue
     q.cls = AccessClass::LocalCluster;
   }
-  pending_.push_back(std::move(q));
-  // A sleeping controller must see the new request this very cycle.
-  if (controller_ != nullptr) {
-    controller_->set_next_event(sim::Component::kAlways);
-  }
-  return next_req_ - 1;
+  return submit(std::move(q));
 }
 
 HierarchicalCfm::ReqId HierarchicalCfm::write(sim::Cycle now, sim::ProcessorId p,
@@ -112,7 +125,7 @@ HierarchicalCfm::ReqId HierarchicalCfm::write(sim::Cycle now, sim::ProcessorId p
                                 " is past the " + std::to_string(words) +
                                 "-word block");
   }
-  if (!processor_idle(p)) throw std::logic_error("processor busy");
+  check_idle(p);
   Pending q;
   q.id = next_req_++;
   q.proc = p;
@@ -122,7 +135,6 @@ HierarchicalCfm::ReqId HierarchicalCfm::write(sim::Cycle now, sim::ProcessorId p
   q.value = value;
   q.issued = now;
   if (tracer_) q.txn = tracer_->begin(tracer_unit_, now, p, "write", offset);
-  proc_busy_.at(p) = true;
   auto& cache = *l1_[p];
   auto* line = cache.find(offset);
   if (line != nullptr && line->state == LineState::Dirty) {
@@ -141,12 +153,7 @@ HierarchicalCfm::ReqId HierarchicalCfm::write(sim::Cycle now, sim::ProcessorId p
                   : Phase::ClusterOp;
     q.cls = AccessClass::LocalCluster;
   }
-  pending_.push_back(std::move(q));
-  // A sleeping controller must see the new request this very cycle.
-  if (controller_ != nullptr) {
-    controller_->set_next_event(sim::Component::kAlways);
-  }
-  return next_req_ - 1;
+  return submit(std::move(q));
 }
 
 std::optional<sim::ProcessorId> HierarchicalCfm::l1_dirty_owner(
@@ -179,16 +186,15 @@ void HierarchicalCfm::finish(sim::Cycle now, Pending& p) {
     lock_freed_ = true;
   }
   p.retired = true;
-  Outcome out;
-  out.cls = p.cls;
-  out.is_write = p.is_write;
-  out.issued = p.issued;
-  out.completed = now;
-  out.invalidations = p.invalidations;
+  Slot& slot = slots_[p.proc];
+  slot.done = true;
+  slot.out = Outcome{.cls = p.cls,
+                     .is_write = p.is_write,
+                     .issued = p.issued,
+                     .completed = now,
+                     .invalidations = p.invalidations};
   if (tracer_) tracer_->end(p.txn, now, true);
-  results_.emplace(p.id, out);
-  proc_busy_.at(p.proc) = false;
-  if (completion_hook_) completion_hook_(now);
+  if (completion_hook_) completion_hook_(now, p.proc);
   const auto& c = counters_;
   counters_.inc(p.cls == AccessClass::L1Hit          ? c.class_l1_hit
                 : p.cls == AccessClass::LocalCluster ? c.class_local
@@ -411,10 +417,7 @@ void HierarchicalCfm::advance(sim::Cycle now, Pending& p) {
             }
           }
         }
-        g.valid_clusters.clear();
         g.dirty_cluster = cluster;
-      } else {
-        g.valid_clusters.insert(cluster);
       }
       const auto l2s = l2_[cluster].find(p.offset);
       const bool have_data_in_l2 =
@@ -448,7 +451,6 @@ void HierarchicalCfm::advance(sim::Cycle now, Pending& p) {
       l2_[p.remote_cluster][p.offset].state = LineState::Valid;
       auto& g = global_dir_[p.offset];
       g.dirty_cluster.reset();
-      g.valid_clusters.insert(p.remote_cluster);
       p.phase = Phase::GlobalRetry;
       break;
     }
@@ -468,10 +470,7 @@ void HierarchicalCfm::advance(sim::Cycle now, Pending& p) {
             }
           }
         }
-        g.valid_clusters.clear();
         g.dirty_cluster = cluster;
-      } else {
-        g.valid_clusters.insert(cluster);
       }
       p.phase = Phase::L2Fill;
       break;
@@ -590,10 +589,19 @@ void HierarchicalCfm::attach(sim::Engine& engine) {
 }
 
 std::optional<HierarchicalCfm::Outcome> HierarchicalCfm::take_result(ReqId id) {
-  const auto it = results_.find(id);
-  if (it == results_.end()) return std::nullopt;
-  auto out = it->second;
-  results_.erase(it);
+  if (id == 0) return std::nullopt;
+  for (sim::ProcessorId p = 0; p < slots_.size(); ++p) {
+    if (slots_[p].id == id) return take_result_of(p);
+  }
+  return std::nullopt;
+}
+
+std::optional<HierarchicalCfm::Outcome> HierarchicalCfm::take_result_of(
+    sim::ProcessorId p) {
+  Slot& slot = slots_.at(p);
+  if (!slot.done) return std::nullopt;
+  const Outcome out = slot.out;
+  slot = Slot{};
   return out;
 }
 

@@ -26,7 +26,6 @@
 #include <memory>
 #include <optional>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "cache/cache.hpp"
@@ -81,15 +80,24 @@ class HierarchicalCfm {
   [[nodiscard]] std::uint32_t beta_cluster() const noexcept;
   [[nodiscard]] std::uint32_t beta_global() const noexcept;
 
+  /// A processor is idle once its last request's result is taken:
+  /// each processor has one result slot.
   [[nodiscard]] bool processor_idle(sim::ProcessorId p) const;
   /// Both throw std::invalid_argument, before any side effect, for a
   /// processor past processor_count() or (write) a word index past the
-  /// block; std::logic_error while `p` still has a request outstanding.
+  /// block; std::logic_error, naming `p`, while `p` still has a request
+  /// outstanding or its result untaken.
   ReqId read(sim::Cycle now, sim::ProcessorId p, sim::BlockAddr offset);
   ReqId write(sim::Cycle now, sim::ProcessorId p, sim::BlockAddr offset,
               std::uint32_t word_index, sim::Word value);
   void tick(sim::Cycle now);
+  /// Takes request `id`'s result; nullopt while it is in flight, or when
+  /// `id` was taken already or never issued.  Looks through every
+  /// processor's slot: a driver that knows the processor uses
+  /// take_result_of.
   std::optional<Outcome> take_result(ReqId id);
+  /// Takes the result in processor `p`'s slot, if it holds one.
+  std::optional<Outcome> take_result_of(sim::ProcessorId p);
 
   /// Engine registration, decomposed by tick domain: the cross-cluster
   /// controller stays in the shared domain, while each cluster's CFM and
@@ -150,11 +158,13 @@ class HierarchicalCfm {
     return tracer_unit_;
   }
 
-  /// Called (in the shared domain) whenever a processor
-  /// request completes — wake-aware drivers use it to re-publish their
-  /// own quiescence hints instead of polling take_result every cycle.
-  /// It runs mid-pass, so it must not call read() or write().
-  void set_completion_hook(std::function<void(sim::Cycle)> hook) {
+  /// Called (in the shared domain) with the processor whenever a
+  /// processor request completes — wake-aware drivers use it to
+  /// re-publish their own quiescence hints and to take only the results
+  /// that exist, instead of polling take_result every cycle.  It runs
+  /// mid-pass, so it must not call read() or write().
+  using CompletionHook = std::function<void(sim::Cycle, sim::ProcessorId)>;
+  void set_completion_hook(CompletionHook hook) {
     completion_hook_ = std::move(hook);
   }
 
@@ -200,12 +210,16 @@ class HierarchicalCfm {
   };
   struct GlobalEntry {
     std::optional<std::uint32_t> dirty_cluster;
-    std::unordered_set<std::uint32_t> valid_clusters;
     bool busy = false;  ///< serializes global transactions per block
   };
 
   /// Throws std::invalid_argument naming `p` unless it is a processor.
   void check_processor(sim::ProcessorId p) const;
+  /// Throws std::logic_error naming `p` unless processor_idle(p).
+  void check_idle(sim::ProcessorId p) const;
+  /// Queues `q` (its id, processor and issue cycle set) and wakes the
+  /// controller; returns q.id.
+  ReqId submit(Pending&& q);
   void advance_pending(sim::Cycle now);
   /// Earliest cycle at which a pass could act again when the pass at
   /// `now` freed no block lock and cut no phase chain (DESIGN.md §12).
@@ -229,9 +243,15 @@ class HierarchicalCfm {
   std::vector<std::unordered_map<sim::BlockAddr, L2Entry>> l2_;
   std::unordered_map<sim::BlockAddr, GlobalEntry> global_dir_;
   std::vector<Pending> pending_;  ///< issue order
-  std::vector<bool> proc_busy_;
+  /// One per processor: the request issued and not yet taken (id 0: none)
+  /// and, once it retires, its outcome.
+  struct Slot {
+    ReqId id = 0;
+    bool done = false;
+    Outcome out;
+  };
+  std::vector<Slot> slots_;
   bool lock_freed_ = false;  ///< finish() released a block lock this pass
-  std::unordered_map<ReqId, Outcome> results_;
   /// The protocol's counters, with every id interned at construction.
   struct Counters : sim::CounterSet {
     sim::CounterId l1_hits = intern("l1_hits");
@@ -253,7 +273,7 @@ class HierarchicalCfm {
   /// Controller component registered by attach(); carries the
   /// Phase::Network wake hint each pass publishes (DESIGN.md §12).
   sim::Component* controller_ = nullptr;
-  std::function<void(sim::Cycle)> completion_hook_;
+  CompletionHook completion_hook_;
   sim::TxnTracer* tracer_ = nullptr;
   sim::TxnTracer::UnitId tracer_unit_ = 0;
 };

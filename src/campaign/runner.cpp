@@ -148,15 +148,15 @@ Json run_lock(const PointSpec& point) {
   const auto contenders = point.param_u32("contenders");
   const auto hold = point.param_u32("hold");
   const auto cycles = point.param_u64("cycles");
-  const std::uint64_t seed = effective_seed(point);
   const auto& variant = point.params.at("variant").as_string();
+  // The farms are deterministic: a swept seed repeats the same point.
   workload::LockFarmResult r;
   if (variant == "cfm") {
-    r = workload::run_lock_farm_cfm(contenders, hold, cycles, seed);
+    r = workload::run_lock_farm_cfm(contenders, hold, cycles);
   } else if (variant == "cached") {
-    r = workload::run_lock_farm_cached(contenders, hold, cycles, seed);
+    r = workload::run_lock_farm_cached(contenders, hold, cycles);
   } else {
-    r = workload::run_lock_farm_snoopy(contenders, hold, cycles, seed);
+    r = workload::run_lock_farm_snoopy(contenders, hold, cycles);
   }
   Json m = Json::object();
   m["total_acquisitions"] = r.total_acquisitions;

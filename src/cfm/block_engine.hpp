@@ -2,11 +2,13 @@
 // operations) and the cache protocol layer (Ch. 5 primitives).
 #pragma once
 
+#include <bit>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <optional>
 #include <span>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "cfm/att.hpp"
@@ -58,35 +60,48 @@ struct BlockOpResult {
 };
 
 /// Results a block memory has published and its drivers have not taken
-/// yet, keyed by op token, plus which processors hold one.  A port
-/// driver walks holders() instead of polling take_result for every busy
-/// port (DESIGN.md §13).
+/// yet, plus which processors hold one.  A port driver walks holders()
+/// instead of polling take_result for every busy port (DESIGN.md §13).
+///
+/// Each processor keeps its own list of (token, result) entries, and a
+/// list's capacity outlives the results in it, so publishing and taking
+/// a result allocates nothing once every list has grown to its peak.  A
+/// processor may hold several untaken results (a cache controller issues
+/// on borrowed ports and takes by token in any order), so a lookup walks
+/// the holders' lists in ascending processor order; a driver that takes
+/// its ports' results in that order finds each one first.
 class ResultBox {
  public:
   using Token = std::uint64_t;
 
   explicit ResultBox(std::uint32_t processors)
-      : held_(processors, 0), holders_((processors + 63) / 64, 0) {}
+      : lists_(processors), holders_((processors + 63) / 64, 0) {}
 
-  [[nodiscard]] bool empty() const noexcept { return results_.empty(); }
+  [[nodiscard]] bool empty() const noexcept { return count_ == 0; }
 
   void put(Token token, sim::ProcessorId p, BlockOpResult result) {
-    results_.emplace(token, Entry{std::move(result), p});
-    if (held_[p]++ == 0) holders_[p / 64] |= std::uint64_t{1} << (p % 64);
+    auto& list = lists_[p];
+    if (list.empty()) holders_[p / 64] |= std::uint64_t{1} << (p % 64);
+    list.push_back(Entry{token, std::move(result)});
+    ++count_;
   }
 
   [[nodiscard]] const BlockOpResult* find(Token token) const {
-    const auto it = results_.find(token);
-    return it == results_.end() ? nullptr : &it->second.result;
+    const auto [p, i] = locate(token);
+    return i == kMissing ? nullptr : &lists_[p][i].result;
   }
 
   std::optional<BlockOpResult> take(Token token) {
-    const auto it = results_.find(token);
-    if (it == results_.end()) return std::nullopt;
-    const sim::ProcessorId p = it->second.proc;
-    std::optional<BlockOpResult> out(std::move(it->second.result));
-    results_.erase(it);
-    if (--held_[p] == 0) holders_[p / 64] &= ~(std::uint64_t{1} << (p % 64));
+    const auto [p, i] = locate(token);
+    if (i == kMissing) return std::nullopt;
+    auto& list = lists_[p];
+    std::optional<BlockOpResult> out(std::move(list[i].result));
+    // Entry order within a list carries no meaning: fill the hole from
+    // the back.
+    if (i + 1 != list.size()) list[i] = std::move(list.back());
+    list.pop_back();
+    --count_;
+    if (list.empty()) holders_[p / 64] &= ~(std::uint64_t{1} << (p % 64));
     return out;
   }
 
@@ -98,12 +113,31 @@ class ResultBox {
 
  private:
   struct Entry {
+    Token token = 0;
     BlockOpResult result;
-    sim::ProcessorId proc = 0;
   };
-  std::unordered_map<Token, Entry> results_;
-  std::vector<std::uint32_t> held_;  ///< untaken results per processor
+  static constexpr std::size_t kMissing = SIZE_MAX;
+
+  /// (processor, index in its list) of `token`'s entry; index kMissing
+  /// when no processor holds it.
+  [[nodiscard]] std::pair<sim::ProcessorId, std::size_t> locate(
+      Token token) const {
+    for (std::size_t w = 0; w < holders_.size(); ++w) {
+      for (auto bits = holders_[w]; bits != 0; bits &= bits - 1) {
+        const auto p =
+            static_cast<sim::ProcessorId>(w * 64 + std::countr_zero(bits));
+        const auto& list = lists_[p];
+        for (std::size_t i = 0; i < list.size(); ++i) {
+          if (list[i].token == token) return {p, i};
+        }
+      }
+    }
+    return {0, kMissing};
+  }
+
+  std::vector<std::vector<Entry>> lists_;  ///< untaken results per processor
   std::vector<std::uint64_t> holders_;
+  std::size_t count_ = 0;
 };
 
 /// Callback producing the write-phase block of a read-modify-write from

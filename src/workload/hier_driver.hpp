@@ -10,9 +10,10 @@
 //
 //   * every processor thinking      -> hint = earliest resume cycle
 //   * requests in flight            -> hint = kNeverCycle, and the
-//     machine's completion hook re-publishes kAlways the cycle a request
-//     retires, so the driver harvests at exactly the same cycle as the
-//     per-cycle reference schedule;
+//     machine's completion hook marks the retiring processor and
+//     re-publishes kAlways the cycle a request retires, so the driver
+//     harvests at exactly the same cycle as the per-cycle reference
+//     schedule, and visits only the processors that retired;
 //   * all RNG draws happen at harvest/issue points, which the fast path
 //     visits at the same cycles as the reference path — the random
 //     stream, and therefore the workload, is bit-identical.
@@ -59,7 +60,9 @@ class HierDriver final : public sim::Component {
 
   [[nodiscard]] std::uint64_t completed() const noexcept { return completed_; }
   /// Requests still outstanding (issued, not yet harvested).
-  [[nodiscard]] std::uint64_t in_flight() const noexcept;
+  [[nodiscard]] std::uint64_t in_flight() const noexcept {
+    return outstanding_;
+  }
   /// Raw tick_phase invocations — on the reference path this equals the
   /// cycle count; the fast path skips provably idle cycles, so tests can
   /// assert the machinery engaged without timing anything.
@@ -72,11 +75,12 @@ class HierDriver final : public sim::Component {
     sim::Cycle resume_at = 0;  ///< end of the current think interval
   };
 
-  /// Publishes the Issue-phase quiescence hint: min resume cycle over
-  /// thinking processors; kNeverCycle with everything in flight (the
-  /// completion hook wakes us); kAlways never — after a tick every
-  /// processor is either thinking or waiting on the machine.
-  void publish_wake();
+  /// Takes the results of the processors the completion hook marked,
+  /// in ascending order, and draws their think times.
+  void harvest(sim::Cycle now);
+  /// Issues for every processor whose think interval is over, in
+  /// ascending order, and recomputes next_resume_.
+  void issue_due(sim::Cycle now);
   void issue(sim::Cycle now, std::uint32_t p, ProcState& st);
   [[nodiscard]] sim::Cycle draw_think();
 
@@ -84,6 +88,15 @@ class HierDriver final : public sim::Component {
   Params params_;
   sim::Rng rng_;
   std::vector<ProcState> procs_;
+  /// Bit p % 64 of word p / 64: processor p's request retired and its
+  /// result is not yet harvested.
+  std::vector<std::uint64_t> retired_;
+  std::uint64_t outstanding_ = 0;  ///< processors with a request issued
+  /// Earliest resume_at over the processors with no request outstanding:
+  /// the Issue-phase hint (kNeverCycle with everything in flight, as the
+  /// completion hook wakes us; never kAlways, as after a tick every
+  /// processor is either thinking or waiting on the machine).
+  sim::Cycle next_resume_ = 0;
   sim::StatShard& shard_;
   sim::RunningStat& access_time_;  ///< shard_'s "hier.access_time"
   sim::CounterId ops_completed_;   ///< shard_'s "hier.ops_completed"

@@ -127,9 +127,8 @@ LockFarmResult run_farm(std::vector<Client>& clients, System& sys,
 }  // namespace
 
 LockFarmResult run_lock_farm_cfm(std::uint32_t contenders,
-                                 std::uint32_t hold_cycles, sim::Cycle cycles,
-                                 std::uint64_t seed) {
-  (void)seed;  // the CFM lock protocol is fully deterministic
+                                 std::uint32_t hold_cycles,
+                                 sim::Cycle cycles) {
   core::CfmMemory mem(core::CfmConfig::make(contenders),
                       core::ConsistencyPolicy::EarliestWins);
   std::vector<core::LockClient> clients;
@@ -144,8 +143,7 @@ LockFarmResult run_lock_farm_cfm(std::uint32_t contenders,
 
 LockFarmResult run_lock_farm_cached(std::uint32_t contenders,
                                     std::uint32_t hold_cycles,
-                                    sim::Cycle cycles, std::uint64_t seed) {
-  (void)seed;
+                                    sim::Cycle cycles) {
   cache::CfmCacheSystem::Params params;
   params.mem = core::CfmConfig::make(contenders);
   cache::CfmCacheSystem sys(params);
@@ -161,8 +159,7 @@ LockFarmResult run_lock_farm_cached(std::uint32_t contenders,
 
 LockFarmResult run_lock_farm_snoopy(std::uint32_t contenders,
                                     std::uint32_t hold_cycles,
-                                    sim::Cycle cycles, std::uint64_t seed) {
-  (void)seed;
+                                    sim::Cycle cycles) {
   cache::SnoopyBus::Params params;
   params.processors = contenders;
   params.block_words = contenders;  // match the CFM block size (b = n)

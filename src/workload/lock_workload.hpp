@@ -49,23 +49,24 @@ struct LockFarmResult {
   double aux_pressure = 0.0;        ///< protocol-specific contention metric
 };
 
+// The three lock farms draw no random numbers: each contender spins on
+// one lock with a fixed hold, so a farm's result is a function of its
+// arguments alone, and they take no seed.
+
 /// CFM swap-based busy-wait lock straight on CfmMemory (§4.2.2).
 [[nodiscard]] LockFarmResult run_lock_farm_cfm(std::uint32_t contenders,
                                                std::uint32_t hold_cycles,
-                                               sim::Cycle cycles,
-                                               std::uint64_t seed);
+                                               sim::Cycle cycles);
 
 /// CFM cache-protocol lock (Fig 5.4).  aux_pressure = invalidations per
 /// acquisition.
 [[nodiscard]] LockFarmResult run_lock_farm_cached(std::uint32_t contenders,
                                                   std::uint32_t hold_cycles,
-                                                  sim::Cycle cycles,
-                                                  std::uint64_t seed);
+                                                  sim::Cycle cycles);
 
 /// Snoopy-bus lock baseline.  aux_pressure = bus utilization in [0, 1].
 [[nodiscard]] LockFarmResult run_lock_farm_snoopy(std::uint32_t contenders,
                                                   std::uint32_t hold_cycles,
-                                                  sim::Cycle cycles,
-                                                  std::uint64_t seed);
+                                                  sim::Cycle cycles);
 
 }  // namespace cfm::workload

@@ -304,4 +304,82 @@ TEST(CfmMemory, WriteDataSizeValidated) {
                std::invalid_argument);
 }
 
+// ---- ResultBox: the published-results store both block memories share --
+
+BlockOpResult result_at(Cycle completed) {
+  BlockOpResult r;
+  r.status = OpStatus::Completed;
+  r.completed = completed;
+  r.data = {static_cast<Word>(completed)};
+  return r;
+}
+
+bool holds(const ResultBox& box, cfm::sim::ProcessorId p) {
+  return ((box.holders()[p / 64] >> (p % 64)) & 1) != 0;
+}
+
+TEST(ResultBox, OneProcessorsResultsAreTakenByTokenInAnyOrder) {
+  ResultBox box(4);
+  box.put(/*token=*/7, /*p=*/2, result_at(10));
+  box.put(/*token=*/8, /*p=*/2, result_at(20));
+  const auto second = box.take(8);
+  ASSERT_TRUE(second.has_value());
+  EXPECT_EQ(second->completed, 20u);
+  EXPECT_EQ(second->data, std::vector<Word>{20});
+  const auto first = box.take(7);
+  ASSERT_TRUE(first.has_value());
+  EXPECT_EQ(first->completed, 10u);
+  EXPECT_FALSE(box.take(7).has_value());
+  EXPECT_FALSE(box.take(8).has_value());
+}
+
+TEST(ResultBox, FindDoesNotConsume) {
+  ResultBox box(4);
+  box.put(3, 1, result_at(5));
+  EXPECT_EQ(box.find(4), nullptr);
+  for (int i = 0; i < 2; ++i) {
+    const auto* r = box.find(3);
+    ASSERT_NE(r, nullptr);
+    EXPECT_EQ(r->completed, 5u);
+  }
+  EXPECT_TRUE(holds(box, 1));
+  EXPECT_TRUE(box.take(3).has_value());
+  EXPECT_EQ(box.find(3), nullptr);
+}
+
+TEST(ResultBox, HolderBitClearsWithTheProcessorsLastResult) {
+  ResultBox box(70);  // two holder words
+  box.put(1, 65, result_at(1));
+  box.put(2, 65, result_at(2));
+  box.put(3, 0, result_at(3));
+  ASSERT_EQ(box.holders().size(), 2u);
+  EXPECT_TRUE(holds(box, 65));
+  EXPECT_TRUE(holds(box, 0));
+  EXPECT_TRUE(box.take(1).has_value());
+  EXPECT_TRUE(holds(box, 65)) << "token 2 is still untaken";
+  EXPECT_TRUE(box.take(2).has_value());
+  EXPECT_FALSE(holds(box, 65));
+  EXPECT_TRUE(holds(box, 0));
+  EXPECT_EQ(box.holders()[1], 0u);
+}
+
+TEST(ResultBox, EmptyTracksTheCount) {
+  ResultBox box(2);
+  EXPECT_TRUE(box.empty());
+  box.put(1, 0, result_at(1));
+  box.put(2, 1, result_at(2));
+  box.put(3, 1, result_at(3));
+  EXPECT_FALSE(box.empty());
+  EXPECT_FALSE(box.take(9).has_value());  // unknown tokens change nothing
+  EXPECT_TRUE(box.take(2).has_value());
+  EXPECT_TRUE(box.take(1).has_value());
+  EXPECT_FALSE(box.empty());
+  EXPECT_TRUE(box.take(3).has_value());
+  EXPECT_TRUE(box.empty());
+  // A drained box takes new results as before.
+  box.put(4, 0, result_at(4));
+  EXPECT_FALSE(box.empty());
+  EXPECT_TRUE(holds(box, 0));
+}
+
 }  // namespace

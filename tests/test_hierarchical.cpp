@@ -3,8 +3,12 @@
 // across clusters.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <optional>
 #include <stdexcept>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "cache/hierarchical.hpp"
 
@@ -180,6 +184,77 @@ TEST(Hierarchical, WritePastTheBlockIsRejectedUpFront) {
   EXPECT_EQ(w.cls, HierarchicalCfm::AccessClass::Global);
   const auto r = run_one(sys, t, sys.read(t, 4, 42));
   EXPECT_EQ(r.cls, HierarchicalCfm::AccessClass::DirtyRemote);
+}
+
+// Each processor has one result slot: until its result is taken, the
+// processor is busy and a new request on it is refused by name.
+TEST(Hierarchical, IssueOverAnUntakenResultThrowsNamingTheProcessor) {
+  HierarchicalCfm sys({});
+  Cycle t = 0;
+  const auto id = sys.read(t, 5, 42);
+  const auto busy_message = [&] {
+    try {
+      (void)sys.write(t, 5, 43, 0, 1);
+    } catch (const std::logic_error& e) {
+      return std::string(e.what());
+    }
+    return std::string("accepted");
+  };
+  EXPECT_NE(busy_message().find("processor 5"), std::string::npos)
+      << busy_message();
+  while (t < 100) sys.tick(t++);  // a global read retires in 27 cycles
+  EXPECT_FALSE(sys.processor_idle(5)) << "the result is not taken yet";
+  const auto untaken = busy_message();
+  EXPECT_NE(untaken.find("processor 5"), std::string::npos) << untaken;
+  EXPECT_THROW((void)sys.read(t, 5, 42), std::logic_error);
+  ASSERT_TRUE(sys.take_result(id).has_value());
+  EXPECT_TRUE(sys.processor_idle(5));
+  EXPECT_EQ(run_one(sys, t, sys.read(t, 5, 42)).cls,
+            HierarchicalCfm::AccessClass::L1Hit);
+}
+
+TEST(Hierarchical, TakenOrUnknownIdsReturnNothing) {
+  HierarchicalCfm sys({});
+  Cycle t = 0;
+  EXPECT_FALSE(sys.take_result(0).has_value());
+  EXPECT_FALSE(sys.take_result(12345).has_value());
+  const auto id = sys.read(t, 3, 42);
+  EXPECT_FALSE(sys.take_result(id).has_value()) << "still in flight";
+  (void)run_one(sys, t, id);
+  EXPECT_FALSE(sys.take_result(id).has_value()) << "taken already";
+  EXPECT_FALSE(sys.take_result_of(3).has_value());
+  // A later request on the processor does not revive the old id.
+  const auto next = sys.read(t, 3, 42);
+  for (int i = 0; i < 4; ++i) sys.tick(t++);
+  EXPECT_FALSE(sys.take_result(id).has_value());
+  const auto r = sys.take_result_of(3);
+  ASSERT_TRUE(r.has_value());
+  EXPECT_EQ(r->cls, HierarchicalCfm::AccessClass::L1Hit);
+  EXPECT_FALSE(sys.take_result(next).has_value());
+}
+
+TEST(Hierarchical, CompletionHookReceivesTheRetiringProcessor) {
+  HierarchicalCfm sys({});
+  std::vector<std::pair<Cycle, cfm::sim::ProcessorId>> retired;
+  sys.set_completion_hook([&](Cycle now, cfm::sim::ProcessorId p) {
+    retired.emplace_back(now, p);
+  });
+  Cycle t = 0;
+  const auto a = sys.read(t, 9, 42);   // global read, 27 cycles
+  const auto b = sys.read(t, 2, 100);  // another block, another cluster
+  std::optional<HierarchicalCfm::Outcome> ra;
+  std::optional<HierarchicalCfm::Outcome> rb;
+  for (; t < 1000 && !(ra && rb); ++t) {
+    sys.tick(t);
+    if (!ra) ra = sys.take_result(a);
+    if (!rb) rb = sys.take_result(b);
+  }
+  ASSERT_TRUE(ra && rb);
+  std::sort(retired.begin(), retired.end(),
+            [](const auto& x, const auto& y) { return x.second < y.second; });
+  const std::vector<std::pair<Cycle, cfm::sim::ProcessorId>> expected{
+      {rb->completed, 2}, {ra->completed, 9}};
+  EXPECT_EQ(retired, expected);
 }
 
 TEST(Hierarchical, ProcessorOutOfRangeIsRejected) {

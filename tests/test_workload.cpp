@@ -70,9 +70,9 @@ TEST(HotSpot, SaturationGrowsWithHotFraction) {
 }
 
 TEST(LockFarms, AllThreeMakeProgress) {
-  const auto cfm = run_lock_farm_cfm(4, 10, 20000, 1);
-  const auto cached = run_lock_farm_cached(4, 10, 20000, 1);
-  const auto snoopy = run_lock_farm_snoopy(4, 10, 20000, 1);
+  const auto cfm = run_lock_farm_cfm(4, 10, 20000);
+  const auto cached = run_lock_farm_cached(4, 10, 20000);
+  const auto snoopy = run_lock_farm_snoopy(4, 10, 20000);
   EXPECT_GT(cfm.total_acquisitions, 50u);
   EXPECT_GT(cached.total_acquisitions, 50u);
   EXPECT_GT(snoopy.total_acquisitions, 20u);
@@ -81,7 +81,7 @@ TEST(LockFarms, AllThreeMakeProgress) {
 }
 
 TEST(LockFarms, SnoopyBusIsTheBottleneck) {
-  const auto snoopy = run_lock_farm_snoopy(8, 5, 20000, 1);
+  const auto snoopy = run_lock_farm_snoopy(8, 5, 20000);
   // aux_pressure = bus utilization; under 8-way lock contention the bus
   // must be heavily loaded — the hot spot the CFM design removes.
   EXPECT_GT(snoopy.aux_pressure, 0.3);

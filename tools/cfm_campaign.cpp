@@ -201,6 +201,19 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "%s: %s\n", cli.scenario_path.c_str(), e.what());
     return 2;
   }
+  // The lock farms draw no random numbers, so a seed axis only repeats
+  // each point's result; the axis stays legal (it is part of the cache
+  // key and of committed scenarios), but say so once.
+  if (scenario.workload() == campaign::WorkloadKind::Lock) {
+    for (const auto& [key, values] : scenario.axes()) {
+      if (key == "seed" && values.size() > 1) {
+        std::fprintf(stderr,
+                     "note: %s: the lock workload is deterministic; its %zu "
+                     "seed values repeat one result per point\n",
+                     cli.scenario_path.c_str(), values.size());
+      }
+    }
+  }
 
   if (cli.dry_run) {
     std::vector<campaign::PointSpec> points;
