@@ -1,8 +1,8 @@
 // Quickstart: build a conflict-free memory, issue concurrent block
 // accesses, and watch the AT-space schedule keep every processor's access
 // at exactly beta cycles — the paper's headline property in ~60 lines.
-// Finishes by running the same memory on the tick engine with the
-// wall-clock profiler on and printing a structured experiment report.
+// Finishes by running the same memory on the tick engine and printing a
+// structured experiment report.
 //
 // Build & run:  cmake -B build -G Ninja && cmake --build build
 //               ./build/examples/quickstart
@@ -88,15 +88,14 @@ int main() {
   }
   std::printf("\n");
 
-  // ---- structured reports & the engine profiler ---------------------
+  // ---- structured reports -------------------------------------------
   //
   // Every bench in bench/ emits one of these via --json-out; here we
-  // build a small one by hand: run the memory on the tick engine with
-  // wall-clock profiling enabled and capture the result.
+  // build a small one by hand: run the memory on the tick engine and
+  // capture the result.
   sim::Engine engine;
   core::CfmMemory timed(cfg);
   timed.attach(engine, engine.allocate_domain());
-  engine.enable_profiling();
 
   const auto op = timed.issue(engine.now(), 0, core::BlockOpKind::Read, 5);
   while (timed.result(op) == nullptr) engine.step();
@@ -107,7 +106,6 @@ int main() {
   report.set_param("beta", cfg.block_access_time());
   report.add_scalar("cycles_run", engine.now());
   report.add_counters("memory", timed.counters());
-  report.add_section("engine_profile", engine.profile().to_json());
 
   std::printf("\nStructured report (the cfm-bench-report/v1 schema every "
               "bench emits with --json-out):\n");

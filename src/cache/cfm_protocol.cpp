@@ -16,15 +16,6 @@ constexpr core::KindMask kInvWbMask =
 constexpr core::KindMask kWbMask = core::kind_bit(OpKind::ProtoWriteBack);
 constexpr core::KindMask kInvMask = core::kind_bit(OpKind::ProtoReadInv);
 
-[[nodiscard]] const char* req_kind_name(CfmCacheSystem::ReqKind kind) noexcept {
-  switch (kind) {
-    case CfmCacheSystem::ReqKind::Load: return "load";
-    case CfmCacheSystem::ReqKind::Store: return "store";
-    case CfmCacheSystem::ReqKind::Rmw: return "rmw";
-  }
-  return "?";
-}
-
 }  // namespace
 
 CfmCacheSystem::CfmCacheSystem(const Params& params)
@@ -53,134 +44,10 @@ void CfmCacheSystem::set_audit(sim::ConflictAuditor& auditor) {
   audit_scope_ = module_.set_audit(auditor, cfg_.block_access_time());
 }
 
-void CfmCacheSystem::set_txn_trace(sim::TxnTracer& tracer) {
-  tracer_ = &tracer;
-  tracer_unit_ = tracer.add_unit("cache");
-}
-
-void CfmCacheSystem::set_fault_injector(const sim::FaultInjector& injector,
-                                        std::uint32_t spare_banks,
-                                        sim::Cycle timeout) {
-  faults_ = &injector;
-  next_spare_ = module_.bank_count();
-  module_.provision_spares(spare_banks);
-  remap_.resize(cfg_.banks);
-  for (sim::BankId b = 0; b < cfg_.banks; ++b) remap_[b] = b;
-  dead_.assign(cfg_.banks, false);
-  fault_timeout_ =
-      timeout != 0 ? timeout : sim::Cycle{8} * cfg_.block_access_time();
-}
-
 sim::Word CfmCacheSystem::bank_access(sim::Cycle now, sim::BankId bank,
                                       mem::WordOp op, sim::BlockAddr block,
                                       sim::Word value) {
-  if (faults_ != nullptr) [[unlikely]] {
-    // Degraded mode: the logical slot may be served by a spare, which
-    // inherits the dead bank's word slice (same backing store).
-    return module_.bank(remap_[bank]).access_as(now, op, block, bank, value);
-  }
   return module_.bank(bank).access(now, op, block, value);
-}
-
-void CfmCacheSystem::fail_request(sim::Cycle now, sim::ProcessorId p) {
-  auto& c = ctls_.at(p);
-  Request& r = *c.req;
-  Outcome out;
-  out.kind = r.kind;
-  out.timed_out = true;
-  out.issued = r.issued;
-  out.completed = now;
-  out.proto_retries = r.retries;
-  counters_.inc(counters_.fault_timeouts);
-  if (tracer_) tracer_->end(r.txn, now, false);
-  log_.lazy(now, "fault_timeout", [&](std::ostream& os) {
-    os << req_kind_name(r.kind) << " proc " << p << " offset " << r.offset;
-  });
-  results_.emplace(r.id, std::move(out));
-  c.req.reset();
-  if (c.proto.has_value() && !c.proto_is_remote_wb) c.proto.reset();
-  c.stage = Stage::Idle;
-}
-
-void CfmCacheSystem::check_faults(sim::Cycle now) {
-  const bool paused = faults_->module_paused(now, module_.id());
-  if (paused && !halted_) {
-    counters_.inc(counters_.brownouts);
-    if (audit_) audit_->on_injected(audit_scope_, now, "module_brownout");
-  }
-  bool dead_unmapped = false;
-  for (sim::BankId b = 0; b < cfg_.banks; ++b) {
-    if (faults_->bank_dead(now, module_.id(), b)) {
-      if (!dead_[b]) {
-        dead_[b] = true;
-        counters_.inc(counters_.bank_failures);
-        if (audit_) audit_->on_injected(audit_scope_, now, "bank_failure");
-        if (next_spare_ < module_.bank_count()) {
-          remap_[b] = next_spare_++;
-          counters_.inc(counters_.bank_remaps);
-          // Reconfiguration flushes in-flight tours: each restarts from
-          // scratch in place (progress 0 at the current slot).  Restart —
-          // not lose-and-retry — because a write-back must rewrite every
-          // word and an rmw must not re-enter the fill path.
-          for (auto& c : ctls_) {
-            if (c.proto.has_value() && c.proto->fate == Fate::InFlight &&
-                c.proto->progress > 0) {
-              c.proto->progress = 0;
-              c.proto->bank0_passed = false;
-              c.proto->tour_start = now;
-              counters_.inc(counters_.fault_restarts);
-            }
-          }
-        } else {
-          counters_.inc(counters_.bank_failures_unmapped);
-        }
-      }
-    } else if (dead_[b]) {
-      // Fault window over; a remapped slot keeps its spare.
-      dead_[b] = false;
-    }
-    if (dead_[b] && remap_[b] == b) dead_unmapped = true;
-  }
-  const bool halted = paused || dead_unmapped;
-  if (halted && !halted_) {
-    halt_since_ = now;
-    // Freeze point: a tour cannot continue on the AT schedule after an
-    // arbitrary pause (it would revisit some banks and miss others), so
-    // every interrupted tour restarts from scratch when service resumes.
-    for (auto& c : ctls_) {
-      if (c.proto.has_value() && c.proto->fate == Fate::InFlight &&
-          c.proto->progress > 0) {
-        c.proto->progress = 0;
-        c.proto->bank0_passed = false;
-        counters_.inc(counters_.fault_restarts);
-      }
-    }
-  }
-  if (!halted && halted_) {
-    // Service resumes: untoured primitives re-anchor to the current slot
-    // (done_at and the audit β check key off tour_start).
-    for (auto& c : ctls_) {
-      if (c.proto.has_value() && c.proto->fate == Fate::InFlight &&
-          c.proto->progress == 0) {
-        c.proto->tour_start = now;
-      }
-    }
-  }
-  halted_ = halted;
-  if (halted_ && now >= halt_since_ + fault_timeout_) {
-    // Bounded latency: give up on requests that waited out the whole
-    // fault window.  Atomic write-backs (Modify / RmwWb) hold the only
-    // dirty copy of their block and must wait for service instead.
-    for (sim::ProcessorId p = 0; p < cfg_.processors; ++p) {
-      auto& c = ctls_.at(p);
-      if (!c.req.has_value()) continue;
-      if (c.stage == Stage::Modify || c.stage == Stage::RmwWb ||
-          c.stage == Stage::LocalHit) {
-        continue;
-      }
-      if (now >= c.req->issued + fault_timeout_) fail_request(now, p);
-    }
-  }
 }
 
 bool CfmCacheSystem::quiescent(sim::ProcessorId p) const {
@@ -236,15 +103,13 @@ void CfmCacheSystem::accept(sim::Cycle now, sim::ProcessorId p, Request req) {
   if (ticker_ != nullptr) ticker_->set_next_event(sim::Component::kAlways);
   auto& cache = *caches_[p];
   auto* line = cache.find(req.offset);
+  // A remote write-back of this very block is touring with the line's
+  // current data.  A local store or rmw now would be lost when it lands
+  // (the line turns Valid over memory without the update), so such a hit
+  // waits for it and then re-acquires ownership like a miss.
+  const bool flushing = c.proto.has_value() && c.proto->offset == req.offset;
   c.req = std::move(req);
   Request& r = *c.req;
-  if (tracer_) {
-    r.txn = tracer_->begin(tracer_unit_, now, p, req_kind_name(r.kind),
-                           r.offset);
-  }
-  log_.lazy(now, "request", [&](std::ostream& os) {
-    os << req_kind_name(r.kind) << " proc " << p << " offset " << r.offset;
-  });
 
   switch (r.kind) {
     case ReqKind::Load:
@@ -254,38 +119,32 @@ void CfmCacheSystem::accept(sim::Cycle now, sim::ProcessorId p, Request req) {
         r.old_block = line->data;
         c.stage = Stage::LocalHit;
         c.stage_until = now + 1;
-        if (tracer_) tracer_->span(r.txn, sim::TxnPhase::Cache, now, now + 1);
         return;
       }
       cache.count_miss();
       break;
 
     case ReqKind::Store:
-      if (line != nullptr && line->state == LineState::Dirty) {
+      if (line != nullptr && line->state == LineState::Dirty && !flushing) {
         // Write hit on a dirty line: update locally, no memory access.
         cache.count_hit();
         counters_.inc(counters_.local_hits);
         line->data.at(r.word_index) = r.value;
         c.stage = Stage::LocalHit;
         c.stage_until = now + 1;
-        if (tracer_) tracer_->span(r.txn, sim::TxnPhase::Cache, now, now + 1);
         return;
       }
       if (line == nullptr) cache.count_miss(); else cache.count_hit();
       break;
 
     case ReqKind::Rmw:
-      if (line != nullptr && line->state == LineState::Dirty) {
+      if (line != nullptr && line->state == LineState::Dirty && !flushing) {
         // Already the exclusive owner: go straight to the modify phase.
         cache.count_hit();
         r.old_block = line->data;
         line->wb_locked = true;
         c.stage = Stage::Modify;
         c.stage_until = now + params_.modify_cycles;
-        if (tracer_) {
-          tracer_->span(r.txn, sim::TxnPhase::Modify, now,
-                        now + params_.modify_cycles);
-        }
         return;
       }
       if (line == nullptr) cache.count_miss(); else cache.count_hit();
@@ -347,9 +206,6 @@ void CfmCacheSystem::start_primitive(sim::Cycle now, sim::ProcessorId p,
   op.tour_start = now;
   op.id = next_proto_++;
   op.buf.assign(cfg_.banks, 0);
-  // Request-driven primitives ride the request's transaction; a remote
-  // write-back (no request) gets its own — see start_remote_wb_if_due.
-  if (c.req.has_value()) op.txn = c.req->txn;
   c.proto = std::move(op);
   c.proto_is_remote_wb = false;
   counters_.inc(kind == OpKind::ProtoRead ? counters_.proto_reads
@@ -371,9 +227,6 @@ void CfmCacheSystem::start_remote_wb_if_due(sim::Cycle now, sim::ProcessorId p) 
     start_primitive(now, p, OpKind::ProtoWriteBack, offset);
     c.proto->buf = line->data;
     c.proto_is_remote_wb = true;
-    if (tracer_) {
-      c.proto->txn = tracer_->begin(tracer_unit_, now, p, "remote_wb", offset);
-    }
     counters_.inc(counters_.remote_wbs_served);
     return;
   }
@@ -405,11 +258,6 @@ void CfmCacheSystem::complete(sim::Cycle now, sim::ProcessorId p) {
   out.completed = now;
   out.proto_retries = r.retries;
   out.data = std::move(r.old_block);
-  if (tracer_) tracer_->end(r.txn, now, true);
-  log_.lazy(now, "complete", [&](std::ostream& os) {
-    os << req_kind_name(r.kind) << " proc " << p << " offset " << r.offset
-       << " retries " << r.retries;
-  });
   results_.emplace(r.id, std::move(out));
   c.req.reset();
   c.stage = Stage::Idle;
@@ -425,18 +273,10 @@ void CfmCacheSystem::controller_step(sim::Cycle now, sim::ProcessorId p) {
       !(c.proto->fate == Fate::Done && now < c.proto->done_at)) {
     ProtoOp op = std::move(*c.proto);
     c.proto.reset();
-    if (tracer_ && op.fate == Fate::Done &&
-        op.done_at > op.tour_start + cfg_.banks) {
-      // Trailing data words crossing the data path (c-1 slots).
-      tracer_->span(op.txn, sim::TxnPhase::Drain, op.tour_start + cfg_.banks,
-                    op.done_at);
-    }
     if (c.proto_is_remote_wb) {
       c.proto_is_remote_wb = false;
       assert(op.fate == Fate::Done);  // write-backs never lose (Table 5.2)
       if (auto* line = cache.find(op.offset)) line->state = LineState::Valid;
-      if (tracer_) tracer_->end(op.txn, now, true);
-      log_.emit(now, "remote_wb", "flushed");
     } else if (op.fate == Fate::Done) {
       Request& r = *c.req;
       switch (c.stage) {
@@ -460,10 +300,6 @@ void CfmCacheSystem::controller_step(sim::Cycle now, sim::ProcessorId p) {
               line.wb_locked = true;
               c.stage = Stage::Modify;
               c.stage_until = now + params_.modify_cycles;
-              if (tracer_) {
-                tracer_->span(r.txn, sim::TxnPhase::Modify, now,
-                              now + params_.modify_cycles);
-              }
             }
           }
           break;
@@ -485,7 +321,6 @@ void CfmCacheSystem::controller_step(sim::Cycle now, sim::ProcessorId p) {
       Request& r = *c.req;
       ++r.retries;
       counters_.inc(counters_.proto_retries);
-      if (tracer_) tracer_->restart(r.txn, now, "proto_retry");
       c.stage = Stage::RetryWait;
       const sim::Cycle base =
           op.fate == Fate::RetryNow ? 1 : params_.retry_delay;
@@ -548,10 +383,6 @@ void CfmCacheSystem::proto_step(sim::Cycle now, ProtoOp& op) {
         att.insert(now, op.offset, OpKind::ProtoWriteBack, op.id, op.proc);
       }
       bank_access(now, bank, mem::WordOp::Write, op.offset, op.buf[bank]);
-      // Write-back tours are coherence work, not demand data movement.
-      if (tracer_) {
-        tracer_->span(op.txn, sim::TxnPhase::Coherence, now, now + 1, bank);
-      }
       break;
     }
 
@@ -589,9 +420,6 @@ void CfmCacheSystem::proto_step(sim::Cycle now, ProtoOp& op) {
         }
       }
       op.buf[bank] = bank_access(now, bank, mem::WordOp::Read, op.offset);
-      if (tracer_) {
-        tracer_->span(op.txn, sim::TxnPhase::Bank, now, now + 1, bank);
-      }
       break;
     }
 
@@ -639,16 +467,9 @@ void CfmCacheSystem::proto_step(sim::Cycle now, ProtoOp& op) {
           // Valid remote copy: invalidate in-flight, no acknowledgement.
           caches_[q]->invalidate(op.offset);
           counters_.inc(counters_.invalidations);
-          if (tracer_) tracer_->event(op.txn, now, "invalidate");
-          log_.lazy(now, "invalidate", [&](std::ostream& os) {
-            os << "proc " << op.proc << " invalidated copy at proc " << q;
-          });
         }
       }
       op.buf[bank] = bank_access(now, bank, mem::WordOp::Read, op.offset);
-      if (tracer_) {
-        tracer_->span(op.txn, sim::TxnPhase::Bank, now, now + 1, bank);
-      }
       break;
     }
 
@@ -666,16 +487,13 @@ void CfmCacheSystem::proto_step(sim::Cycle now, ProtoOp& op) {
 }
 
 void CfmCacheSystem::tick(sim::Cycle now) {
-  if (faults_ != nullptr) [[unlikely]] check_faults(now);
   for (sim::ProcessorId p = 0; p < cfg_.processors; ++p) {
     controller_step(now, p);
   }
-  if (!halted_) {
-    for (auto& c : ctls_) {
-      if (c.proto.has_value() && c.proto->fate == Fate::InFlight &&
-          c.proto->tour_start <= now) {
-        proto_step(now, *c.proto);
-      }
+  for (auto& c : ctls_) {
+    if (c.proto.has_value() && c.proto->fate == Fate::InFlight &&
+        c.proto->tour_start <= now) {
+      proto_step(now, *c.proto);
     }
   }
   publish_wake();
@@ -683,11 +501,6 @@ void CfmCacheSystem::tick(sim::Cycle now) {
 
 void CfmCacheSystem::publish_wake() {
   if (ticker_ == nullptr) return;
-  if (faults_ != nullptr) {
-    // Fault windows open on arbitrary cycles: stay per-cycle.
-    ticker_->set_next_event(sim::Component::kAlways);
-    return;
-  }
   // Controller state machines are cycle-granular (stage waits, retry
   // delays, tour steps), so any live request means per-cycle ticking;
   // with every controller quiescent nothing can change until the next

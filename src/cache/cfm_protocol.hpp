@@ -44,11 +44,8 @@
 #include "mem/module.hpp"
 #include "sim/audit.hpp"
 #include "sim/engine.hpp"
-#include "sim/fault.hpp"
-#include "sim/log.hpp"
 #include "sim/rng.hpp"
 #include "sim/stats.hpp"
-#include "sim/txn_trace.hpp"
 #include "sim/types.hpp"
 
 namespace cfm::cache {
@@ -76,9 +73,6 @@ class CfmCacheSystem {
     ReqKind kind = ReqKind::Load;
     bool local_hit = false;          ///< served without any memory op
     bool remote_dirty = false;       ///< had to trigger a remote write-back
-    /// Gave up after waiting out a fault window (degraded mode only); the
-    /// request completed without performing its memory operation.
-    bool timed_out = false;
     sim::Cycle issued = 0;
     sim::Cycle completed = 0;
     std::uint32_t proto_retries = 0;
@@ -133,43 +127,10 @@ class CfmCacheSystem {
   /// Protocol invariant (§5.2.2): at most one Dirty copy of any block.
   [[nodiscard]] bool check_single_dirty_owner() const;
 
-  /// Per-event trace sinks, same shape as CfmMemory's: a textual sink and
-  /// a structured (cycle, tag, message) sink for ChromeTrace::attach.
-  void set_trace(sim::TraceLog::Sink sink) { log_.set_sink(std::move(sink)); }
-  void set_event_sink(sim::TraceLog::EventSink sink) {
-    log_.set_event_sink(std::move(sink));
-  }
-  [[nodiscard]] sim::TraceLog& trace_log() noexcept { return log_; }
-
   /// Attaches the conflict auditor: bank probes plus the AT-space
   /// schedule and β checks over every protocol primitive's tour — the
   /// coherence layer must preserve conflict freedom (§5.2's premise).
   void set_audit(sim::ConflictAuditor& auditor);
-
-  /// Enables degraded mode, mirroring CfmMemory's: a dead bank's AT slot
-  /// remaps onto a spare (same module, same directory coupling), a module
-  /// brownout freezes primitive tours (interrupted tours go through the
-  /// normal Table 5.2 retry machinery on resume), and a request stuck
-  /// behind an unserviceable machine for `timeout` cycles (default 8β)
-  /// completes with Outcome::timed_out — except atomic write-backs, which
-  /// hold the only dirty copy and must wait for service to resume.
-  void set_fault_injector(const sim::FaultInjector& injector,
-                          std::uint32_t spare_banks = 1,
-                          sim::Cycle timeout = 0);
-  [[nodiscard]] const sim::FaultInjector* fault_injector() const noexcept {
-    return faults_;
-  }
-
-  /// Attaches the transaction tracer: every processor request (load /
-  /// store / rmw) becomes a transaction with cache-hit spans, per-bank
-  /// tour spans, coherence write-back spans, and retry events; remote
-  /// write-backs triggered by other processors trace as their own
-  /// transactions.
-  void set_txn_trace(sim::TxnTracer& tracer);
-  [[nodiscard]] sim::TxnTracer* txn_tracer() const noexcept { return tracer_; }
-  [[nodiscard]] sim::TxnTracer::UnitId txn_unit() const noexcept {
-    return tracer_unit_;
-  }
 
  private:
   enum class Fate : std::uint8_t { InFlight, Done, RetryLater, RetryNow };
@@ -185,7 +146,6 @@ class CfmCacheSystem {
     std::vector<sim::Word> buf;
     Fate fate = Fate::InFlight;
     sim::Cycle done_at = 0;  ///< Done is resolved only once data drained
-    sim::TxnId txn = sim::kNoTxn;  ///< owning request txn (or its own)
   };
 
   enum class Stage : std::uint8_t {
@@ -209,7 +169,6 @@ class CfmCacheSystem {
     std::uint32_t retries = 0;
     bool remote_dirty = false;
     std::vector<sim::Word> old_block;  ///< rmw: pre-modification copy
-    sim::TxnId txn = sim::kNoTxn;
   };
 
   struct Ctl {
@@ -240,8 +199,6 @@ class CfmCacheSystem {
       sim::ProcessorId q, sim::BlockAddr offset) const;
   void trigger_remote_wb(sim::ProcessorId owner, sim::BlockAddr offset);
   void complete(sim::Cycle now, sim::ProcessorId p);
-  void check_faults(sim::Cycle now);
-  void fail_request(sim::Cycle now, sim::ProcessorId p);
   sim::Word bank_access(sim::Cycle now, sim::BankId bank, mem::WordOp op,
                         sim::BlockAddr block, sim::Word value = 0);
 
@@ -255,12 +212,6 @@ class CfmCacheSystem {
   std::unordered_map<ReqId, Outcome> results_;
   /// The protocol's counters, with every id interned at construction.
   struct Counters : sim::CounterSet {
-    sim::CounterId fault_timeouts = intern("fault_timeouts");
-    sim::CounterId brownouts = intern("brownouts");
-    sim::CounterId bank_failures = intern("bank_failures");
-    sim::CounterId bank_remaps = intern("bank_remaps");
-    sim::CounterId fault_restarts = intern("fault_restarts");
-    sim::CounterId bank_failures_unmapped = intern("bank_failures_unmapped");
     sim::CounterId local_hits = intern("local_hits");
     sim::CounterId evict_wbs = intern("evict_wbs");
     sim::CounterId proto_reads = intern("proto_reads");
@@ -273,7 +224,6 @@ class CfmCacheSystem {
     sim::CounterId invalidations = intern("invalidations");
   };
   Counters counters_;
-  sim::TraceLog log_;
   sim::Rng retry_rng_{0x5eedULL};
   sim::DomainId domain_ = sim::kSharedDomain;
   /// Component registered by attach(); carries the Phase::Memory
@@ -283,17 +233,6 @@ class CfmCacheSystem {
   std::uint64_t next_proto_ = 1;
   sim::ConflictAuditor* audit_ = nullptr;
   sim::ConflictAuditor::ScopeId audit_scope_ = 0;
-  sim::TxnTracer* tracer_ = nullptr;
-  sim::TxnTracer::UnitId tracer_unit_ = 0;
-
-  // ---- degraded mode (all inert while faults_ == nullptr) --------------
-  const sim::FaultInjector* faults_ = nullptr;
-  std::vector<sim::BankId> remap_;  ///< logical bank -> physical bank
-  std::vector<bool> dead_;          ///< per logical bank
-  sim::BankId next_spare_ = 0;      ///< next unused physical spare index
-  bool halted_ = false;             ///< brownout or unmapped dead bank
-  sim::Cycle halt_since_ = 0;       ///< start of the current halt window
-  sim::Cycle fault_timeout_ = 0;    ///< bounded-latency give-up threshold
 };
 
 }  // namespace cfm::cache

@@ -17,17 +17,6 @@ bool DirectoryProtocol::processor_idle(sim::ProcessorId p) const {
   return !busy_.at(p).has_value();
 }
 
-void DirectoryProtocol::set_audit(sim::ConflictAuditor& auditor) {
-  audit_ = &auditor;
-  audit_scope_ = auditor.add_scope(
-      "directory", sim::AuditScopeKind::Contended, 1, 1, 0);
-}
-
-void DirectoryProtocol::set_txn_trace(sim::TxnTracer& tracer) {
-  tracer_ = &tracer;
-  tracer_unit_ = tracer.add_unit("directory");
-}
-
 DirectoryProtocol::ReqId DirectoryProtocol::read(sim::Cycle now,
                                                  sim::ProcessorId p,
                                                  sim::BlockAddr offset) {
@@ -38,7 +27,6 @@ DirectoryProtocol::ReqId DirectoryProtocol::read(sim::Cycle now,
   q.offset = offset;
   q.is_write = false;
   q.issued = now;
-  if (tracer_) q.txn = tracer_->begin(tracer_unit_, now, p, "read", offset);
   busy_.at(p) = q.id;
   pending_.push_back(std::move(q));
   publish_wake();
@@ -55,7 +43,6 @@ DirectoryProtocol::ReqId DirectoryProtocol::write(sim::Cycle now,
   q.offset = offset;
   q.is_write = true;
   q.issued = now;
-  if (tracer_) q.txn = tracer_->begin(tracer_unit_, now, p, "write", offset);
   busy_.at(p) = q.id;
   pending_.push_back(std::move(q));
   publish_wake();
@@ -71,12 +58,6 @@ void DirectoryProtocol::start(sim::Cycle now, Pending& p) {
   const bool remote = home_of(p.offset) != cluster_of(p.proc);
   const bool dirty_elsewhere =
       dir.state == BlockState::Dirty && dir.owner != p.proc;
-
-  if (audit_ && now > p.issued) {
-    // The home entry was busy with another same-block transaction — the
-    // serialization a directory pays and a bank tour does not.
-    audit_->on_contention(audit_scope_, now, "home_busy");
-  }
 
   sim::Cycle latency = 0;
   if (dirty_elsewhere) {
@@ -121,58 +102,20 @@ void DirectoryProtocol::start(sim::Cycle now, Pending& p) {
   p.out.remote = remote;
   p.out.dirty_third_party = dirty_elsewhere;
   p.done_at = now + latency;
-  if (tracer_) {
-    // Message round-trips, then (for writes with sharers) the explicit
-    // invalidation + acknowledgement round the CFM protocol never sends.
-    const sim::Cycle inv_extra =
-        p.out.invalidations > 0 ? params_.inv_ack_cycles : 0;
-    const sim::Cycle msgs_end = p.done_at - inv_extra;
-    if (msgs_end > now) {
-      tracer_->span(p.txn, sim::TxnPhase::Network, now, msgs_end,
-                    p.out.invalidations);
-    }
-    if (inv_extra > 0) {
-      tracer_->span(p.txn, sim::TxnPhase::Coherence, msgs_end, p.done_at,
-                    p.out.invalidations);
-    }
-  }
 }
 
 void DirectoryProtocol::tick(sim::Cycle now) {
   // Start any pending transaction whose block is free (home-order FIFO).
   for (auto& p : pending_) {
     if (p.started) continue;
-    if (now < p.resend_at) continue;  // retransmitting a dropped request
-    auto& dir = directory_[p.offset];
-    if (dir.busy) continue;
-    if (faults_ != nullptr && faults_->drop_message(now)) [[unlikely]] {
-      // The request message was lost before reaching the home node.
-      ++message_drops_;
-      counters_.inc(counters_.message_drops);
-      if (audit_) audit_->on_injected(audit_scope_, now, "message_drop");
-      if (tracer_) tracer_->event(p.txn, now, "message_drop");
-      if (++p.drops > max_drop_retries_) {
-        // Retry bound exhausted: fail the request so the processor never
-        // waits unbounded.  Retires below without ever occupying the home.
-        p.started = true;
-        p.failed = true;
-        p.done_at = now;
-        p.out.issued = p.issued;
-        ++message_failures_;
-      } else {
-        p.resend_at = now + params_.local_miss_cycles;  // one message round
-      }
-      continue;
-    }
+    if (directory_[p.offset].busy) continue;
     start(now, p);
   }
   // Retire finished transactions.
   for (auto it = pending_.begin(); it != pending_.end();) {
     if (it->started && now >= it->done_at) {
-      if (!it->failed) directory_[it->offset].busy = false;
+      directory_[it->offset].busy = false;
       it->out.completed = now;
-      it->out.timed_out = it->failed;
-      if (tracer_) tracer_->end(it->txn, now, !it->failed);
       results_.emplace(it->id, it->out);
       busy_.at(it->proc).reset();
       it = pending_.erase(it);
@@ -185,10 +128,10 @@ void DirectoryProtocol::tick(sim::Cycle now) {
 
 void DirectoryProtocol::publish_wake() {
   if (ticker_ == nullptr) return;
-  // Start eligibility, drop retransmits and fault windows are all
-  // cycle-granular: any pending transaction keeps the machine per-cycle,
-  // a drained machine sleeps until the next read()/write().
-  const bool idle = faults_ == nullptr && pending_.empty();
+  // Start eligibility is cycle-granular: any pending transaction keeps
+  // the machine per-cycle, a drained machine sleeps until the next
+  // read()/write().
+  const bool idle = pending_.empty();
   ticker_->set_next_event(idle ? sim::kNeverCycle : sim::Component::kAlways);
 }
 

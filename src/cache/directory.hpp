@@ -21,11 +21,8 @@
 #include <unordered_map>
 #include <vector>
 
-#include "sim/audit.hpp"
 #include "sim/engine.hpp"
-#include "sim/fault.hpp"
 #include "sim/stats.hpp"
-#include "sim/txn_trace.hpp"
 #include "sim/types.hpp"
 
 namespace cfm::cache {
@@ -48,7 +45,6 @@ class DirectoryProtocol {
     sim::Cycle completed = 0;
     bool remote = false;
     bool dirty_third_party = false;
-    bool timed_out = false;     ///< request message lost beyond retry bound
     std::uint32_t invalidations = 0;
   };
 
@@ -79,40 +75,6 @@ class DirectoryProtocol {
   [[nodiscard]] std::uint64_t acks() const noexcept { return acks_; }
   [[nodiscard]] const sim::CounterSet& counters() const noexcept { return counters_; }
 
-  /// Attaches the conflict auditor as a *contended* scope: transactions
-  /// serialized behind a busy home-node directory entry are contention the
-  /// CFM protocol's tour-embedded coherence avoids.
-  void set_audit(sim::ConflictAuditor& auditor);
-
-  /// Enables fault awareness: each request message rolls the injector's
-  /// MessageDrop faults when it is about to be granted by the home node; a
-  /// dropped message is retransmitted after a local round-trip, up to
-  /// `max_retries` times, then the request completes with timed_out set —
-  /// latency stays bounded either way.  Non-const because drop_message
-  /// draws from the injector's seeded RNG; give the directory its own
-  /// injector (it ticks in its own domain, and a shared RNG would couple
-  /// domains the fast path runs one span at a time).
-  void set_fault_injector(sim::FaultInjector& injector,
-                          std::uint32_t max_retries = 3) {
-    faults_ = &injector;
-    max_drop_retries_ = max_retries;
-  }
-  [[nodiscard]] std::uint64_t message_drops() const noexcept {
-    return message_drops_;
-  }
-  [[nodiscard]] std::uint64_t message_failures() const noexcept {
-    return message_failures_;
-  }
-
-  /// Attaches the transaction tracer (unit "directory"): each request gets
-  /// a Network span for its message round-trips and a Coherence span for
-  /// the invalidation + acknowledgement round.
-  void set_txn_trace(sim::TxnTracer& tracer);
-  [[nodiscard]] sim::TxnTracer* txn_tracer() const noexcept { return tracer_; }
-  [[nodiscard]] sim::TxnTracer::UnitId txn_unit() const noexcept {
-    return tracer_unit_;
-  }
-
  private:
   enum class BlockState : std::uint8_t { Uncached, Shared, Dirty };
   struct DirEntry {
@@ -130,10 +92,6 @@ class DirectoryProtocol {
     sim::Cycle done_at = 0;
     Outcome out;
     bool started = false;
-    bool failed = false;               ///< drop-retry bound exhausted
-    sim::Cycle resend_at = 0;          ///< earliest retransmit after a drop
-    std::uint32_t drops = 0;
-    sim::TxnId txn = sim::kNoTxn;
   };
 
   void start(sim::Cycle now, Pending& p);
@@ -151,21 +109,12 @@ class DirectoryProtocol {
   struct Counters : sim::CounterSet {
     sim::CounterId dirty_forwards = intern("dirty_forwards");
     sim::CounterId invalidations = intern("invalidations");
-    sim::CounterId message_drops = intern("message_drops");
   };
   Counters counters_;
   sim::DomainId domain_ = sim::kSharedDomain;
   /// Component registered by attach(); carries the quiescence hint.
   sim::Component* ticker_ = nullptr;
   ReqId next_req_ = 1;
-  sim::ConflictAuditor* audit_ = nullptr;
-  sim::ConflictAuditor::ScopeId audit_scope_ = 0;
-  sim::TxnTracer* tracer_ = nullptr;
-  sim::TxnTracer::UnitId tracer_unit_ = 0;
-  sim::FaultInjector* faults_ = nullptr;
-  std::uint32_t max_drop_retries_ = 3;
-  std::uint64_t message_drops_ = 0;
-  std::uint64_t message_failures_ = 0;
 };
 
 }  // namespace cfm::cache

@@ -107,8 +107,8 @@ class HierarchicalCfm {
   /// manual tick() calls, never both.
   void attach(sim::Engine& engine);
 
-  /// Cluster c's second-level CFM (e.g. for installing trace sinks or
-  /// reading its tick domain after attach()).
+  /// Cluster c's second-level CFM (e.g. for reading its tick domain
+  /// after attach()).
   [[nodiscard]] core::CfmMemory& cluster_memory(std::uint32_t c) {
     return *cluster_mem_.at(c);
   }
@@ -121,13 +121,6 @@ class HierarchicalCfm {
 
   [[nodiscard]] const sim::CounterSet& counters() const noexcept { return counters_; }
 
-  /// Forwards a structured event sink to both levels' memories so one
-  /// ChromeTrace observes the whole hierarchy.
-  void set_event_sink(const sim::TraceLog::EventSink& sink) {
-    for (auto& mem : cluster_mem_) mem->set_event_sink(sink);
-    global_mem_->set_event_sink(sink);
-  }
-
   /// Attaches the conflict auditor to every cluster CFM and the global
   /// CFM — each registers its own ConflictFree scope, so both levels of
   /// the hierarchy are held to the paper's invariants at once.
@@ -137,16 +130,13 @@ class HierarchicalCfm {
   }
 
   /// Enables degraded mode in every member memory (cluster CFMs and the
-  /// global CFM each get `spare_banks` spares; see
+  /// global CFM each get one spare bank; see
   /// CfmMemory::set_fault_injector).  Member ops aborted by a fault
   /// timeout come back as phase retries, so processor requests still
   /// complete once the fault window closes.
-  void set_fault_injector(sim::FaultInjector& injector,
-                          std::uint32_t spare_banks = 1) {
-    for (auto& mem : cluster_mem_) {
-      mem->set_fault_injector(injector, spare_banks);
-    }
-    global_mem_->set_fault_injector(injector, spare_banks);
+  void set_fault_injector(sim::FaultInjector& injector) {
+    for (auto& mem : cluster_mem_) mem->set_fault_injector(injector);
+    global_mem_->set_fault_injector(injector);
   }
 
   /// Attaches the transaction tracer: the member memories trace their

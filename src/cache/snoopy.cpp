@@ -18,19 +18,6 @@ bool SnoopyBus::processor_idle(sim::ProcessorId p) const {
   return !ctls_.at(p).req.has_value();
 }
 
-void SnoopyBus::set_audit(sim::ConflictAuditor& auditor) {
-  audit_ = &auditor;
-  // One resource (the bus), held for a block transfer at a time.
-  audit_scope_ =
-      auditor.add_scope("snoopy_bus", sim::AuditScopeKind::Contended, 1,
-                        params_.block_cycles, 0);
-}
-
-void SnoopyBus::set_txn_trace(sim::TxnTracer& tracer) {
-  tracer_ = &tracer;
-  tracer_unit_ = tracer.add_unit("snoopy");
-}
-
 SnoopyBus::ReqId SnoopyBus::load(sim::Cycle now, sim::ProcessorId p,
                                  sim::BlockAddr offset) {
   auto& c = ctls_.at(p);
@@ -40,13 +27,11 @@ SnoopyBus::ReqId SnoopyBus::load(sim::Cycle now, sim::ProcessorId p,
   r.kind = 0;
   r.offset = offset;
   r.issued = now;
-  if (tracer_) r.txn = tracer_->begin(tracer_unit_, now, p, "load", offset);
   auto& cache = *caches_[p];
   if (const auto* line = cache.find(offset)) {
     cache.count_hit();
     r.old_block = line->data;
     r.local_hit = true;
-    if (tracer_) tracer_->span(r.txn, sim::TxnPhase::Cache, now, now + 1);
     c.req = std::move(r);
     c.stage = Stage::LocalHit;
     c.stage_until = now + 1;
@@ -72,14 +57,12 @@ SnoopyBus::ReqId SnoopyBus::store(sim::Cycle now, sim::ProcessorId p,
   r.word_index = word_index;
   r.value = value;
   r.issued = now;
-  if (tracer_) r.txn = tracer_->begin(tracer_unit_, now, p, "store", offset);
   auto& cache = *caches_[p];
   auto* line = cache.find(offset);
   if (line != nullptr && line->state == LineState::Dirty) {
     cache.count_hit();
     line->data.at(word_index) = value;
     r.local_hit = true;
-    if (tracer_) tracer_->span(r.txn, sim::TxnPhase::Cache, now, now + 1);
     c.req = std::move(r);
     c.stage = Stage::LocalHit;
     c.stage_until = now + 1;
@@ -110,17 +93,12 @@ SnoopyBus::ReqId SnoopyBus::rmw(sim::Cycle now, sim::ProcessorId p,
   r.offset = offset;
   r.fn = std::move(fn);
   r.issued = now;
-  if (tracer_) r.txn = tracer_->begin(tracer_unit_, now, p, "rmw", offset);
   auto& cache = *caches_[p];
   auto* line = cache.find(offset);
   c.req = std::move(r);
   if (line != nullptr && line->state == LineState::Dirty) {
     cache.count_hit();
     c.req->old_block = line->data;
-    if (tracer_) {
-      tracer_->span(c.req->txn, sim::TxnPhase::Modify, now,
-                    now + params_.modify_cycles);
-    }
     c.stage = Stage::Modify;
     c.stage_until = now + params_.modify_cycles;
   } else {
@@ -203,10 +181,6 @@ void SnoopyBus::apply_txn(sim::Cycle now, const Txn& txn) {
         complete(now, txn.proc);
       } else {  // rmw
         c.req->old_block = line.data;
-        if (tracer_) {
-          tracer_->span(c.req->txn, sim::TxnPhase::Modify, now,
-                        now + params_.modify_cycles);
-        }
         c.stage = Stage::Modify;
         c.stage_until = now + params_.modify_cycles;
       }
@@ -234,7 +208,6 @@ void SnoopyBus::complete(sim::Cycle now, sim::ProcessorId p) {
   out.issued = r.issued;
   out.completed = now;
   out.data = std::move(r.old_block);
-  if (tracer_) tracer_->end(r.txn, now, true);
   results_.emplace(r.id, std::move(out));
   c.req.reset();
   c.stage = Stage::Idle;
@@ -247,40 +220,16 @@ void SnoopyBus::tick(sim::Cycle now) {
     bus_current_.reset();
     apply_txn(now, txn);
   }
-  // Fault: a browned-out bus arbiter grants nothing new; in-flight
-  // transactions finish, local cache work continues, and the queue drains
-  // once the window closes.
-  if (faults_ != nullptr) [[unlikely]] {
-    const bool paused = faults_->module_paused(now, 0);
-    if (paused && !bus_paused_) {
-      counters_.inc(counters_.brownouts);
-      if (audit_) audit_->on_injected(audit_scope_, now, "module_brownout");
-    }
-    bus_paused_ = paused;
-    if (paused && !bus_queue_.empty()) ++faulted_stalls_;
-  }
   // Start the next one.
-  if (!bus_paused_ && !bus_current_.has_value() && !bus_queue_.empty()) {
+  if (!bus_current_.has_value() && !bus_queue_.empty()) {
     bus_current_ = bus_queue_.front();
     bus_queue_.pop_front();
     bus_wait_.add(static_cast<double>(now - bus_current_->enqueued));
-    if (audit_ && now > bus_current_->enqueued) {
-      audit_->on_contention(audit_scope_, now, "bus_wait");
-    }
     const auto cost = bus_current_->kind == TxnKind::BusUpgr
                           ? params_.inv_cycles
                           : params_.block_cycles;
     bus_until_ = now + cost;
     bus_busy_ += cost;
-    if (tracer_) {
-      // Bus occupancy attributed to the owning request (if still pending
-      // on this offset — a BusWb rides its rmw's transaction).
-      auto& owner = ctls_.at(bus_current_->proc);
-      if (owner.req.has_value() && owner.req->offset == bus_current_->offset) {
-        tracer_->span(owner.req->txn, sim::TxnPhase::Network, now, bus_until_,
-                      static_cast<std::uint32_t>(bus_current_->kind));
-      }
-    }
   }
   // Stage deadlines (local hits, rmw modify phases).
   for (std::uint32_t p = 0; p < params_.processors; ++p) {
@@ -297,7 +246,6 @@ void SnoopyBus::tick(sim::Cycle now) {
         c.stage = Stage::WaitBus;
         enqueue(now, TxnKind::BusRdX, p, c.req->offset);
         counters_.inc(counters_.rmw_reacquires);
-        if (tracer_) tracer_->restart(c.req->txn, now, "rmw_reacquire");
         continue;
       }
       line->data = c.req->fn(line->data);
@@ -312,11 +260,10 @@ void SnoopyBus::tick(sim::Cycle now) {
 
 void SnoopyBus::publish_wake() {
   if (ticker_ == nullptr) return;
-  // Bus grants, stage deadlines and fault windows are all cycle-granular;
-  // the useful quiescence signal is the fully drained system, common in
-  // think-time workloads.
-  bool idle = faults_ == nullptr && !bus_current_.has_value() &&
-              bus_queue_.empty();
+  // Bus grants and stage deadlines are cycle-granular; the useful
+  // quiescence signal is the fully drained system, common in think-time
+  // workloads.
+  bool idle = !bus_current_.has_value() && bus_queue_.empty();
   if (idle) {
     for (const auto& c : ctls_) {
       if (c.req.has_value()) {

@@ -17,11 +17,8 @@
 
 #include "cache/cache.hpp"
 #include "cfm/block_engine.hpp"
-#include "sim/audit.hpp"
 #include "sim/engine.hpp"
-#include "sim/fault.hpp"
 #include "sim/stats.hpp"
-#include "sim/txn_trace.hpp"
 #include "sim/types.hpp"
 
 namespace cfm::cache {
@@ -78,31 +75,6 @@ class SnoopyBus {
   [[nodiscard]] const sim::RunningStat& bus_wait() const noexcept { return bus_wait_; }
   [[nodiscard]] const sim::CounterSet& counters() const noexcept { return counters_; }
 
-  /// Attaches the conflict auditor as a *contended* scope: every bus
-  /// transaction that had to wait behind another is the serialization the
-  /// CFM protocol eliminates (negative-control side of the audit).
-  void set_audit(sim::ConflictAuditor& auditor);
-
-  /// Enables fault awareness: while the injector pauses module 0 the bus
-  /// arbiter grants no new transactions (queued work drains afterwards, so
-  /// latency stays bounded by the fault window).  Stall cycles are
-  /// classified as injected, not contention.
-  void set_fault_injector(const sim::FaultInjector& injector) {
-    faults_ = &injector;
-  }
-  [[nodiscard]] std::uint64_t faulted_stall_cycles() const noexcept {
-    return faulted_stalls_;
-  }
-
-  /// Attaches the transaction tracer (unit "snoopy"): requests get cache
-  /// spans on local hits, bus-occupancy Network spans, and rmw Modify
-  /// spans; rmw ownership steals trace as restarts.
-  void set_txn_trace(sim::TxnTracer& tracer);
-  [[nodiscard]] sim::TxnTracer* txn_tracer() const noexcept { return tracer_; }
-  [[nodiscard]] sim::TxnTracer::UnitId txn_unit() const noexcept {
-    return tracer_unit_;
-  }
-
  private:
   enum class TxnKind : std::uint8_t { BusRd, BusRdX, BusUpgr, BusWb };
   struct Txn {
@@ -122,7 +94,6 @@ class SnoopyBus {
     sim::Cycle issued = 0;
     std::vector<sim::Word> old_block;
     bool local_hit = false;
-    sim::TxnId txn = sim::kNoTxn;
   };
   struct Ctl {
     Stage stage = Stage::Idle;
@@ -153,7 +124,6 @@ class SnoopyBus {
     sim::CounterId snoop_flushes = intern("snoop_flushes");
     sim::CounterId invalidations = intern("invalidations");
     sim::CounterId evict_wbs = intern("evict_wbs");
-    sim::CounterId brownouts = intern("brownouts");
     sim::CounterId rmw_reacquires = intern("rmw_reacquires");
   };
   Counters counters_;
@@ -161,13 +131,6 @@ class SnoopyBus {
   /// Component registered by attach(); carries the quiescence hint.
   sim::Component* ticker_ = nullptr;
   ReqId next_req_ = 1;
-  sim::ConflictAuditor* audit_ = nullptr;
-  sim::ConflictAuditor::ScopeId audit_scope_ = 0;
-  sim::TxnTracer* tracer_ = nullptr;
-  sim::TxnTracer::UnitId tracer_unit_ = 0;
-  const sim::FaultInjector* faults_ = nullptr;
-  bool bus_paused_ = false;
-  std::uint64_t faulted_stalls_ = 0;
 };
 
 }  // namespace cfm::cache

@@ -105,10 +105,6 @@ CfmMemory::OpToken CfmMemory::issue(sim::Cycle now, sim::ProcessorId p,
   }
   op.modify = std::move(modify);
   const OpToken token = op.token;
-  log_.lazy(now, "issue", [&](std::ostream& os) {
-    os << "op " << token << " proc " << p << " kind "
-       << static_cast<int>(kind) << " offset " << offset;
-  });
   if (tracer_) {
     op.txn = tracer_->begin(tracer_unit_, now, p, op_kind_name(kind), offset);
   }
@@ -195,7 +191,7 @@ void CfmMemory::tick_span(sim::Cycle begin, sim::Cycle end) {
     for (sim::Cycle t = begin; t < end; ++t) tick(t);
     return;
   }
-  if (faults_ == nullptr && tracer_ == nullptr && !log_.enabled() &&
+  if (faults_ == nullptr && tracer_ == nullptr &&
       policy_ != ConsistencyPolicy::NoTracking) {
     batched_span(begin, end);
     return;
@@ -472,10 +468,6 @@ OpKind CfmMemory::att_kind(const InFlight& op) const noexcept {
 
 void CfmMemory::restart(sim::Cycle now, InFlight& op, sim::BankId bank,
                         sim::CounterId counter) {
-  log_.lazy(now, "restart", [&](std::ostream& os) {
-    os << "op " << op.token << " proc " << op.proc << " progress "
-       << op.progress << (op.write_phase ? " (write phase)" : "");
-  });
   const bool abandoned_writes =
       op.progress > 0 &&
       (op.kind == BlockOpKind::Write ||
@@ -522,10 +514,6 @@ void CfmMemory::finish(sim::Cycle now, InFlight& op, OpStatus status) {
   if (op.kind != BlockOpKind::Write && status == OpStatus::Completed) {
     result.data = std::move(op.read_buf);  // the op retires below
   }
-  log_.lazy(now, status == OpStatus::Completed ? "complete" : "abort",
-            [&](std::ostream& os) {
-              os << "op " << op.token << " proc " << op.proc;
-            });
   counters_.inc(status == OpStatus::Completed ? counters_.ops_completed
                                              : counters_.ops_aborted);
   if (status == OpStatus::Completed &&
@@ -625,10 +613,6 @@ bool CfmMemory::handle_write_side(sim::Cycle now, InFlight& op,
       return false;
     }
   }
-  log_.lazy(now, "write", [&](std::ostream& os) {
-    os << "op " << op.token << " proc " << op.proc << " bank " << bank
-       << " value " << op.write_buf[bank];
-  });
   bank_access(now, bank, mem::WordOp::Write, write_row(op),
               op.write_buf[bank]);
   if (tracer_ != nullptr) [[unlikely]] {
@@ -665,10 +649,6 @@ bool CfmMemory::handle_read_side(sim::Cycle now, InFlight& op,
   if (tracer_ != nullptr) [[unlikely]] {
     tracer_->span(op.txn, sim::TxnPhase::Bank, now, now + 1, bank);
   }
-  log_.lazy(now, "read", [&](std::ostream& os) {
-    os << "op " << op.token << " proc " << op.proc << " bank " << bank
-       << " value " << op.read_buf[bank];
-  });
   ++op.progress;
   if (op.progress == cfg_.banks) {
     if (op.kind == BlockOpKind::Swap && !op.write_phase) {

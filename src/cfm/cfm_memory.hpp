@@ -36,7 +36,6 @@
 #include "sim/audit.hpp"
 #include "sim/engine.hpp"
 #include "sim/fault.hpp"
-#include "sim/log.hpp"
 #include "sim/stats.hpp"
 #include "sim/txn_trace.hpp"
 #include "sim/types.hpp"
@@ -148,17 +147,6 @@ class CfmMemory {
   void poke_block(sim::BlockAddr offset, std::span<const sim::Word> words);
 
   [[nodiscard]] const sim::CounterSet& counters() const noexcept { return counters_; }
-
-  /// Installs a per-event trace sink (issue / restart / abort / complete /
-  /// bank access), the textual analogue of the paper's timing diagrams.
-  void set_trace(sim::TraceLog::Sink sink) { log_.set_sink(std::move(sink)); }
-
-  /// Installs a structured event sink (cycle, tag, message) — the hook
-  /// sim::ChromeTrace::attach needs.  Independent of the text sink.
-  void set_event_sink(sim::TraceLog::EventSink sink) {
-    log_.set_event_sink(std::move(sink));
-  }
-  [[nodiscard]] sim::TraceLog& trace_log() noexcept { return log_; }
 
   /// Attaches the runtime conflict auditor: registers a ConflictFree
   /// scope over this module's banks (wiring every bank's access probe)
@@ -361,7 +349,6 @@ class CfmMemory {
     sim::CounterId bank_failures_unmapped = intern("bank_failures_unmapped");
   };
   Counters counters_;
-  sim::TraceLog log_;
   sim::DomainId domain_ = sim::kSharedDomain;
   /// Component registered by attach(); carries the quiescence hints the
   /// engine's fast path polls.  Null when never attached (manual tick()).

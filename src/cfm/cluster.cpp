@@ -66,12 +66,6 @@ ClusterSystem::ClusterSystem(std::uint32_t clusters, const ClusterConfig& cfg,
   }
 }
 
-void ClusterSystem::set_txn_trace(sim::TxnTracer& tracer) {
-  tracer_ = &tracer;
-  tracer_unit_ = tracer.add_unit("cluster.link");
-  for (auto& mem : memories_) mem->set_txn_trace(tracer);
-}
-
 ClusterSystem::RequestId ClusterSystem::remote_request(
     sim::Cycle now, sim::ClusterId src_cluster, sim::ClusterId dst_cluster,
     BlockOpKind kind, sim::BlockAddr offset, std::span<const sim::Word> data) {
@@ -90,14 +84,6 @@ ClusterSystem::RequestId ClusterSystem::remote_request(
                                  static_cast<std::uint32_t>(memories_.size()),
                                  src_cluster, dst_cluster);
   p.arrives = now + static_cast<sim::Cycle>(hops) * cfg_.link_latency;
-  if (tracer_) {
-    p.txn = tracer_->begin(tracer_unit_, now, src_cluster,
-                           kind == BlockOpKind::Read ? "remote_read"
-                                                     : "remote_write",
-                           offset);
-    // Outbound request crossing `hops` inter-cluster links.
-    tracer_->span(p.txn, sim::TxnPhase::Network, now, p.arrives, hops);
-  }
   queue_.push_back(std::move(p));
   return queue_.back().id;
 }
@@ -120,13 +106,6 @@ void ClusterSystem::tick(sim::Cycle now) {
         res->issued = p.issued;
         res->completed =
             *p.done_at + static_cast<sim::Cycle>(hops_back) * cfg_.link_latency;
-        if (tracer_) {
-          // Result riding the link(s) home; the served op itself was
-          // traced by the destination memory's own unit.
-          tracer_->span(p.txn, sim::TxnPhase::Network, *p.done_at,
-                        res->completed, hops_back);
-          tracer_->end(p.txn, res->completed, true);
-        }
         results_.emplace(p.id, std::move(*res));
         it = queue_.erase(it);
         continue;
@@ -146,22 +125,16 @@ void ClusterSystem::tick(sim::Cycle now) {
             cfg_.topology, static_cast<std::uint32_t>(memories_.size()),
             p.src, p.dst);
         ++link_drops_;
-        if (tracer_) tracer_->event(p.txn, now, "link_drop");
-        if (p.retransmits < max_retransmits_) {
+        if (p.retransmits < kMaxRetransmits) {
           ++p.retransmits;
           p.arrives =
               now + static_cast<sim::Cycle>(hops) * cfg_.link_latency;
-          if (tracer_) {
-            tracer_->span(p.txn, sim::TxnPhase::Network, now, p.arrives,
-                          hops);
-          }
         } else {
           ++link_failures_;
           BlockOpResult res;
           res.status = OpStatus::Aborted;
           res.issued = p.issued;
           res.completed = now + 1;
-          if (tracer_) tracer_->end(p.txn, now + 1, false);
           results_.emplace(p.id, std::move(res));
           it = queue_.erase(it);
           continue;
@@ -174,9 +147,6 @@ void ClusterSystem::tick(sim::Cycle now) {
       auto& mem = *memories_[p.dst];
       for (std::uint32_t port = first_port; port < cfg_.total_slots; ++port) {
         if (!mem.idle(port)) continue;
-        if (tracer_) {
-          tracer_->event(p.txn, now, "served_by_free_slot");
-        }
         p.op = mem.issue(now, port, p.kind, p.offset, p.data);
         break;
       }

@@ -93,42 +93,20 @@ class ClusterSystem {
     return cfg_.total_slots - cfg_.local_processors;
   }
 
-  /// Forwards a structured event sink to every member memory so one
-  /// ChromeTrace can observe the whole system (each member also exposes
-  /// memory(c).set_event_sink for per-cluster sinks).
-  void set_event_sink(const sim::TraceLog::EventSink& sink) {
-    for (auto& mem : memories_) mem->set_event_sink(sink);
-  }
-
-  /// Attaches the conflict auditor to every member memory (each registers
-  /// its own ConflictFree scope; remote-port service uses free AT slots,
-  /// so it must not introduce violations — the §3.3 claim under test).
-  void set_audit(sim::ConflictAuditor& auditor) {
-    for (auto& mem : memories_) mem->set_audit(auditor);
-  }
-
-  /// Attaches the transaction tracer: member memories trace their block
-  /// ops, and the link layer records each remote request's outbound hop,
-  /// remote service, and return hop as one transaction.
-  void set_txn_trace(sim::TxnTracer& tracer);
-
   /// Enables degraded mode across the whole system: every member memory
-  /// consults `injector` (spare-bank remap + brownout handling, see
-  /// CfmMemory::set_fault_injector), and the inter-cluster link drops
-  /// requests per the injector's MessageDrop faults.  A dropped request is
-  /// retransmitted over the link up to `max_retransmits` times, then the
-  /// request completes with OpStatus::Aborted — bounded latency either
-  /// way.  Non-const: link drops draw from the injector's seeded RNG, and
-  /// the link mover ticks in the shared domain.
-  void set_fault_injector(sim::FaultInjector& injector,
-                          std::uint32_t spare_banks = 1,
-                          std::uint32_t max_retransmits = 3) {
+  /// consults `injector` with one spare bank (spare-bank remap + brownout
+  /// handling, see CfmMemory::set_fault_injector), and the inter-cluster
+  /// link drops requests per the injector's MessageDrop faults.  A dropped
+  /// request is retransmitted over the link up to kMaxRetransmits times,
+  /// then the request completes with OpStatus::Aborted — bounded latency
+  /// either way.  Non-const: link drops draw from the injector's seeded
+  /// RNG, and the link mover ticks in the shared domain.
+  void set_fault_injector(sim::FaultInjector& injector) {
     faults_ = &injector;
-    max_retransmits_ = max_retransmits;
-    for (auto& mem : memories_) {
-      mem->set_fault_injector(injector, spare_banks);
-    }
+    for (auto& mem : memories_) mem->set_fault_injector(injector);
   }
+  /// Link retransmissions a remote request survives before it aborts.
+  static constexpr std::uint32_t kMaxRetransmits = 3;
   [[nodiscard]] std::uint64_t link_drops() const noexcept {
     return link_drops_;
   }
@@ -148,7 +126,6 @@ class ClusterSystem {
     sim::Cycle arrives = 0;              ///< when it reaches dst's port
     CfmMemory::OpToken op = CfmMemory::kNoOp;
     std::optional<sim::Cycle> done_at;   ///< memory op completed, returning
-    sim::TxnId txn = sim::kNoTxn;
     std::uint32_t retransmits = 0;       ///< link drops survived so far
     bool drop_checked = false;           ///< one drop roll per link flight
   };
@@ -158,10 +135,7 @@ class ClusterSystem {
   std::deque<Pending> queue_;
   std::unordered_map<RequestId, BlockOpResult> results_;
   RequestId next_id_ = 1;
-  sim::TxnTracer* tracer_ = nullptr;
-  sim::TxnTracer::UnitId tracer_unit_ = 0;
   sim::FaultInjector* faults_ = nullptr;
-  std::uint32_t max_retransmits_ = 3;
   std::uint64_t link_drops_ = 0;
   std::uint64_t link_failures_ = 0;
 };

@@ -14,13 +14,6 @@ ConventionalMemory::ConventionalMemory(std::uint32_t modules,
 }
 
 sim::Cycle ConventionalMemory::try_start(sim::ModuleId module, sim::Cycle now) {
-  if (faults_ != nullptr && faults_->module_paused(now, module)) [[unlikely]] {
-    // Browned-out module: rejected like a conflict (caller backs off and
-    // retries) but classified as injected, not contention.
-    ++faulted_rejects_;
-    if (audit_) audit_->on_injected(audit_scope_, now, "module_brownout");
-    return sim::kNeverCycle;
-  }
   if (audit_) audit_->on_module_access(audit_scope_, now, module, beta_);
   auto& until = busy_until_.at(module);
   if (now < until) {

@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "sim/audit.hpp"
-#include "sim/fault.hpp"
 #include "sim/stats.hpp"
 #include "sim/types.hpp"
 
@@ -46,16 +45,6 @@ class ConventionalMemory {
   /// auditor independently re-counts the contention Fig 2.1 quantifies.
   void set_audit(sim::ConflictAuditor& auditor);
 
-  /// Enables fault awareness: try_start against a browned-out module is
-  /// rejected (caller backs off, as for a conflict) and classified as
-  /// injected rather than contention.
-  void set_fault_injector(const sim::FaultInjector& injector) {
-    faults_ = &injector;
-  }
-  [[nodiscard]] std::uint64_t faulted_rejects() const noexcept {
-    return faulted_rejects_;
-  }
-
  private:
   std::uint32_t beta_;
   std::vector<sim::Cycle> busy_until_;
@@ -63,8 +52,6 @@ class ConventionalMemory {
   std::uint64_t conflicts_ = 0;
   sim::ConflictAuditor* audit_ = nullptr;
   sim::ConflictAuditor::ScopeId audit_scope_ = 0;
-  const sim::FaultInjector* faults_ = nullptr;
-  std::uint64_t faulted_rejects_ = 0;
 };
 
 }  // namespace cfm::mem

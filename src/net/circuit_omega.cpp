@@ -67,13 +67,6 @@ void BufferedOmega::tick(sim::Cycle now) {
     Packet p = q.front();
     q.pop_front();
     --in_flight_;
-    if (faults_ != nullptr && faults_->drop_message(now)) [[unlikely]] {
-      // Injected delivery-link corruption: the packet is lost.  The
-      // source observes a missing reply and retransmits (caller policy).
-      ++dropped_count_;
-      if (audit_) audit_->on_injected(audit_scope_, now, "message_drop");
-      continue;
-    }
     sink_busy_until_[line] = now + sink_service_;
     p.delivered = now;
     delivered_.push_back(p);
@@ -95,11 +88,6 @@ void BufferedOmega::tick(sim::Cycle now) {
         const auto out_bit = (p.dst >> (stages - 1 - s)) & 1u;
         const Port out_line = (in_line & ~Port{1}) | out_bit;
         if (out_taken[out_bit]) continue;
-        if (faults_ != nullptr &&
-            faults_->omega_link_faulty(now, s, out_line)) [[unlikely]] {
-          ++link_stalls_;  // faulted inter-stage link: the packet waits
-          continue;
-        }
         auto& dst_q = queues_[s][out_line].fifo;
         const bool combines = combining_ && p.hot && !dst_q.empty() &&
                               dst_q.back().hot && dst_q.back().dst == p.dst;
@@ -123,11 +111,6 @@ void BufferedOmega::tick(sim::Cycle now) {
       const auto out_bit = (slot->dst >> (stages - 1)) & 1u;
       const Port out_line = (in_line & ~Port{1}) | out_bit;
       if (out_taken[out_bit]) continue;
-      if (faults_ != nullptr &&
-          faults_->omega_link_faulty(now, 0, out_line)) [[unlikely]] {
-        ++link_stalls_;
-        continue;
-      }
       auto& dst_q = queues_[0][out_line].fifo;
       const bool combines = combining_ && slot->hot && !dst_q.empty() &&
                             dst_q.back().hot && dst_q.back().dst == slot->dst;
@@ -143,7 +126,7 @@ void BufferedOmega::tick(sim::Cycle now) {
 
 void BufferedOmega::publish_wake() {
   if (ticker_ == nullptr) return;
-  bool idle = faults_ == nullptr && in_flight_ == 0 && delivered_.empty();
+  bool idle = in_flight_ == 0 && delivered_.empty();
   if (idle) {
     for (const auto& slot : pending_) {
       if (slot.has_value()) {
@@ -184,24 +167,13 @@ std::optional<sim::Cycle> CircuitOmega::try_circuit(sim::Cycle now, Port src,
   ++attempts_;
   const auto path = topo_.route(src, dst);
   for (const auto& step : path) {
-    if (faults_ != nullptr &&
-        faults_->omega_link_faulty(now, step.stage, step.line_after))
-        [[unlikely]] {
-      // Faulted link on the path: the circuit cannot be established.
-      // Abort-and-retransmit, but classified as injected.
-      ++faulted_aborts_;
-      if (audit_) audit_->on_injected(audit_scope_, now, "omega_link");
-      return std::nullopt;
-    }
     if (now < hold_until_[step.stage][step.line_after]) {
       ++conflicts_;
-      if (audit_) audit_->on_contention(audit_scope_, now, "circuit_abort");
       return std::nullopt;
     }
   }
   if (now < sink_until_[dst]) {
     ++conflicts_;
-    if (audit_) audit_->on_contention(audit_scope_, now, "circuit_abort");
     return std::nullopt;
   }
   const sim::Cycle done = now + hold;

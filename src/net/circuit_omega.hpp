@@ -21,8 +21,8 @@
 #include <vector>
 
 #include "net/omega.hpp"
+#include "sim/audit.hpp"
 #include "sim/engine.hpp"
-#include "sim/fault.hpp"
 #include "sim/stats.hpp"
 #include "sim/types.hpp"
 
@@ -96,23 +96,6 @@ class BufferedOmega {
                           ports(), /*bank_cycle=*/1, /*beta=*/0);
   }
 
-  /// Enables fault awareness: packets crossing a faulted inter-stage link
-  /// stall in place (latency brownout), and MessageDrop faults discard
-  /// packets at delivery (classified as injected, counted in
-  /// dropped_count).  Non-const: message drops draw from the injector's
-  /// seeded RNG, so share one injector only within a tick domain.
-  void set_fault_injector(sim::FaultInjector& injector) {
-    faults_ = &injector;
-  }
-  /// Packets lost to injected MessageDrop faults.
-  [[nodiscard]] std::uint64_t dropped_count() const noexcept {
-    return dropped_count_;
-  }
-  /// Hop attempts stalled by a faulted link.
-  [[nodiscard]] std::uint64_t link_stalls() const noexcept {
-    return link_stalls_;
-  }
-
  private:
   struct Queue {
     std::deque<Packet> fifo;
@@ -144,9 +127,6 @@ class BufferedOmega {
   std::uint64_t injected_count_ = 0;
   std::uint64_t rejected_count_ = 0;
   std::uint64_t combined_count_ = 0;
-  std::uint64_t dropped_count_ = 0;
-  std::uint64_t link_stalls_ = 0;
-  sim::FaultInjector* faults_ = nullptr;
   std::uint64_t next_id_ = 0;
   sim::DomainId domain_ = sim::kSharedDomain;
   /// Component registered by attach(); carries the quiescence hint.
@@ -171,24 +151,6 @@ class CircuitOmega {
   [[nodiscard]] std::uint64_t attempts() const noexcept { return attempts_; }
   [[nodiscard]] std::uint64_t conflicts() const noexcept { return conflicts_; }
 
-  /// Negative-control instrumentation: a Contended scope counting every
-  /// circuit abort (the Butterfly's abort-and-retransmit, §2.1.2).
-  void set_audit(sim::ConflictAuditor& auditor) {
-    audit_ = &auditor;
-    audit_scope_ =
-        auditor.add_scope("circuit_omega", sim::AuditScopeKind::Contended,
-                          ports(), /*bank_cycle=*/1, /*beta=*/0);
-  }
-
-  /// Enables fault awareness: a circuit whose path crosses a faulted link
-  /// aborts (retransmit later), classified as injected.
-  void set_fault_injector(const sim::FaultInjector& injector) {
-    faults_ = &injector;
-  }
-  [[nodiscard]] std::uint64_t faulted_aborts() const noexcept {
-    return faulted_aborts_;
-  }
-
   /// Fraction of switch outputs (and sinks) held by circuits at `now`.
   [[nodiscard]] double held_fraction(sim::Cycle now) const;
 
@@ -205,10 +167,6 @@ class CircuitOmega {
   std::vector<sim::Cycle> sink_until_;
   std::uint64_t attempts_ = 0;
   std::uint64_t conflicts_ = 0;
-  sim::ConflictAuditor* audit_ = nullptr;
-  sim::ConflictAuditor::ScopeId audit_scope_ = 0;
-  const sim::FaultInjector* faults_ = nullptr;
-  std::uint64_t faulted_aborts_ = 0;
 };
 
 }  // namespace cfm::net

@@ -88,23 +88,6 @@ SwitchState SyncOmega::switch_state(sim::Cycle t, std::uint32_t stage,
   return per_slot_[t % topo_.ports()].at(stage).at(sw);
 }
 
-bool SyncOmega::path_faulty(sim::Cycle t, Port input) const {
-  if (faults_ == nullptr) return false;
-  const auto& states = per_slot_[t % topo_.ports()];
-  Port line = input;
-  for (std::uint32_t s = 0; s < topo_.stages(); ++s) {
-    line = topo_.shuffle(line);
-    const auto sw = line >> 1;
-    const auto in_port = line & 1;
-    const auto out_port = states[s][sw] == SwitchState::Straight
-                              ? in_port
-                              : (in_port ^ 1u);
-    line = (line & ~Port{1}) | out_port;
-    if (faults_->omega_link_faulty(t, s, line)) return true;
-  }
-  return false;
-}
-
 Port SyncOmega::output_for(sim::Cycle t, Port input) const {
   const auto& states = per_slot_[t % topo_.ports()];
   Port line = input;
@@ -132,29 +115,6 @@ void SyncOmega::attach(sim::Engine& engine) {
   });
   cursor->set_span_capable();
   engine.add(std::move(cursor));
-}
-
-void SyncOmega::attach_audit(sim::Engine& engine,
-                             sim::ConflictAuditor& auditor) {
-  const auto scope =
-      auditor.add_scope("omega", sim::AuditScopeKind::ConflictFree, ports(),
-                        /*bank_cycle=*/1, /*beta=*/0);
-  audit_outputs_.assign(ports(), 0);
-  auto checker = std::make_shared<sim::LambdaComponent>("net.omega.audit",
-                                                        sim::kSharedDomain);
-  checker->on(sim::Phase::Network, [this, &auditor, scope](sim::Cycle now) {
-    for (Port in = 0; in < ports(); ++in) {
-      audit_outputs_[in] = output_for(now, in);
-      if (faults_ != nullptr && path_faulty(now, in)) [[unlikely]] {
-        // Injected link fault on this input's path — classified apart
-        // from genuine permutation violations.
-        auditor.on_injected(scope, now, "omega_link");
-        ++faulted_traversals_;
-      }
-    }
-    auditor.on_omega_slot(scope, now, audit_outputs_);
-  });
-  engine.add(std::move(checker));
 }
 
 }  // namespace cfm::net

@@ -14,9 +14,7 @@
 #include <vector>
 
 #include "net/permutation.hpp"
-#include "sim/audit.hpp"
 #include "sim/engine.hpp"
-#include "sim/fault.hpp"
 #include "sim/types.hpp"
 
 namespace cfm::net {
@@ -84,30 +82,9 @@ class SyncOmega {
   void attach(sim::Engine& engine);
   [[nodiscard]] sim::Cycle current_slot() const noexcept { return slot_; }
 
-  /// Registers a ConflictFree scope and an extra shared-domain component
-  /// that, every Phase::Network tick, *traverses* all N inputs through the
-  /// slot's switch states and hands the realized outputs to the auditor —
-  /// verifying on live traffic that every slot is a conflict-free
-  /// permutation equal to the uniform shift σ_t (Table 3.4).  Call before
-  /// engine.run; audit ticking is an experiment mode.
-  void attach_audit(sim::Engine& engine, sim::ConflictAuditor& auditor);
   [[nodiscard]] SwitchState switch_state_now(std::uint32_t stage,
                                              std::uint32_t sw) const {
     return switch_state(slot_, stage, sw);
-  }
-
-  /// Enables link-fault awareness: path_faulty() consults `injector` for
-  /// OmegaLink faults, and the attach_audit checker classifies faulted
-  /// traversals via on_injected (never as violations).
-  void set_fault_injector(const sim::FaultInjector& injector) {
-    faults_ = &injector;
-  }
-  /// True iff `input`'s path at slot t crosses a faulted (stage, line)
-  /// link.  Always false without an injector.
-  [[nodiscard]] bool path_faulty(sim::Cycle t, Port input) const;
-  /// Audit-observed traversals that crossed a faulted link.
-  [[nodiscard]] std::uint64_t faulted_traversals() const noexcept {
-    return faulted_traversals_;
   }
 
   /// Derives the conflict-free state table for an arbitrary permutation,
@@ -121,9 +98,6 @@ class SyncOmega {
   OmegaTopology topo_;
   std::vector<StageStates> per_slot_;  ///< index = t mod ports
   sim::Cycle slot_ = 0;                ///< engine-aligned slot (attach())
-  std::vector<std::uint32_t> audit_outputs_;  ///< reusable traversal buffer
-  const sim::FaultInjector* faults_ = nullptr;
-  std::uint64_t faulted_traversals_ = 0;
 };
 
 }  // namespace cfm::net

@@ -75,18 +75,10 @@ sim::Cycle PartialCfmFabric::try_access(std::uint32_t p, std::uint32_t module,
   if (p >= n_ || module >= m_) {
     throw std::invalid_argument("try_access: processor or module out of range");
   }
-  if (faults_ != nullptr && faults_->module_paused(now, module)) [[unlikely]] {
-    // Browned-out module: the access is rejected like a conflict (the
-    // caller backs off and retries), but classified as injected.
-    ++faulted_rejects_;
-    if (audit_) audit_->on_injected(audit_scope_, now, "module_brownout");
-    return sim::kNeverCycle;
-  }
   const auto idx = module * channels_per_module() + channel_of(p);
   auto& until = busy_until_[idx];
   if (now < until) {
     ++conflicts_;
-    if (audit_) audit_->on_contention(audit_scope_, now, "channel_conflict");
     return sim::kNeverCycle;
   }
   until = now + beta_;

@@ -23,8 +23,6 @@
 #include <vector>
 
 #include "net/omega.hpp"
-#include "sim/audit.hpp"
-#include "sim/fault.hpp"
 #include "sim/types.hpp"
 
 namespace cfm::net {
@@ -121,28 +119,6 @@ class PartialCfmFabric {
   [[nodiscard]] std::uint64_t accesses_started() const noexcept { return started_; }
   [[nodiscard]] std::uint64_t conflicts() const noexcept { return conflicts_; }
 
-  /// Negative-control instrumentation: a Contended scope counting every
-  /// channel conflict — remote clusters colliding on a (module, channel)
-  /// pair, the P1/P2 contention of §3.4.2.  Local cluster traffic stays
-  /// conflict-free by construction, so a partial fabric driven only by
-  /// one conflict-free cluster reports zero.
-  void set_audit(sim::ConflictAuditor& auditor) {
-    audit_ = &auditor;
-    audit_scope_ =
-        auditor.add_scope("partial_fabric", sim::AuditScopeKind::Contended,
-                          m_ * channels_per_module(), beta_, /*beta=*/0);
-  }
-
-  /// Enables fault awareness: try_access against a browned-out module is
-  /// rejected (caller backs off, as for a conflict) and classified as
-  /// injected rather than contention.
-  void set_fault_injector(const sim::FaultInjector& injector) {
-    faults_ = &injector;
-  }
-  [[nodiscard]] std::uint64_t faulted_rejects() const noexcept {
-    return faulted_rejects_;
-  }
-
   /// Fraction of (module, channel) pairs occupied by a block access at
   /// `now` — the fabric's instantaneous utilization.
   [[nodiscard]] double busy_fraction(sim::Cycle now) const;
@@ -159,10 +135,6 @@ class PartialCfmFabric {
   std::vector<sim::Cycle> busy_until_;  // [module * channels + channel]
   std::uint64_t started_ = 0;
   std::uint64_t conflicts_ = 0;
-  sim::ConflictAuditor* audit_ = nullptr;
-  sim::ConflictAuditor::ScopeId audit_scope_ = 0;
-  const sim::FaultInjector* faults_ = nullptr;
-  std::uint64_t faulted_rejects_ = 0;
 };
 
 }  // namespace cfm::net

@@ -63,17 +63,6 @@ namespace cfm::sim {
 enum class Phase : std::uint8_t { Issue = 0, Network, Memory, Commit };
 inline constexpr std::size_t kPhaseCount = 4;
 
-/// Stable lower-case phase name, used by the profiler report schema.
-[[nodiscard]] constexpr const char* phase_name(Phase p) noexcept {
-  switch (p) {
-    case Phase::Issue: return "issue";
-    case Phase::Network: return "network";
-    case Phase::Memory: return "memory";
-    case Phase::Commit: return "commit";
-  }
-  return "?";
-}
-
 /// Identifier of a tick domain.  Domain 0 is the shared (serial) domain;
 /// independent domains are allocated by the engine.
 using DomainId = std::uint32_t;

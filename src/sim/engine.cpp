@@ -5,7 +5,6 @@
 #include <map>
 #include <string>
 
-#include "sim/report.hpp"
 
 namespace cfm::sim {
 
@@ -24,27 +23,6 @@ Engine::Engine(const EngineConfig& cfg) : cfg_(cfg) {
   if (t.fast_path) cfg_.fast_path = *t.fast_path;
   if (t.max_span) cfg_.max_span = *t.max_span;
   if (cfg_.max_span < 1) cfg_.max_span = 1;
-}
-
-Json EngineProfile::to_json() const {
-  Json out = Json::object();
-  out["cycles"] = cycles;
-  Json phases_json = Json::object();
-  for (std::size_t pi = 0; pi < kPhaseCount; ++pi) {
-    const auto& p = phases[pi];
-    phases_json[phase_name(static_cast<Phase>(pi))] =
-        Json::object({{"total_us", cfm::sim::to_json(p.total_us)},
-                      {"shared_us", cfm::sim::to_json(p.shared_us)},
-                      {"domains_us", cfm::sim::to_json(p.domains_us)}});
-  }
-  out["phases"] = std::move(phases_json);
-  Json domains_json = Json::object();
-  for (std::size_t d = 0; d < domain_us.size(); ++d) {
-    if (d == kSharedDomain) continue;
-    domains_json[std::to_string(d)] = domain_us[d];
-  }
-  out["domains"] = std::move(domains_json);
-  return out;
 }
 
 DomainId Engine::allocate_domain() {
@@ -101,11 +79,8 @@ void Engine::rebuild_plans_if_dirty() {
     }
     plan.groups.clear();
     plan.groups.reserve(by_domain.size());
-    plan.group_domains.clear();
-    plan.group_domains.reserve(by_domain.size());
     for (auto& [domain, group] : by_domain) {
       plan.groups.push_back(std::move(group));
-      plan.group_domains.push_back(domain);
     }
   }
 
@@ -142,74 +117,17 @@ void Engine::rebuild_plans_if_dirty() {
   plans_dirty_ = false;
 }
 
-void Engine::enable_profiling(bool on) {
-  profiling_ = on;
-  if (on) reset_profile();
-}
-
-void Engine::reset_profile() {
-  profile_ = EngineProfile{};
-  profile_epoch_ = ProfileClock::now();
-  ensure_profile_domains();
-}
-
-void Engine::ensure_profile_domains() {
-  if (profile_.domain_us.size() < next_domain_) {
-    profile_.domain_us.resize(next_domain_, 0.0);
-  }
-}
-
 void Engine::step_serial() {
   rebuild_plans_if_dirty();
-  if (!profiling_) {
-    for (std::size_t pi = 0; pi < kPhaseCount; ++pi) {
-      const auto phase = static_cast<Phase>(pi);
-      const auto& plan = plans_[pi];
-      for (auto* c : plan.shared) c->tick_phase(phase, now_);
-      for (const auto& group : plan.groups) {
-        for (auto* c : group) c->tick_phase(phase, now_);
-      }
-    }
-    ++now_;
-    return;
-  }
-
-  ensure_profile_domains();
   for (std::size_t pi = 0; pi < kPhaseCount; ++pi) {
     const auto phase = static_cast<Phase>(pi);
     const auto& plan = plans_[pi];
-    const auto t0 = ProfileClock::now();
     for (auto* c : plan.shared) c->tick_phase(phase, now_);
-    const auto t1 = ProfileClock::now();
-    for (std::size_t g = 0; g < plan.groups.size(); ++g) {
-      const auto g0 = ProfileClock::now();
-      for (auto* c : plan.groups[g]) c->tick_phase(phase, now_);
-      const auto g1 = ProfileClock::now();
-      const double us =
-          std::chrono::duration<double, std::micro>(g1 - g0).count();
-      profile_.domain_us[plan.group_domains[g]] += us;
-      if (chrome_) {
-        chrome_->complete("domain " + std::to_string(plan.group_domains[g]),
-                          "engine", profile_ts(g0), us,
-                          static_cast<int>(plan.group_domains[g]));
-      }
-    }
-    const auto t2 = ProfileClock::now();
-    auto& times = profile_.phases[pi];
-    const double shared_us =
-        std::chrono::duration<double, std::micro>(t1 - t0).count();
-    const double domains_us =
-        std::chrono::duration<double, std::micro>(t2 - t1).count();
-    times.shared_us.add(shared_us);
-    times.domains_us.add(domains_us);
-    times.total_us.add(shared_us + domains_us);
-    if (chrome_) {
-      chrome_->complete(phase_name(phase), "engine", profile_ts(t0),
-                        shared_us + domains_us, /*tid=*/0);
+    for (const auto& group : plan.groups) {
+      for (auto* c : group) c->tick_phase(phase, now_);
     }
   }
   ++now_;
-  ++profile_.cycles;
 }
 
 void Engine::step_cycle_fast() {
@@ -382,7 +300,7 @@ void Engine::advance_to(Cycle target) {
 }
 
 void Engine::step() {
-  if (fast_path_usable()) {
+  if (cfg_.fast_path) {
     rebuild_plans_if_dirty();
     step_cycle_fast();
     return;
@@ -391,7 +309,7 @@ void Engine::step() {
 }
 
 void Engine::run_for(Cycle cycles) {
-  if (fast_path_usable()) {
+  if (cfg_.fast_path) {
     advance_to(now_ + cycles);
     return;
   }

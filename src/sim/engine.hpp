@@ -15,7 +15,6 @@
 #pragma once
 
 #include <array>
-#include <chrono>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -30,9 +29,6 @@
 #include "sim/types.hpp"
 
 namespace cfm::sim {
-
-class ChromeTrace;
-class Json;
 
 struct EngineConfig {
   /// Table-driven fast path (DESIGN.md §12): skip components whose
@@ -60,28 +56,6 @@ struct EngineTuning {
 };
 void set_engine_tuning(const EngineTuning& tuning) noexcept;
 [[nodiscard]] const EngineTuning& engine_tuning() noexcept;
-
-/// Wall-clock profile of an engine run, collected when profiling is
-/// enabled (Engine::enable_profiling).  All times are microseconds of
-/// host wall clock; simulation results are unaffected — the profiler
-/// only reads clocks.
-struct EngineProfile {
-  /// One phase's timing, one RunningStat sample per simulated cycle.
-  struct PhaseTimes {
-    RunningStat total_us;    ///< shared + domain work
-    RunningStat shared_us;   ///< shared-domain components
-    RunningStat domains_us;  ///< wall time of the domain-group section
-  };
-
-  std::array<PhaseTimes, kPhaseCount> phases;
-  /// Accumulated in-job time per DomainId (index 0 = shared domain,
-  /// which accrues under phases[].shared_us instead and stays 0 here).
-  std::vector<double> domain_us;
-  std::uint64_t cycles = 0;  ///< cycles stepped while profiling
-
-  /// {"cycles","phases":{...},"domains":{...}}
-  [[nodiscard]] Json to_json() const;
-};
 
 class Engine {
  public:
@@ -122,24 +96,6 @@ class Engine {
   /// RunningStat rounding).  Never call while a step is in flight.
   [[nodiscard]] StatShard merged_stats() const;
 
-  // ---- profiling ----------------------------------------------------
-
-  /// Turns the wall-clock profiler on (or off).  Enabling resets the
-  /// collected profile.  Profiling never changes simulation results.
-  void enable_profiling(bool on = true);
-  [[nodiscard]] bool profiling_enabled() const noexcept { return profiling_; }
-  /// The collected profile; valid between steps.
-  [[nodiscard]] const EngineProfile& profile() const noexcept {
-    return profile_;
-  }
-  void reset_profile();
-
-  /// Attaches a Chrome-trace sink: while profiling is enabled, every
-  /// phase and every domain group emits a complete ("X") event in real
-  /// microseconds since profiling started.
-  /// Pass nullptr to detach.  The sink must outlive the engine run.
-  void set_chrome_trace(ChromeTrace* trace) noexcept { chrome_ = trace; }
-
   // ---- execution ----------------------------------------------------
 
   /// Advances the simulation by exactly one cycle.  Under the fast path
@@ -170,7 +126,6 @@ class Engine {
   struct PhasePlan {
     std::vector<Component*> shared;               ///< registration order
     std::vector<std::vector<Component*>> groups;  ///< ascending domain id
-    std::vector<DomainId> group_domains;          ///< domain of groups[i]
   };
 
   /// Table-driven fast-path plan: the same registry regrouped
@@ -195,8 +150,6 @@ class Engine {
     /// which is order-independent.
     std::vector<std::pair<Component*, Phase>> entries;
   };
-
-  using ProfileClock = std::chrono::steady_clock;
 
   void rebuild_plans_if_dirty();
   /// The canonical reference schedule: every component, every phase,
@@ -243,16 +196,6 @@ class Engine {
   /// the start of a cycle or, by the tail rule, after its earlier phases.
   static void run_group_span(const FastPlan::DomainGroup& group, Cycle begin,
                              Cycle end);
-  [[nodiscard]] bool fast_path_usable() const noexcept {
-    return cfg_.fast_path && !profiling_;
-  }
-  /// Microseconds from the profiling epoch to `t`.
-  [[nodiscard]] double profile_ts(ProfileClock::time_point t) const noexcept {
-    return std::chrono::duration<double, std::micro>(t - profile_epoch_)
-        .count();
-  }
-  /// Grows profile_.domain_us to cover every allocated domain.
-  void ensure_profile_domains();
 
   EngineConfig cfg_;
   Cycle now_ = 0;
@@ -263,10 +206,6 @@ class Engine {
   FastPlan fast_plan_;
   bool plans_dirty_ = true;
   std::uint64_t next_lambda_ = 0;
-  bool profiling_ = false;
-  EngineProfile profile_;
-  ProfileClock::time_point profile_epoch_{};
-  ChromeTrace* chrome_ = nullptr;
 };
 
 }  // namespace cfm::sim

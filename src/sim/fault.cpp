@@ -221,17 +221,6 @@ bool FaultInjector::module_paused(Cycle now, ModuleId module) const {
   return false;
 }
 
-bool FaultInjector::omega_link_faulty(Cycle now, std::uint32_t stage,
-                                      std::uint32_t link) const {
-  for (const auto& s : plan_.specs()) {
-    if (s.kind == FaultKind::OmegaLink && s.stage == stage && s.link == link &&
-        s.active(now)) {
-      return true;
-    }
-  }
-  return false;
-}
-
 bool FaultInjector::any_active(Cycle now) const {
   for (const auto& s : plan_.specs()) {
     if (s.active(now)) return true;

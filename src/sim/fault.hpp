@@ -47,7 +47,8 @@ namespace cfm::sim {
 enum class FaultKind : std::uint8_t {
   BankDead,        ///< bank never serves again (until duration expires)
   ModuleBrownout,  ///< module pauses service for the window
-  OmegaLink,       ///< switch output line (stage, link) misroutes
+  OmegaLink,       ///< switch output line (stage, link) misroutes (parsed;
+                   ///< no machine consults it)
   MessageDrop,     ///< messages dropped with `probability` while active
 };
 
@@ -114,8 +115,6 @@ class FaultInjector {
   /// Pure queries — safe from any tick domain.
   [[nodiscard]] bool bank_dead(Cycle now, ModuleId module, BankId bank) const;
   [[nodiscard]] bool module_paused(Cycle now, ModuleId module) const;
-  [[nodiscard]] bool omega_link_faulty(Cycle now, std::uint32_t stage,
-                                       std::uint32_t link) const;
   [[nodiscard]] bool any_active(Cycle now) const;
   /// Number of specs active at `now` — the telemetry fault-lifecycle gauge.
   [[nodiscard]] std::uint32_t active_count(Cycle now) const;

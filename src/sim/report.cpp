@@ -751,16 +751,6 @@ void ChromeTrace::thread_name(int tid, const std::string& name) {
                      {"args", std::move(args)}}));
 }
 
-void ChromeTrace::attach(TraceLog& log, int tid) {
-  log.set_event_sink(
-      [this, tid](Cycle cycle, std::string_view tag, std::string_view msg) {
-        std::string name;
-        name.reserve(tag.size() + 2 + msg.size());
-        name.append(tag).append(": ").append(msg);
-        instant(name, "sim", static_cast<double>(cycle), tid);
-      });
-}
-
 std::size_t ChromeTrace::event_count() const {
   std::lock_guard<std::mutex> lk(mx_);
   return events_.size();

@@ -2,8 +2,7 @@
 // for the statistics containers (CounterSet / RunningStat / Histogram), a
 // `Report` document every bench harness emits as `BENCH_<name>.json`, a
 // `MetricsRegistry` that snapshots live metric objects into a report, and
-// a Chrome-trace (chrome://tracing JSON array) event sink layered on
-// TraceLog and the engine profiler.
+// a Chrome-trace (chrome://tracing JSON array) event sink.
 //
 // Determinism matters here exactly as it does in the simulator: object
 // keys serialize in sorted order and doubles use shortest-round-trip
@@ -21,7 +20,6 @@
 #include <type_traits>
 #include <vector>
 
-#include "sim/log.hpp"
 #include "sim/stats.hpp"
 #include "sim/types.hpp"
 
@@ -201,7 +199,7 @@ class Report {
                      const std::vector<double>& quantiles = {0.5, 0.9, 0.99});
   /// Appends one row to the named ordered series (curves / table rows).
   void add_row(const std::string& table, Json row);
-  /// Attaches an arbitrary JSON subtree (e.g. the engine profile).
+  /// Attaches an arbitrary JSON subtree (e.g. the txn_trace section).
   void add_section(const std::string& key, Json value);
 
   [[nodiscard]] Json to_json() const;
@@ -257,12 +255,9 @@ class MetricsRegistry {
 /// flavour) and writes them for chrome://tracing / Perfetto.  Appends are
 /// thread-safe.
 ///
-/// Two layers feed it:
-///  * TraceLog — `attach(log, tid)` installs a structured event sink that
-///    turns every simulator trace line into an instant event at
-///    ts = simulated cycle (1 cycle == 1 "us" on the trace timeline);
-///  * the engine profiler — per-phase/per-domain duration ("X") events in
-///    real microseconds when profiling is enabled.
+/// Two layers feed it, both at ts = simulated cycle (1 cycle == 1 "us"
+/// on the trace timeline): TxnTracer::to_chrome (transaction spans and
+/// flows) and TelemetrySampler::export_chrome (windowed counters).
 class ChromeTrace {
  public:
   /// Instant event ("i"), timestamp in trace units.
@@ -283,10 +278,6 @@ class ChromeTrace {
                 double ts_us, std::uint64_t id, int tid = 0);
   /// Names the timeline lane `tid` ("M"/thread_name metadata event).
   void thread_name(int tid, const std::string& name);
-
-  /// Routes every TraceLog event into this sink as an instant event
-  /// (category "sim", ts = cycle).  Replaces the log's event sink.
-  void attach(TraceLog& log, int tid = 0);
 
   [[nodiscard]] std::size_t event_count() const;
   /// Writes the JSON array (valid chrome://tracing input).

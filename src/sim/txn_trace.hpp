@@ -1,7 +1,7 @@
 // Transaction-level tracing for the *simulated* memory system.
 //
-// PR 2's observability work (reports, profiler, Chrome trace) instruments
-// the host simulator; this tracer instruments the machine being simulated.
+// This tracer instruments the machine being simulated, not the host
+// simulator.
 // Every block access becomes a transaction with a stable id and a causal
 // lifecycle: when it was enqueued by the workload, when it issued, every
 // bank it visited (the paper's Fig 3.6 address walk), network stages and
@@ -9,8 +9,7 @@
 //
 //   * Chrome trace — per-span duration ("X") events on one timeline lane
 //     per (unit, processor), instant events for restarts and coherence
-//     actions, and flow arrows stitching a transaction across units
-//     (e.g. a remote cluster request hopping to the serving port);
+//     actions, and flow arrows stitching a transaction across units;
 //   * the "txn_trace" section of a cfm-bench-report/v1 document —
 //     per-phase latency-attribution histograms (queueing vs. stall vs.
 //     bank service vs. network vs. drain) whose per-transaction sums

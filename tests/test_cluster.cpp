@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include "cfm/cluster.hpp"
+#include "sim/fault.hpp"
 
 namespace {
 
@@ -105,6 +106,35 @@ TEST(ClusterSystem, ManyRemoteRequestsSerializeOnTheFreeSlot) {
     ASSERT_TRUE(r.has_value());
     EXPECT_GE(r->completed, prev_done);  // served in order on one port
     prev_done = r->completed;
+  }
+}
+
+// Link drops (the only consumer of `drop` faults): at drop probability 1
+// every link flight is lost, so each remote request is sent once plus
+// kMaxRetransmits times and then resolves Aborted, never hanging.
+TEST(ClusterSystem, LinkDropsAbortAfterBoundedRetransmits) {
+  constexpr int kRequests = 5;
+  for (const bool faulted : {true, false}) {
+    SCOPED_TRACE(faulted);
+    ClusterSystem sys(2, small_config());
+    cfm::sim::FaultInjector injector(cfm::sim::FaultPlan::parse("drop@0:prob=1"));
+    if (faulted) sys.set_fault_injector(injector);
+    Cycle t = 0;
+    std::vector<ClusterSystem::RequestId> reqs;
+    for (int i = 0; i < kRequests; ++i) {
+      reqs.push_back(sys.remote_request(0, i % 2, 1 - i % 2, BlockOpKind::Read,
+                                        20 + i));
+    }
+    run(sys, t, 400);
+    for (const auto id : reqs) {
+      const auto r = sys.take_result(id);
+      ASSERT_TRUE(r.has_value());
+      EXPECT_EQ(r->status,
+                faulted ? OpStatus::Aborted : OpStatus::Completed);
+    }
+    const std::uint64_t n = faulted ? kRequests : 0;
+    EXPECT_EQ(sys.link_failures(), n);
+    EXPECT_EQ(sys.link_drops(), (ClusterSystem::kMaxRetransmits + 1) * n);
   }
 }
 

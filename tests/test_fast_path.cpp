@@ -638,7 +638,7 @@ HierRun run_hier(bool fast, Cycle span, const HierCase& c = {}) {
   std::optional<sim::FaultInjector> injector;
   if (!c.fault_plan.empty()) {
     injector.emplace(sim::FaultPlan::parse(c.fault_plan));
-    sys.set_fault_injector(*injector, /*spare_banks=*/1);
+    sys.set_fault_injector(*injector);
   }
   sim::ConflictAuditor auditor;
   if (c.audit) sys.set_audit(auditor);

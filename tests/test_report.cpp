@@ -1,6 +1,6 @@
 // Tests for the structured report layer: the Json value type and its
 // parser, the Report document schema, the MetricsRegistry snapshot, and
-// the Chrome-trace event sink layered on TraceLog.
+// the Chrome-trace event sink.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -8,7 +8,6 @@
 #include <stdexcept>
 #include <string>
 
-#include "sim/log.hpp"
 #include "sim/report.hpp"
 #include "sim/stats.hpp"
 
@@ -258,26 +257,6 @@ TEST(ChromeTrace, CollectsEventsAsJsonArray) {
   std::ostringstream os;
   trace.write(os);
   EXPECT_EQ(Json::parse(os.str()), j);
-}
-
-TEST(ChromeTrace, AttachTurnsTraceLogEventsIntoInstants) {
-  TraceLog log;
-  ChromeTrace trace;
-  EXPECT_FALSE(log.enabled());
-  trace.attach(log, /*tid=*/7);
-  EXPECT_TRUE(log.enabled());
-
-  log.emit(123, "mem", "bank 3 busy");
-  log.lazy(124, "net", [](std::ostream& os) { os << "omega pass " << 2; });
-  ASSERT_EQ(trace.event_count(), 2u);
-
-  const auto j = trace.to_json();
-  const auto& arr = j.as_array();
-  EXPECT_EQ(arr[0].at("ph").as_string(), "i");
-  EXPECT_EQ(arr[0].at("cat").as_string(), "sim");
-  EXPECT_DOUBLE_EQ(arr[0].at("ts").as_double(), 123.0);
-  EXPECT_EQ(arr[0].at("tid").as_int(), 7);
-  EXPECT_DOUBLE_EQ(arr[1].at("ts").as_double(), 124.0);
 }
 
 }  // namespace

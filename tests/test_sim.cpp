@@ -13,7 +13,6 @@
 #include "sim/audit.hpp"
 #include "sim/engine.hpp"
 #include "sim/fault.hpp"
-#include "sim/log.hpp"
 #include "sim/report.hpp"
 #include "sim/rng.hpp"
 #include "sim/stats.hpp"
@@ -499,84 +498,6 @@ TEST(Engine, RunUntilTimesOut) {
   const bool done = e.run_until([] { return false; }, 10);
   EXPECT_FALSE(done);
   EXPECT_EQ(e.now(), 10u);
-}
-
-/// Registers one Memory-phase component per fresh tick domain.
-void add_domain_workers(Engine& engine, std::size_t domains,
-                        std::vector<std::uint64_t>& sums) {
-  sums.assign(domains, 0);
-  for (std::size_t i = 0; i < domains; ++i) {
-    engine.add(std::make_shared<LambdaComponent>(
-        "worker#" + std::to_string(i), engine.allocate_domain(),
-        Phase::Memory, [&sums, i](Cycle now) { sums[i] += now; }));
-  }
-}
-
-TEST(Engine, ProfilerSamplesEveryPhaseEveryCycle) {
-  constexpr Cycle kCycles = 100;
-  constexpr std::size_t kDomains = 4;
-  Engine engine;
-  std::vector<std::uint64_t> sums;
-  add_domain_workers(engine, kDomains, sums);
-  engine.enable_profiling();
-  engine.run_for(kCycles);
-
-  const auto& prof = engine.profile();
-  EXPECT_EQ(prof.cycles, kCycles);
-  for (const auto& phase : prof.phases) {
-    EXPECT_EQ(phase.total_us.count(), kCycles);
-    EXPECT_EQ(phase.shared_us.count(), kCycles);
-    EXPECT_EQ(phase.domains_us.count(), kCycles);
-  }
-  // Every independent domain accrued time; the shared one accrues under
-  // phases[].shared_us instead.
-  ASSERT_EQ(prof.domain_us.size(), kDomains + 1);
-  EXPECT_EQ(prof.domain_us[kSharedDomain], 0.0);
-  double domain_total = 0.0;
-  for (std::size_t d = 1; d < prof.domain_us.size(); ++d) {
-    domain_total += prof.domain_us[d];
-  }
-  EXPECT_GT(domain_total, 0.0);
-  EXPECT_EQ(prof.to_json().at("cycles").as_uint(), kCycles);
-}
-
-TEST(Engine, ResetProfileClearsCollectedSamples) {
-  Engine engine;
-  engine.on(Phase::Memory, [](Cycle) {});
-  engine.enable_profiling();
-  engine.run_for(10);
-  EXPECT_EQ(engine.profile().cycles, 10u);
-  engine.reset_profile();
-  EXPECT_EQ(engine.profile().cycles, 0u);
-  engine.run_for(5);
-  EXPECT_EQ(engine.profile().cycles, 5u);
-}
-
-TEST(Engine, ChromeTraceSinkRecordsPhaseEvents) {
-  Engine engine;
-  std::vector<std::uint64_t> sums;
-  add_domain_workers(engine, 2, sums);
-  ChromeTrace trace;
-  engine.set_chrome_trace(&trace);
-  engine.enable_profiling();
-  engine.run_for(3);
-  // Per-phase and per-domain duration events were emitted while profiling.
-  EXPECT_GT(trace.event_count(), 0u);
-}
-
-TEST(TraceLog, EmitsOnlyWhenEnabled) {
-  TraceLog log;
-  int calls = 0;
-  log.lazy(1, "t", [&](std::ostream&) { ++calls; });
-  EXPECT_EQ(calls, 0);  // disabled: the formatter must not run
-  std::vector<std::string> lines;
-  log.set_sink([&](std::string_view s) { lines.emplace_back(s); });
-  log.emit(7, "bank", "hello");
-  ASSERT_EQ(lines.size(), 1u);
-  EXPECT_EQ(lines[0], "cycle 7 [bank] hello");
-  log.lazy(8, "x", [&](std::ostream& os) { os << "lazy"; ++calls; });
-  EXPECT_EQ(calls, 1);
-  EXPECT_EQ(lines.back(), "cycle 8 [x] lazy");
 }
 
 }  // namespace

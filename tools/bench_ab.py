@@ -16,12 +16,15 @@ the median of each side, the parent's quartiles and how many pairs the
 change won, and appends one row per side to the trajectory file:
 workload, metric, unit, side, source digest, base SHA, seed, pairs,
 median, quartiles, wins, the simulated-statistics digest and the host
-line.  After the pairs of a seed, each side runs once more with
-`--trace 1`; every per-layer metric of BENCHMARK.json that run reports
-becomes one more row per side, marked `"kind": "per_layer"` (its median
-and quartiles are the single traced value), except metrics that read 0
-on both sides (layers the workload does not exercise).  A row without
-`kind` is end-to-end.  --dry-run prints the tables without touching the file.
+line.  After the pairs of a seed, the sides run TRACED_PAIRS more
+alternating pairs with `--trace 1`; every per-layer metric of
+BENCHMARK.json those runs report becomes one more row per side, marked
+`"kind": "per_layer"`, with the median and quartiles of its traced runs,
+except metrics that read 0 in every traced run (layers the workload does
+not exercise).  A row without `kind` is end-to-end.  Both printed tables
+mark a metric "unresolved" when the two sides' quartile ranges overlap
+and the runs are not all one value: its difference is inside the host
+noise.  --dry-run prints the tables without touching the file.
 
 The parent and the change must simulate the same thing: when a seed's
 digests differ between the sides the tool prints DIGEST MISMATCH and,
@@ -47,6 +50,11 @@ from datetime import datetime, timezone
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SCHEMA = "cfm-bench-trajectory/v1"
+# Traced (--trace 1) pairs per seed behind each per-layer row.  A share
+# taken from one traced run per side carries that run's host noise whole
+# and has read below zero; three alternating pairs give a median and a
+# spread.
+TRACED_PAIRS = 3
 
 
 def log(*parts):
@@ -112,6 +120,24 @@ def quartiles(values):
     return q[0], q[2]
 
 
+def resolved(a, b):
+    """False when the quartile ranges of samples a and b overlap, unless
+    every value on both sides is the same (an exact tie is resolved)."""
+    if len(set(a) | set(b)) == 1:
+        return True
+    qa, qb = quartiles(a), quartiles(b)
+    return qa[1] < qb[0] or qb[1] < qa[0]
+
+
+def alternate(pairs, run):
+    """Calls run(i, side) for `pairs` pairs, alternating which side is
+    first."""
+    for i in range(pairs):
+        for side in (("parent", "change") if i % 2 == 0 else
+                     ("change", "parent")):
+            run(i, side)
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", required=True, help="git ref to compare to")
@@ -143,17 +169,16 @@ def main():
         runs = {"parent": [], "change": []}
         digests = {"parent": set(), "change": set()}
         sources = {}
-        for i in range(args.pairs):
-            order = ["parent", "change"] if i % 2 == 0 else ["change",
-                                                             "parent"]
-            for side in order:
-                tree = parent_tree if side == "parent" else ROOT
-                metrics, digest, source = run_once(tree, args.workload, seed)
-                runs[side].append(metrics)
-                digests[side].add(digest)
-                sources[side] = source
-                log(f"{args.workload} seed {seed} pair {i + 1}/{args.pairs} "
-                    f"{side}: digest {digest}")
+        def plain(i, side):
+            tree = parent_tree if side == "parent" else ROOT
+            metrics, digest, source = run_once(tree, args.workload, seed)
+            runs[side].append(metrics)
+            digests[side].add(digest)
+            sources[side] = source
+            log(f"{args.workload} seed {seed} pair {i + 1}/{args.pairs} "
+                f"{side}: digest {digest}")
+
+        alternate(args.pairs, plain)
         print(f"== {args.workload} seed {seed}, {args.pairs} pairs, "
               f"parent {parent_sha[:12]} vs {head[:12]}"
               f"{' + uncommitted changes' if dirty else ''}")
@@ -176,7 +201,8 @@ def main():
             print(f"   {name:24s} {ma:>14.6g} -> {mb:>14.6g}  "
                   f"x{(mb / ma if ma else float('nan')):.3f}  "
                   f"parent q1-q3 {qa[0]:.6g}-{qa[1]:.6g}  "
-                  f"wins {wins}/{args.pairs}")
+                  f"wins {wins}/{args.pairs}"
+                  f"{'' if resolved(a, b) else '  unresolved'}")
             for side, values, sha, side_dirty in (
                     ("parent", a, parent_sha, False),
                     ("change", b, head, dirty)):
@@ -192,37 +218,50 @@ def main():
                     "digest": ",".join(sorted(digests[side])),
                     "host": host, "measured": stamp})
 
-        traced, traced_digests = {}, {}
-        for side in ("parent", "change"):
+        traced = {"parent": [], "change": []}
+        traced_digests = {"parent": set(), "change": set()}
+
+        def traced_run(i, side):
             tree = parent_tree if side == "parent" else ROOT
-            traced[side], traced_digests[side], sources[side] = run_once(
+            metrics, digest, sources[side] = run_once(
                 tree, args.workload, seed, trace=1)
-            log(f"{args.workload} seed {seed} traced {side}: "
-                f"digest {traced_digests[side]}")
-        print("   per-layer (one --trace 1 run per side)")
+            traced[side].append(metrics)
+            traced_digests[side].add(digest)
+            log(f"{args.workload} seed {seed} traced pair "
+                f"{i + 1}/{TRACED_PAIRS} {side}: digest {digest}")
+
+        alternate(TRACED_PAIRS, traced_run)
+        print(f"   per-layer ({TRACED_PAIRS} --trace 1 pairs; median, "
+              f"parent q1-q3)")
         if (traced_digests["parent"] != traced_digests["change"]
                 and seed not in mismatched):
             print(f"   DIGEST MISMATCH on seed {seed} (traced runs)")
             mismatched.append(seed)
         for name, m in layers.items():
-            if name not in traced["parent"] or name not in traced["change"]:
+            if any(name not in r for r in traced["parent"] + traced["change"]):
                 continue
-            a, b = traced["parent"][name], traced["change"][name]
-            if a == 0 and b == 0:
+            a = [r[name] for r in traced["parent"]]
+            b = [r[name] for r in traced["change"]]
+            if not any(a) and not any(b):
                 continue  # a layer this workload does not exercise
-            print(f"   {name:34s} {a:>14.6g} -> {b:>14.6g}  "
-                  f"x{(b / a if a else float('nan')):.3f}")
-            for side, value, sha, side_dirty in (
+            ma, mb = statistics.median(a), statistics.median(b)
+            qa = quartiles(a)
+            print(f"   {name:34s} {ma:>14.6g} -> {mb:>14.6g}  "
+                  f"x{(mb / ma if ma else float('nan')):.3f}  "
+                  f"parent q1-q3 {qa[0]:.6g}-{qa[1]:.6g}"
+                  f"{'' if resolved(a, b) else '  unresolved'}")
+            for side, values, sha, side_dirty in (
                     ("parent", a, parent_sha, False),
                     ("change", b, head, dirty)):
+                q1, q3 = quartiles(values)
                 rows.append({
                     "workload": args.workload, "metric": name,
                     "kind": "per_layer", "unit": m["unit"],
                     "better": m["better"], "side": side,
                     "source_digest": sources[side], "base_sha": sha,
-                    "dirty": side_dirty, "seed": seed, "pairs": 1,
+                    "dirty": side_dirty, "seed": seed, "pairs": TRACED_PAIRS,
                     "seconds": bench["run_seconds"],
-                    "median": value, "q1": value, "q3": value,
+                    "median": statistics.median(values), "q1": q1, "q3": q3,
                     "digest": ",".join(sorted(digests[side])),
                     "host": host, "measured": stamp})
 
