@@ -120,7 +120,9 @@ sim::Json coded_row(const char* scenario, const mem::coded::CodedConfig& cfg,
 
 int main(int argc, char** argv) {
   using namespace cfm;
-  const auto opts = bench::parse_options(argc, argv);
+  const auto opts =
+      bench::parse_options(argc, argv, {.audit = true, .fault_plan = true,
+                                        .seed = true});
   const std::uint64_t seed = opts.seed.value_or(2024);
 
   sim::Report report("coded_memory");

@@ -101,7 +101,7 @@ CaseResult run_case(const std::string& plan_text, std::uint32_t spares,
 
 int main(int argc, char** argv) {
   using namespace cfm;
-  const auto opts = bench::parse_options(argc, argv);
+  const auto opts = bench::parse_options(argc, argv, {.fault_plan = true});
   sim::Report report("fault_degradation");
   report.set_param("processors", kProcessors);
   report.set_param("bank_cycle", kBankCycle);

@@ -14,7 +14,7 @@
 int main(int argc, char** argv) {
   using namespace cfm;
   using namespace cfm::workload;
-  const auto opts = bench::parse_options(argc, argv);
+  const auto opts = bench::parse_options(argc, argv, {.audit = true});
   sim::Report report("fig2_1_tree_saturation");
   report.set_param("ports", 16);
   report.set_param("offered_rate", 0.35);

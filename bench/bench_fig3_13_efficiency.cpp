@@ -11,7 +11,7 @@
 
 int main(int argc, char** argv) {
   using namespace cfm;
-  const auto opts = bench::parse_options(argc, argv);
+  const auto opts = bench::parse_options(argc, argv, {.seed = true});
   const std::uint64_t seed = opts.seed.value_or(42);
   const analytic::ConventionalModel model{8, 8, 17};
   sim::Report report("fig3_13_efficiency");

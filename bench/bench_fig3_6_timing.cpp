@@ -15,7 +15,8 @@
 
 int main(int argc, char** argv) {
   using namespace cfm;
-  const auto opts = bench::parse_options(argc, argv);
+  const auto opts =
+      bench::parse_options(argc, argv, {.audit = true, .txn_trace = true});
   const auto cfg = core::CfmConfig::make(4, 2, 16);
   core::AtSpace at(cfg);
   sim::Report report("fig3_6_timing");

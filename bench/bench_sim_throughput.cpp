@@ -252,6 +252,17 @@ class CapturingReporter : public benchmark::ConsoleReporter {
   sim::Report& report_;
 };
 
+/// The observability flag `arg` names (`--flag` or `--flag=<value>`), or
+/// nullptr.  This harness reads none of them.
+const char* observability_flag(const std::string& arg) {
+  for (const char* flag :
+       {"--audit", "--txn-trace", "--fault-plan", "--seed"}) {
+    const std::string name = flag;
+    if (arg == name || arg.rfind(name + "=", 0) == 0) return flag;
+  }
+  return nullptr;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -279,6 +290,8 @@ int main(int argc, char** argv) {
         t.max_span = cfm::bench::parse_max_span_flag(argv[0], argv[++i]);
       }
       cfm::sim::set_engine_tuning(t);
+    } else if (const char* flag = observability_flag(arg)) {
+      cfm::bench::reject_unread(argv[0], flag);
     } else {
       passthrough.push_back(argv[i]);
     }

@@ -16,7 +16,9 @@ int main(int argc, char** argv) {
   constexpr std::uint32_t kBeta = 16;   // conventional block time = CFM beta
   constexpr std::size_t kAccesses = 4000;
   constexpr cfm::sim::Cycle kSpan = 4000;  // dense: backlog forms
-  const auto opts = bench::parse_options(argc, argv);
+  const auto opts =
+      bench::parse_options(argc, argv, {.audit = true, .txn_trace = true,
+                                        .seed = true});
   const std::uint64_t seed = opts.seed.value_or(77);
   sim::Report report("trace_replay");
   report.set_param("processors", kProcs);

@@ -7,7 +7,10 @@
 // the exit-code convention here means each bench main() only has to
 // fill in its Report.
 //
-// Observability flags (consumed only by benches that support them):
+// Observability flags.  Each bench passes parse_options the ones it reads
+// (`Reads`; bench_sim_throughput, with its own parser, reads none).  Any
+// other one it is given is a usage error (exit 2 naming the flag), so a
+// flag is never accepted and then silently ignored:
 //   --audit             attach the runtime ConflictAuditor; the bench
 //                       adds the "audit" report section and fails when a
 //                       conflict-free scope reports violations
@@ -15,10 +18,10 @@
 //                       (chrome://tracing / Perfetto format) to <path>;
 //                       the "txn_trace" report section rides --json-out
 //   --fault-plan <spec> deterministic fault schedule (sim::FaultPlan
-//                       grammar, e.g. "bank_dead@100+500:bank=3"); only
-//                       benches that model degradation consume it
+//                       grammar, e.g. "bank_dead@100+500:bank=3")
 //   --seed <u64>        override the bench's built-in workload seed, so
 //                       campaigns and CI can vary seeds without a rebuild
+// Engine-tuning flags (every bench):
 //   --fast-path <0|1>   force the engine's batch-tick fast path off/on for
 //                       every engine the bench constructs (DESIGN.md §12);
 //                       bit-exact either way, so this only changes speed
@@ -79,6 +82,20 @@ inline sim::Cycle parse_max_span_flag(const char* argv0,
   return static_cast<sim::Cycle>(span);
 }
 
+/// Usage error for an observability flag the bench does not read.
+[[noreturn]] inline void reject_unread(const char* argv0, const char* flag) {
+  std::fprintf(stderr, "%s: this bench does not read %s\n", argv0, flag);
+  std::exit(2);
+}
+
+/// The observability flags a bench reads; parse_options rejects the rest.
+struct Reads {
+  bool audit = false;
+  bool txn_trace = false;
+  bool fault_plan = false;
+  bool seed = false;
+};
+
 struct Options {
   std::string json_out;   ///< empty = table output only
   std::string txn_trace_out;  ///< empty = transaction tracing off
@@ -93,12 +110,14 @@ struct Options {
 /// `--txn-trace <path>` / `--txn-trace=<path>`, `--fault-plan <spec>` /
 /// `--fault-plan=<spec>`, and `--seed <u64>` / `--seed=<u64>`.  Unknown
 /// arguments print usage and exit(2) so a typo cannot silently drop the
-/// report; a value flag given as the last argument with no value is
-/// diagnosed explicitly ("missing value for --json-out") instead of
-/// falling through to the generic usage message.  The fault-plan spec
+/// report.  An observability flag `reads` leaves out exits(2) naming it,
+/// so a bench never accepts a flag it would ignore.  A value flag given
+/// as the last argument with no value is diagnosed explicitly ("missing
+/// value for --json-out") instead of falling through to the generic
+/// usage message.  The fault-plan spec
 /// itself is validated by the consuming bench (sim::FaultPlan::parse
 /// throws std::invalid_argument; benches exit(2) on a malformed spec).
-inline Options parse_options(int argc, char** argv) {
+inline Options parse_options(int argc, char** argv, Reads reads = {}) {
   Options opts;
   // Consumes `--flag <value>` / `--flag=<value>`; exits with a pointed
   // diagnostic when the value is missing.
@@ -124,12 +143,17 @@ inline Options parse_options(int argc, char** argv) {
   std::string text;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (value_flag(i, arg, "--json-out", opts.json_out) ||
-        value_flag(i, arg, "--txn-trace", opts.txn_trace_out) ||
-        value_flag(i, arg, "--fault-plan", opts.fault_plan)) {
+    if (value_flag(i, arg, "--json-out", opts.json_out)) continue;
+    if (value_flag(i, arg, "--txn-trace", opts.txn_trace_out)) {
+      if (!reads.txn_trace) reject_unread(argv[0], "--txn-trace");
+      continue;
+    }
+    if (value_flag(i, arg, "--fault-plan", opts.fault_plan)) {
+      if (!reads.fault_plan) reject_unread(argv[0], "--fault-plan");
       continue;
     }
     if (value_flag(i, arg, "--seed", text)) {
+      if (!reads.seed) reject_unread(argv[0], "--seed");
       opts.seed = parse_uint_flag(argv[0], "--seed", text);
       continue;
     }
@@ -142,6 +166,7 @@ inline Options parse_options(int argc, char** argv) {
       continue;
     }
     if (arg == "--audit") {
+      if (!reads.audit) reject_unread(argv[0], "--audit");
       opts.audit = true;
     } else {
       std::fprintf(stderr,

@@ -56,7 +56,6 @@ class DistributedBindingRuntime {
   DistributedBindingRuntime(const DistributedBindingRuntime&) = delete;
   DistributedBindingRuntime& operator=(const DistributedBindingRuntime&) = delete;
 
-  [[nodiscard]] std::size_t node_count() const noexcept { return nodes_.size(); }
   /// Home node of a shared object (distribution by object id).
   [[nodiscard]] std::size_t home_of(std::uint64_t object) const noexcept {
     return object % nodes_.size();

@@ -99,8 +99,6 @@ void CfmCacheSystem::accept(sim::Cycle now, sim::ProcessorId p, Request req) {
   if (c.req.has_value()) {
     throw std::logic_error("processor already has a request in flight");
   }
-  // Wake a sleeping system: the Memory phase of this cycle must run.
-  if (ticker_ != nullptr) ticker_->set_next_event(sim::Component::kAlways);
   auto& cache = *caches_[p];
   auto* line = cache.find(req.offset);
   // A remote write-back of this very block is touring with the line's
@@ -496,32 +494,6 @@ void CfmCacheSystem::tick(sim::Cycle now) {
       proto_step(now, *c.proto);
     }
   }
-  publish_wake();
-}
-
-void CfmCacheSystem::publish_wake() {
-  if (ticker_ == nullptr) return;
-  // Controller state machines are cycle-granular (stage waits, retry
-  // delays, tour steps), so any live request means per-cycle ticking;
-  // with every controller quiescent nothing can change until the next
-  // load/store/rmw re-publishes kAlways.
-  for (sim::ProcessorId p = 0; p < cfg_.processors; ++p) {
-    if (!quiescent(p)) {
-      ticker_->set_next_event(sim::Component::kAlways);
-      return;
-    }
-  }
-  ticker_->set_next_event(sim::kNeverCycle);
-}
-
-void CfmCacheSystem::attach(sim::Engine& engine) {
-  attach(engine, engine.allocate_domain());
-}
-
-void CfmCacheSystem::attach(sim::Engine& engine, sim::DomainId domain) {
-  domain_ = domain;
-  ticker_ = engine.add(std::make_shared<sim::TickComponent<CfmCacheSystem>>(
-      "cache.cfm_protocol", domain, sim::Phase::Memory, *this));
 }
 
 std::optional<CfmCacheSystem::Outcome> CfmCacheSystem::take_result(ReqId id) {

@@ -43,7 +43,6 @@
 #include "cfm/config.hpp"
 #include "mem/module.hpp"
 #include "sim/audit.hpp"
-#include "sim/engine.hpp"
 #include "sim/rng.hpp"
 #include "sim/stats.hpp"
 #include "sim/types.hpp"
@@ -105,14 +104,6 @@ class CfmCacheSystem {
 
   /// Advances controllers and primitive operations one cycle.
   void tick(sim::Cycle now);
-
-  /// Engine registration: the whole cache system is one cache partition —
-  /// caches, directory and banks are coupled through the shared tour/ATT
-  /// state — so it ticks as a single Phase::Memory component in its own
-  /// domain, independent of *other* domains.
-  void attach(sim::Engine& engine);
-  void attach(sim::Engine& engine, sim::DomainId domain);
-  [[nodiscard]] sim::DomainId domain() const noexcept { return domain_; }
 
   std::optional<Outcome> take_result(ReqId id);
   [[nodiscard]] const Outcome* result(ReqId id) const;
@@ -181,8 +172,6 @@ class CfmCacheSystem {
   };
 
   void accept(sim::Cycle now, sim::ProcessorId p, Request req);
-  /// Re-publishes the Phase::Memory quiescence hint after a tick.
-  void publish_wake();
   void controller_step(sim::Cycle now, sim::ProcessorId p);
   void start_primitive(sim::Cycle now, sim::ProcessorId p, core::OpKind kind,
                        sim::BlockAddr offset);
@@ -225,10 +214,6 @@ class CfmCacheSystem {
   };
   Counters counters_;
   sim::Rng retry_rng_{0x5eedULL};
-  sim::DomainId domain_ = sim::kSharedDomain;
-  /// Component registered by attach(); carries the Phase::Memory
-  /// quiescence hint (all controllers quiescent <=> sleep).
-  sim::Component* ticker_ = nullptr;
   ReqId next_req_ = 1;
   std::uint64_t next_proto_ = 1;
   sim::ConflictAuditor* audit_ = nullptr;

@@ -29,7 +29,6 @@ DirectoryProtocol::ReqId DirectoryProtocol::read(sim::Cycle now,
   q.issued = now;
   busy_.at(p) = q.id;
   pending_.push_back(std::move(q));
-  publish_wake();
   return next_req_ - 1;
 }
 
@@ -45,7 +44,6 @@ DirectoryProtocol::ReqId DirectoryProtocol::write(sim::Cycle now,
   q.issued = now;
   busy_.at(p) = q.id;
   pending_.push_back(std::move(q));
-  publish_wake();
   return next_req_ - 1;
 }
 
@@ -123,26 +121,6 @@ void DirectoryProtocol::tick(sim::Cycle now) {
       ++it;
     }
   }
-  publish_wake();
-}
-
-void DirectoryProtocol::publish_wake() {
-  if (ticker_ == nullptr) return;
-  // Start eligibility is cycle-granular: any pending transaction keeps
-  // the machine per-cycle, a drained machine sleeps until the next
-  // read()/write().
-  const bool idle = pending_.empty();
-  ticker_->set_next_event(idle ? sim::kNeverCycle : sim::Component::kAlways);
-}
-
-void DirectoryProtocol::attach(sim::Engine& engine) {
-  attach(engine, engine.allocate_domain());
-}
-
-void DirectoryProtocol::attach(sim::Engine& engine, sim::DomainId domain) {
-  domain_ = domain;
-  ticker_ = engine.add(std::make_shared<sim::TickComponent<DirectoryProtocol>>(
-      "cache.directory", domain, sim::Phase::Memory, *this));
 }
 
 std::optional<DirectoryProtocol::Outcome> DirectoryProtocol::take_result(

@@ -21,7 +21,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "sim/engine.hpp"
 #include "sim/stats.hpp"
 #include "sim/types.hpp"
 
@@ -63,13 +62,6 @@ class DirectoryProtocol {
   void tick(sim::Cycle now);
   std::optional<Outcome> take_result(ReqId id);
 
-  /// Engine registration: the directory serializes same-block transactions
-  /// at each home node, so the model ticks as one Phase::Memory component
-  /// in its own domain.
-  void attach(sim::Engine& engine);
-  void attach(sim::Engine& engine, sim::DomainId domain);
-  [[nodiscard]] sim::DomainId domain() const noexcept { return domain_; }
-
   /// Total protocol messages (requests, replies, invalidations, acks).
   [[nodiscard]] std::uint64_t messages() const noexcept { return messages_; }
   [[nodiscard]] std::uint64_t acks() const noexcept { return acks_; }
@@ -95,8 +87,6 @@ class DirectoryProtocol {
   };
 
   void start(sim::Cycle now, Pending& p);
-  /// Re-publishes the Phase::Memory quiescence hint (drained <=> sleep).
-  void publish_wake();
 
   Params params_;
   std::unordered_map<sim::BlockAddr, DirEntry> directory_;
@@ -111,9 +101,6 @@ class DirectoryProtocol {
     sim::CounterId invalidations = intern("invalidations");
   };
   Counters counters_;
-  sim::DomainId domain_ = sim::kSharedDomain;
-  /// Component registered by attach(); carries the quiescence hint.
-  sim::Component* ticker_ = nullptr;
   ReqId next_req_ = 1;
 };
 

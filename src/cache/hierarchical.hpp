@@ -214,8 +214,6 @@ class HierarchicalCfm {
   /// Earliest cycle at which a pass could act again when the pass at
   /// `now` freed no block lock and cut no phase chain (DESIGN.md §12).
   [[nodiscard]] sim::Cycle next_wake(sim::Cycle now) const;
-  [[nodiscard]] bool cluster_port_idle(std::uint32_t cluster,
-                                       sim::ProcessorId port) const;
   [[nodiscard]] std::optional<sim::ProcessorId> borrow_cluster_port(
       std::uint32_t cluster) const;
   void advance(sim::Cycle now, Pending& p);

@@ -39,9 +39,8 @@ SnoopyBus::ReqId SnoopyBus::load(sim::Cycle now, sim::ProcessorId p,
     cache.count_miss();
     c.req = std::move(r);
     c.stage = Stage::WaitBus;
-    enqueue(now, TxnKind::BusRd, p, offset);
+    enqueue(TxnKind::BusRd, p, offset);
   }
-  publish_wake();
   return next_req_ - 1;
 }
 
@@ -71,15 +70,14 @@ SnoopyBus::ReqId SnoopyBus::store(sim::Cycle now, sim::ProcessorId p,
       cache.count_hit();  // valid hit: upgrade (invalidate-only transaction)
       c.req = std::move(r);
       c.stage = Stage::WaitBus;
-      enqueue(now, TxnKind::BusUpgr, p, offset);
+      enqueue(TxnKind::BusUpgr, p, offset);
     } else {
       cache.count_miss();
       c.req = std::move(r);
       c.stage = Stage::WaitBus;
-      enqueue(now, TxnKind::BusRdX, p, offset);
+      enqueue(TxnKind::BusRdX, p, offset);
     }
   }
-  publish_wake();
   return next_req_ - 1;
 }
 
@@ -104,16 +102,14 @@ SnoopyBus::ReqId SnoopyBus::rmw(sim::Cycle now, sim::ProcessorId p,
   } else {
     if (line == nullptr) cache.count_miss(); else cache.count_hit();
     c.stage = Stage::WaitBus;
-    enqueue(now, line != nullptr ? TxnKind::BusUpgr : TxnKind::BusRdX, p,
-            offset);
+    enqueue(line != nullptr ? TxnKind::BusUpgr : TxnKind::BusRdX, p, offset);
   }
-  publish_wake();
   return next_req_ - 1;
 }
 
-void SnoopyBus::enqueue(sim::Cycle now, TxnKind kind, sim::ProcessorId p,
+void SnoopyBus::enqueue(TxnKind kind, sim::ProcessorId p,
                         sim::BlockAddr offset) {
-  bus_queue_.push_back(Txn{kind, p, offset, now});
+  bus_queue_.push_back(Txn{kind, p, offset});
   counters_.inc(counters_.bus_txns);
 }
 
@@ -224,7 +220,6 @@ void SnoopyBus::tick(sim::Cycle now) {
   if (!bus_current_.has_value() && !bus_queue_.empty()) {
     bus_current_ = bus_queue_.front();
     bus_queue_.pop_front();
-    bus_wait_.add(static_cast<double>(now - bus_current_->enqueued));
     const auto cost = bus_current_->kind == TxnKind::BusUpgr
                           ? params_.inv_cycles
                           : params_.block_cycles;
@@ -244,7 +239,7 @@ void SnoopyBus::tick(sim::Cycle now) {
         // has not executed yet, so simply re-acquire ownership.  (The CFM
         // protocol prevents this with wb_locked; a bus has no such hook.)
         c.stage = Stage::WaitBus;
-        enqueue(now, TxnKind::BusRdX, p, c.req->offset);
+        enqueue(TxnKind::BusRdX, p, c.req->offset);
         counters_.inc(counters_.rmw_reacquires);
         continue;
       }
@@ -252,37 +247,9 @@ void SnoopyBus::tick(sim::Cycle now) {
       // Write-back the result so contenders spin on memory state, matching
       // the CFM rmw; the bus pays another block transaction for it.
       c.stage = Stage::WaitWb;
-      enqueue(now, TxnKind::BusWb, p, c.req->offset);
+      enqueue(TxnKind::BusWb, p, c.req->offset);
     }
   }
-  publish_wake();
-}
-
-void SnoopyBus::publish_wake() {
-  if (ticker_ == nullptr) return;
-  // Bus grants and stage deadlines are cycle-granular; the useful
-  // quiescence signal is the fully drained system, common in think-time
-  // workloads.
-  bool idle = !bus_current_.has_value() && bus_queue_.empty();
-  if (idle) {
-    for (const auto& c : ctls_) {
-      if (c.req.has_value()) {
-        idle = false;
-        break;
-      }
-    }
-  }
-  ticker_->set_next_event(idle ? sim::kNeverCycle : sim::Component::kAlways);
-}
-
-void SnoopyBus::attach(sim::Engine& engine) {
-  attach(engine, engine.allocate_domain());
-}
-
-void SnoopyBus::attach(sim::Engine& engine, sim::DomainId domain) {
-  domain_ = domain;
-  ticker_ = engine.add(std::make_shared<sim::TickComponent<SnoopyBus>>(
-      "cache.snoopy_bus", domain, sim::Phase::Network, *this));
 }
 
 std::optional<SnoopyBus::Outcome> SnoopyBus::take_result(ReqId id) {

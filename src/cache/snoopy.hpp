@@ -17,7 +17,6 @@
 
 #include "cache/cache.hpp"
 #include "cfm/block_engine.hpp"
-#include "sim/engine.hpp"
 #include "sim/stats.hpp"
 #include "sim/types.hpp"
 
@@ -58,21 +57,12 @@ class SnoopyBus {
   void tick(sim::Cycle now);
   std::optional<Outcome> take_result(ReqId id);
 
-  /// Engine registration: bus, caches and controllers are one serialized
-  /// unit (the bus is the contention point being modelled), so the whole
-  /// system ticks as a single Phase::Network component in its own domain.
-  void attach(sim::Engine& engine);
-  void attach(sim::Engine& engine, sim::DomainId domain);
-  [[nodiscard]] sim::DomainId domain() const noexcept { return domain_; }
-
   [[nodiscard]] LineState line_state(sim::ProcessorId p, sim::BlockAddr offset) const;
   [[nodiscard]] std::vector<sim::Word> memory_block(sim::BlockAddr offset) const;
   void poke_memory(sim::BlockAddr offset, std::vector<sim::Word> words);
 
   /// Bus pressure metrics — the contention CFM does not have.
   [[nodiscard]] std::uint64_t bus_busy_cycles() const noexcept { return bus_busy_; }
-  [[nodiscard]] std::size_t bus_queue_depth() const noexcept { return bus_queue_.size(); }
-  [[nodiscard]] const sim::RunningStat& bus_wait() const noexcept { return bus_wait_; }
   [[nodiscard]] const sim::CounterSet& counters() const noexcept { return counters_; }
 
  private:
@@ -81,7 +71,6 @@ class SnoopyBus {
     TxnKind kind = TxnKind::BusRd;
     sim::ProcessorId proc = 0;
     sim::BlockAddr offset = 0;
-    sim::Cycle enqueued = 0;
   };
   enum class Stage : std::uint8_t { Idle, LocalHit, WaitBus, Modify, WaitWb };
   struct Request {
@@ -101,12 +90,9 @@ class SnoopyBus {
     std::optional<Request> req;
   };
 
-  void enqueue(sim::Cycle now, TxnKind kind, sim::ProcessorId p,
-               sim::BlockAddr offset);
+  void enqueue(TxnKind kind, sim::ProcessorId p, sim::BlockAddr offset);
   void apply_txn(sim::Cycle now, const Txn& txn);
   void complete(sim::Cycle now, sim::ProcessorId p);
-  /// Re-publishes the Phase::Network quiescence hint (drained <=> sleep).
-  void publish_wake();
 
   Params params_;
   std::vector<std::unique_ptr<DirectCache>> caches_;
@@ -116,7 +102,6 @@ class SnoopyBus {
   std::optional<Txn> bus_current_;
   sim::Cycle bus_until_ = 0;
   std::uint64_t bus_busy_ = 0;
-  sim::RunningStat bus_wait_;
   std::unordered_map<ReqId, Outcome> results_;
   /// The protocol's counters, with every id interned at construction.
   struct Counters : sim::CounterSet {
@@ -127,9 +112,6 @@ class SnoopyBus {
     sim::CounterId rmw_reacquires = intern("rmw_reacquires");
   };
   Counters counters_;
-  sim::DomainId domain_ = sim::kSharedDomain;
-  /// Component registered by attach(); carries the quiescence hint.
-  sim::Component* ticker_ = nullptr;
   ReqId next_req_ = 1;
 };
 

@@ -114,9 +114,6 @@ class Scenario {
   axes() const noexcept {
     return axes_;
   }
-  [[nodiscard]] const sim::Json& fixed_params() const noexcept {
-    return params_;
-  }
 
   /// Grid cardinality (product of axis lengths; 1 with no axes).
   [[nodiscard]] std::size_t grid_size() const noexcept;

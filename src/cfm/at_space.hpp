@@ -55,16 +55,6 @@ class AtSpace {
                   p];
   }
 
-  /// Dense-table row index for slot t; pair with bank_in_slot to hoist
-  /// the modulo out of per-processor loops.
-  [[nodiscard]] std::size_t slot_row(sim::Cycle t) const noexcept {
-    return static_cast<std::size_t>(t % cfg_.banks) * cfg_.processors;
-  }
-  [[nodiscard]] sim::BankId bank_in_slot(std::size_t row,
-                                         sim::ProcessorId p) const noexcept {
-    return table_[row + p];
-  }
-
   /// Processor connected to `bank` at slot t, if any.  With c > 1 only
   /// n of the b banks receive a new address each slot; the rest are in
   /// the middle of a c-cycle word access.

@@ -155,12 +155,6 @@ void ClusterSystem::tick(sim::Cycle now) {
   }
 }
 
-void ClusterSystem::attach(sim::Engine& engine) {
-  engine.add(std::make_shared<sim::TickComponent<ClusterSystem>>(
-      "cluster.link", sim::kSharedDomain, sim::Phase::Network, *this));
-  for (auto& mem : memories_) mem->attach(engine, engine.allocate_domain());
-}
-
 const BlockOpResult* ClusterSystem::result(RequestId id) const {
   const auto it = results_.find(id);
   return it == results_.end() ? nullptr : &it->second;

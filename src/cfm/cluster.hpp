@@ -70,28 +70,9 @@ class ClusterSystem {
   /// once per cycle *before* ticking the member memories.
   void tick(sim::Cycle now);
 
-  /// Engine registration: the inter-cluster link mover is cross-domain by
-  /// nature, so it ticks in the shared domain during Phase::Network (which
-  /// precedes the member memories' Phase::Memory ticks, preserving the
-  /// manual tick-before-memories ordering); each member CfmMemory gets its
-  /// own tick domain.
-  /// Drive the system either via attach() + engine stepping or via manual
-  /// tick() calls, never both.
-  void attach(sim::Engine& engine);
-
-  /// Tick domain of cluster c's memory (valid after attach()).
-  [[nodiscard]] sim::DomainId domain_of(sim::ClusterId c) const {
-    return memories_.at(c)->domain();
-  }
-
   /// Completed remote request results (latency = completed - issued).
   [[nodiscard]] const BlockOpResult* result(RequestId id) const;
   std::optional<BlockOpResult> take_result(RequestId id);
-
-  /// Pseudo-processor ids used by the remote port in each cluster.
-  [[nodiscard]] std::uint32_t free_slots_per_cluster() const noexcept {
-    return cfg_.total_slots - cfg_.local_processors;
-  }
 
   /// Enables degraded mode across the whole system: every member memory
   /// consults `injector` with one spare bank (spare-bank remap + brownout

@@ -29,9 +29,6 @@ class SharedSlotFabric {
 
   [[nodiscard]] std::uint32_t processors() const noexcept { return n_; }
   [[nodiscard]] std::uint32_t slots() const noexcept { return s_; }
-  [[nodiscard]] std::uint32_t sharers_per_slot() const noexcept {
-    return n_ / s_;
-  }
   [[nodiscard]] std::uint32_t beta() const noexcept { return beta_; }
 
   /// Slot owned (shared) by virtual processor p.

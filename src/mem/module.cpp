@@ -1,6 +1,5 @@
 #include "mem/module.hpp"
 
-#include <memory>
 #include <string>
 
 namespace cfm::mem {
@@ -20,13 +19,6 @@ double Module::utilization(sim::Cycle elapsed) const {
   for (const auto& b : banks_) busy += b.busy_cycles();
   return static_cast<double>(busy) /
          (static_cast<double>(elapsed) * static_cast<double>(banks_.size()));
-}
-
-double Module::busy_fraction(sim::Cycle now) const {
-  if (banks_.empty()) return 0.0;
-  std::size_t busy = 0;
-  for (const auto& b : banks_) busy += b.busy(now) ? 1 : 0;
-  return static_cast<double>(busy) / static_cast<double>(banks_.size());
 }
 
 sim::ConflictAuditor::ScopeId Module::set_audit(sim::ConflictAuditor& auditor,
@@ -54,20 +46,6 @@ void Module::provision_spares(std::uint32_t count) {
     if (audit_ != nullptr) banks_.back().set_audit(audit_, audit_scope_);
   }
   spares_ += count;
-}
-
-void Module::attach(sim::Engine& engine, sim::DomainId domain) {
-  auto sampler = std::make_shared<sim::LambdaComponent>(
-      "mem.module#" + std::to_string(id_), domain);
-  auto* shard = &engine.shard(domain);
-  const std::string key = "module" + std::to_string(id_) + ".occupancy";
-  sampler->on(sim::Phase::Commit, [this, shard, key](sim::Cycle now) {
-    shard->stat(key).add(busy_fraction(now));
-  });
-  // Self-contained occupancy probe (see Component::span_capable); the
-  // per-cycle fallback keeps the RunningStat sample count bit-exact.
-  sampler->set_span_capable();
-  engine.add(std::move(sampler));
 }
 
 }  // namespace cfm::mem

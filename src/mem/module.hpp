@@ -11,7 +11,7 @@
 
 #include "mem/bank.hpp"
 #include "mem/backing_store.hpp"
-#include "sim/engine.hpp"
+#include "sim/audit.hpp"
 #include "sim/types.hpp"
 
 namespace cfm::mem {
@@ -29,7 +29,6 @@ class Module {
   [[nodiscard]] std::uint32_t logical_bank_count() const noexcept {
     return static_cast<std::uint32_t>(banks_.size()) - spares_;
   }
-  [[nodiscard]] std::uint32_t spare_count() const noexcept { return spares_; }
   [[nodiscard]] Bank& bank(sim::BankId i) { return banks_.at(i); }
   [[nodiscard]] const Bank& bank(sim::BankId i) const { return banks_.at(i); }
   [[nodiscard]] BackingStore& store() noexcept { return store_; }
@@ -37,15 +36,6 @@ class Module {
 
   /// Aggregate utilization across banks (busy cycles / (banks * elapsed)).
   [[nodiscard]] double utilization(sim::Cycle elapsed) const;
-
-  /// Fraction of banks busy at `now`.
-  [[nodiscard]] double busy_fraction(sim::Cycle now) const;
-
-  /// Engine registration: a Phase::Commit component samples
-  /// busy_fraction() into `domain`'s statistics shard (running stat
-  /// "module<id>.occupancy").  A module is a conflict-free unit, so it
-  /// joins the tick domain of whatever owns it.
-  void attach(sim::Engine& engine, sim::DomainId domain);
 
   /// Registers one ConflictFree scope covering all banks of this module
   /// and wires every bank's access probe into it.  `beta` is the nominal

@@ -1,6 +1,5 @@
 #include "net/circuit_omega.hpp"
 
-#include <memory>
 #include <stdexcept>
 
 #include <cassert>
@@ -36,8 +35,6 @@ bool BufferedOmega::try_inject(sim::Cycle now, Port src, Port dst, bool hot) {
   p.id = next_id_++;
   p.hot = hot;
   slot = p;
-  ++injected_count_;
-  if (ticker_ != nullptr) ticker_->set_next_event(sim::Component::kAlways);
   return true;
 }
 
@@ -121,23 +118,6 @@ void BufferedOmega::tick(sim::Cycle now) {
       out_taken[out_bit] = true;
     }
   }
-  publish_wake();
-}
-
-void BufferedOmega::publish_wake() {
-  if (ticker_ == nullptr) return;
-  bool idle = in_flight_ == 0 && delivered_.empty();
-  if (idle) {
-    for (const auto& slot : pending_) {
-      if (slot.has_value()) {
-        idle = false;
-        break;
-      }
-    }
-  }
-  // A non-empty delivered_ batch still needs one more tick to clear, so
-  // pollers of delivered_last_tick() never observe a stale batch twice.
-  ticker_->set_next_event(idle ? sim::kNeverCycle : sim::Component::kAlways);
 }
 
 std::size_t BufferedOmega::queue_depth(std::uint32_t stage, Port line) const {
@@ -180,40 +160,6 @@ std::optional<sim::Cycle> CircuitOmega::try_circuit(sim::Cycle now, Port src,
   for (const auto& step : path) hold_until_[step.stage][step.line_after] = done;
   sink_until_[dst] = done;
   return done;
-}
-
-void BufferedOmega::attach(sim::Engine& engine) {
-  attach(engine, engine.allocate_domain());
-}
-
-void BufferedOmega::attach(sim::Engine& engine, sim::DomainId domain) {
-  domain_ = domain;
-  ticker_ = engine.add(std::make_shared<sim::TickComponent<BufferedOmega>>(
-      "net.buffered_omega", domain, sim::Phase::Network, *this));
-}
-
-double CircuitOmega::held_fraction(sim::Cycle now) const {
-  std::size_t held = 0;
-  std::size_t total = sink_until_.size();
-  for (const auto& stage : hold_until_) {
-    total += stage.size();
-    for (const auto until : stage) held += (until > now) ? 1 : 0;
-  }
-  for (const auto until : sink_until_) held += (until > now) ? 1 : 0;
-  return total == 0 ? 0.0 : static_cast<double>(held) / static_cast<double>(total);
-}
-
-void CircuitOmega::attach(sim::Engine& engine, sim::DomainId domain) {
-  auto sampler = std::make_shared<sim::LambdaComponent>("net.circuit_omega",
-                                                        domain);
-  auto* shard = &engine.shard(domain);
-  sampler->on(sim::Phase::Commit, [this, shard](sim::Cycle now) {
-    shard->stat("circuit.held_fraction").add(held_fraction(now));
-  });
-  // Reads only hold state frozen while callers are quiescent, writes only
-  // its own shard stat: safe to batch, never vetoes span fusion.
-  sampler->set_span_capable();
-  engine.add(std::move(sampler));
 }
 
 }  // namespace cfm::net

@@ -22,7 +22,6 @@
 
 #include "net/omega.hpp"
 #include "sim/audit.hpp"
-#include "sim/engine.hpp"
 #include "sim/stats.hpp"
 #include "sim/types.hpp"
 
@@ -62,14 +61,6 @@ class BufferedOmega {
   /// Advances the network one cycle: delivery, internal hops, injection.
   void tick(sim::Cycle now);
 
-  /// Engine registration as a Phase::Network component.  A contended
-  /// network is one fabric shared by all its sources, so it is a single
-  /// component; it still gets its own tick domain so *disjoint* networks
-  /// (e.g. per-cluster fabrics) are independent domains.
-  void attach(sim::Engine& engine);
-  void attach(sim::Engine& engine, sim::DomainId domain);
-  [[nodiscard]] sim::DomainId domain() const noexcept { return domain_; }
-
   /// Packets delivered during the most recent tick.
   [[nodiscard]] const std::vector<Packet>& delivered_last_tick() const noexcept {
     return delivered_;
@@ -81,7 +72,6 @@ class BufferedOmega {
   /// Fraction of switch-output queues currently full.
   [[nodiscard]] double saturated_queue_fraction() const;
 
-  [[nodiscard]] std::uint64_t injected_count() const noexcept { return injected_count_; }
   [[nodiscard]] std::uint64_t rejected_count() const noexcept { return rejected_count_; }
   /// Requests absorbed into other packets by switch combining.
   [[nodiscard]] std::uint64_t combined_count() const noexcept { return combined_count_; }
@@ -109,11 +99,6 @@ class BufferedOmega {
   /// Appends `p` to `q`, combining with the queue tail when enabled.
   void enqueue(std::deque<Packet>& q, const Packet& p);
 
-  /// Re-publishes the Phase::Network quiescence hint: a fully drained
-  /// network (no buffered packets, no pending injections, no
-  /// just-delivered batch left to clear) sleeps until try_inject wakes it.
-  void publish_wake();
-
   OmegaTopology topo_;
   std::uint32_t capacity_;
   std::uint32_t sink_service_;
@@ -124,13 +109,9 @@ class BufferedOmega {
   std::vector<sim::Cycle> sink_busy_until_;
   std::vector<Packet> delivered_;
   std::size_t in_flight_ = 0;
-  std::uint64_t injected_count_ = 0;
   std::uint64_t rejected_count_ = 0;
   std::uint64_t combined_count_ = 0;
   std::uint64_t next_id_ = 0;
-  sim::DomainId domain_ = sim::kSharedDomain;
-  /// Component registered by attach(); carries the quiescence hint.
-  sim::Component* ticker_ = nullptr;
   sim::ConflictAuditor* audit_ = nullptr;
   sim::ConflictAuditor::ScopeId audit_scope_ = 0;
 };
@@ -150,15 +131,6 @@ class CircuitOmega {
 
   [[nodiscard]] std::uint64_t attempts() const noexcept { return attempts_; }
   [[nodiscard]] std::uint64_t conflicts() const noexcept { return conflicts_; }
-
-  /// Fraction of switch outputs (and sinks) held by circuits at `now`.
-  [[nodiscard]] double held_fraction(sim::Cycle now) const;
-
-  /// Engine registration: a Phase::Commit component samples
-  /// held_fraction() each cycle into the domain's statistics shard
-  /// (running stat "circuit.held_fraction") — per-domain, so disjoint
-  /// fabrics never share a stats object.
-  void attach(sim::Engine& engine, sim::DomainId domain);
 
  private:
   OmegaTopology topo_;

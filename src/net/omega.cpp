@@ -1,7 +1,5 @@
 #include "net/omega.hpp"
 
-#include <memory>
-
 #include <cassert>
 #include <stdexcept>
 
@@ -101,20 +99,6 @@ Port SyncOmega::output_for(sim::Cycle t, Port input) const {
     line = (line & ~Port{1}) | out_port;
   }
   return line;
-}
-
-void SyncOmega::attach(sim::Engine& engine) {
-  auto cursor =
-      std::make_shared<sim::LambdaComponent>("net.omega", sim::kSharedDomain);
-  cursor->on(sim::Phase::Network,
-             [this](sim::Cycle now) { slot_ = now % ports(); });
-  // The cursor is a pure function of the cycle counter, so a whole span
-  // collapses to one store; self-contained, so it never vetoes fusion.
-  cursor->on_span(sim::Phase::Network, [this](sim::Cycle, sim::Cycle end) {
-    slot_ = (end - 1) % ports();
-  });
-  cursor->set_span_capable();
-  engine.add(std::move(cursor));
 }
 
 }  // namespace cfm::net

@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "net/permutation.hpp"
-#include "sim/engine.hpp"
 #include "sim/types.hpp"
 
 namespace cfm::net {
@@ -75,18 +74,6 @@ class SyncOmega {
   /// really implements sigma_t.
   [[nodiscard]] Port output_for(sim::Cycle t, Port input) const;
 
-  /// Engine registration: the global omega serves every module, so it is
-  /// a cross-domain piece and ticks in the shared domain.  The component
-  /// keeps `current_slot()` aligned with engine time each Phase::Network,
-  /// letting components query switch state without threading the cycle.
-  void attach(sim::Engine& engine);
-  [[nodiscard]] sim::Cycle current_slot() const noexcept { return slot_; }
-
-  [[nodiscard]] SwitchState switch_state_now(std::uint32_t stage,
-                                             std::uint32_t sw) const {
-    return switch_state(slot_, stage, sw);
-  }
-
   /// Derives the conflict-free state table for an arbitrary permutation,
   /// or nullopt if the permutation cannot pass the omega in one slot.
   /// Exposed for property tests (uniform shifts always succeed; most
@@ -97,7 +84,6 @@ class SyncOmega {
  private:
   OmegaTopology topo_;
   std::vector<StageStates> per_slot_;  ///< index = t mod ports
-  sim::Cycle slot_ = 0;                ///< engine-aligned slot (attach())
 };
 
 }  // namespace cfm::net

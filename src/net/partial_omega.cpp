@@ -1,7 +1,5 @@
 #include "net/partial_omega.hpp"
 
-#include <memory>
-
 #include <cassert>
 #include <stdexcept>
 
@@ -84,25 +82,6 @@ sim::Cycle PartialCfmFabric::try_access(std::uint32_t p, std::uint32_t module,
   until = now + beta_;
   ++started_;
   return until;
-}
-
-double PartialCfmFabric::busy_fraction(sim::Cycle now) const {
-  if (busy_until_.empty()) return 0.0;
-  std::size_t busy = 0;
-  for (const auto until : busy_until_) busy += (until > now) ? 1 : 0;
-  return static_cast<double>(busy) / static_cast<double>(busy_until_.size());
-}
-
-void PartialCfmFabric::attach(sim::Engine& engine, sim::DomainId domain) {
-  auto sampler = std::make_shared<sim::LambdaComponent>("net.partial_fabric",
-                                                        domain);
-  auto* shard = &engine.shard(domain);
-  sampler->on(sim::Phase::Commit, [this, shard](sim::Cycle now) {
-    shard->stat("fabric.busy_fraction").add(busy_fraction(now));
-  });
-  // Self-contained occupancy probe (see Component::span_capable).
-  sampler->set_span_capable();
-  engine.add(std::move(sampler));
 }
 
 }  // namespace cfm::net

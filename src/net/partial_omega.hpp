@@ -119,15 +119,6 @@ class PartialCfmFabric {
   [[nodiscard]] std::uint64_t accesses_started() const noexcept { return started_; }
   [[nodiscard]] std::uint64_t conflicts() const noexcept { return conflicts_; }
 
-  /// Fraction of (module, channel) pairs occupied by a block access at
-  /// `now` — the fabric's instantaneous utilization.
-  [[nodiscard]] double busy_fraction(sim::Cycle now) const;
-
-  /// Engine registration: a Phase::Commit component samples
-  /// busy_fraction() into the domain's statistics shard (running stat
-  /// "fabric.busy_fraction").
-  void attach(sim::Engine& engine, sim::DomainId domain);
-
  private:
   std::uint32_t n_;
   std::uint32_t m_;

@@ -403,8 +403,7 @@ sim::Json Server::report_json() const {
       doc["tables"]["recovery"] = recovery;
     }
     doc["anomalies"] = sim::detect_anomalies(
-        series, sim::AnomalyThresholds{}, "completed", "slo_within",
-        injector_ ? &recovery : nullptr);
+        series, "completed", "slo_within", injector_ ? &recovery : nullptr);
   }
   if (audit_) doc["audit"] = audit_->to_json();
   return doc;

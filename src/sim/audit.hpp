@@ -86,10 +86,6 @@ class ConflictAuditor {
                     std::uint32_t bank_cycle, std::uint32_t beta,
                     std::uint32_t fanout_limit = 0);
 
-  [[nodiscard]] std::size_t scope_count() const noexcept {
-    return scopes_.size();
-  }
-
   // ---- hot-path observations (single writer per scope) ----------------
 
   /// A word access touched `bank` at `now`, holding it for the scope's

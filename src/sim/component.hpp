@@ -12,10 +12,10 @@
 // A `Component` is an object that ticks in one or more of those phases and
 // belongs to exactly one **tick domain**.  Domains capture the paper's
 // conflict-freedom argument structurally: the AT-space schedule makes each
-// CfmMemory module (or cluster, or cache partition) independent of every
-// other within a phase: a component must touch only state owned by its
-// own domain.  Cross-domain pieces — the global omega network, the
-// hierarchical controller, inter-cluster links — live in the shared domain
+// CfmMemory module (or cluster memory) independent of every other within
+// a phase: a component must touch only state owned by its own domain.
+// Cross-domain pieces — the hierarchical controller, the processor driver
+// that feeds it, the telemetry sampler — live in the shared domain
 // (`kSharedDomain`), which runs before the other domains of each phase.
 //
 // The reference execution contract:
@@ -101,8 +101,8 @@ class Component {
   /// Called once per cycle for every phase in `phases()`.  Must touch only
   /// state owned by this component's domain (plus engine-provided
   /// domain-sharded statistics); shared-domain components may touch
-  /// anything, since a domain span ends before any shared component that
-  /// is not span-capable can act.
+  /// anything, since a domain span ends before any shared component can
+  /// act.
   virtual void tick_phase(Phase phase, Cycle now) = 0;
 
   /// Batched execution: equivalent to
@@ -110,11 +110,11 @@ class Component {
   ///   for (Cycle t = begin; t < end; ++t)
   ///     if (next_event(phase) <= t) tick_phase(phase, t);
   ///
-  /// The engine calls this when every shared-domain component that is
-  /// not span-capable is provably quiescent across the span, and either
+  /// The engine calls this when every shared-domain component is provably
+  /// quiescent across the span, and either
   ///
   ///   * the component is the *sole* schedulable entry of its tick
-  ///     domain, or a span-capable shared-domain component; or
+  ///     domain; or
   ///   * it is single-phase, span-capable, and the *only actionable*
   ///     entry of its independent domain once the phases before it at
   ///     `begin` have run, with `end` no later than the earliest hint of
@@ -168,22 +168,15 @@ class Component {
     }
   }
 
-  /// Self-containment promise.  Default false: unsure means veto.
-  ///
-  ///   * Shared domain: whenever every other shared component is
-  ///     quiescent for a span, the component's own ticks neither read nor
-  ///     write state any other component touches during that span — so
-  ///     the engine may batch it via tick_span instead of letting its
-  ///     (often kAlways) hint veto span fusion.  Cycle cursors and
-  ///     occupancy samplers qualify; controllers that move requests
-  ///     between components do not.
-  ///   * Independent domain: while every other entry of the domain is
-  ///     quiescent, the component's ticks change none of their hints and
-  ///     touch no state they read before their hints come due — so the
-  ///     engine may hand it a sub-span up to the earliest such hint
-  ///     instead of ticking the group cycle by cycle.  A CfmMemory
-  ///     qualifies (its drivers wake on next_completion_hint); a
-  ///     component that calls into its neighbours does not.
+  /// Self-containment promise of an independent-domain component.
+  /// Default false: unsure means no sub-span.  While every other entry of
+  /// the domain is quiescent, the component's ticks change none of their
+  /// hints and touch no state they read before their hints come due — so
+  /// the engine may hand it a sub-span up to the earliest such hint
+  /// instead of ticking the group cycle by cycle.  A CfmMemory qualifies
+  /// (its drivers wake on next_completion_hint); a component that calls
+  /// into its neighbours does not.  The engine ignores the flag on
+  /// shared-domain components.
   [[nodiscard]] bool span_capable() const noexcept { return span_capable_; }
   void set_span_capable(bool on = true) noexcept { span_capable_ = on; }
 
@@ -200,10 +193,10 @@ class Component {
   std::array<Cycle, kPhaseCount> next_event_{};
 };
 
-/// Adapter for the classic `Engine::on(phase, fn)` registration style and
-/// for any object exposing a single-phase `tick(Cycle)`.  Callbacks are
-/// indexed by phase at registration time, so a multi-phase component pays
-/// one array lookup per tick instead of scanning every registered pair.
+/// Adapter for callback-style registration: one or more `void(Cycle)`
+/// callbacks per phase.  Callbacks are indexed by phase at registration
+/// time, so a multi-phase component pays one array lookup per tick
+/// instead of scanning every registered pair.
 class LambdaComponent final : public Component {
  public:
   using TickFn = std::function<void(Cycle)>;

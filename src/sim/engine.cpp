@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <map>
-#include <string>
-
 
 namespace cfm::sim {
 
@@ -42,12 +40,6 @@ Component* Engine::add(std::shared_ptr<Component> component) {
 Component* Engine::add(Component& component) {
   // Aliasing shared_ptr: shares no control block, never deletes.
   return add(std::shared_ptr<Component>(std::shared_ptr<void>(), &component));
-}
-
-void Engine::on(Phase phase, TickFn fn) {
-  add(std::make_shared<LambdaComponent>(
-      "lambda#" + std::to_string(next_lambda_++), kSharedDomain, phase,
-      std::move(fn)));
 }
 
 StatShard& Engine::shard(DomainId domain) {
@@ -165,20 +157,10 @@ Cycle Engine::shared_quiescent_until() const {
   for (std::size_t pi = 0; pi < kPhaseCount; ++pi) {
     const auto phase = static_cast<Phase>(pi);
     for (const auto* c : plans_[pi].shared) {
-      if (c->span_capable()) continue;  // batch-dispatched, no veto
       wake = std::min(wake, c->next_event(phase));
     }
   }
   return wake;
-}
-
-void Engine::run_shared_span(Cycle begin, Cycle end) {
-  for (std::size_t pi = 0; pi < kPhaseCount; ++pi) {
-    const auto phase = static_cast<Phase>(pi);
-    for (auto* c : plans_[pi].shared) {
-      if (c->span_capable()) c->tick_span(phase, begin, end);
-    }
-  }
 }
 
 Engine::GroupScan Engine::scan_group(const FastPlan::DomainGroup& group,
@@ -282,16 +264,15 @@ void Engine::advance_to(Cycle target) {
       now_ = std::min(wake, target);
       continue;
     }
-    // Span rule: fusion is bounded by the hints of shared entries that
-    // are not self-contained — they could interact with any domain, so
-    // the span must end before one becomes actionable.
+    // Span rule: fusion is bounded by the hints of shared entries — they
+    // could interact with any domain, so the span must end before one
+    // becomes actionable.
     Cycle end = std::min(target, now_ + cfg_.max_span);
     end = std::min(end, shared_quiescent_until());
     if (end <= now_ + 1) {
       step_cycle_fast();
       continue;
     }
-    run_shared_span(now_, end);
     for (const auto& group : fast_plan_.groups) {
       run_group_span(group, now_, end);
     }

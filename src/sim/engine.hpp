@@ -20,7 +20,6 @@
 #include <functional>
 #include <memory>
 #include <optional>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -59,8 +58,6 @@ void set_engine_tuning(const EngineTuning& tuning) noexcept;
 
 class Engine {
  public:
-  using TickFn = std::function<void(Cycle)>;
-
   Engine() : Engine(EngineConfig{}) {}
   explicit Engine(const EngineConfig& cfg);
   Engine(const Engine&) = delete;
@@ -81,10 +78,6 @@ class Engine {
   /// Registers a component without taking ownership; `component` must
   /// outlive the engine.
   Component* add(Component& component);
-
-  /// Legacy registration: runs `fn` every cycle during `phase`, in the
-  /// shared domain (serial, registration order).
-  void on(Phase phase, TickFn fn);
 
   // ---- per-domain statistics ----------------------------------------
 
@@ -115,11 +108,6 @@ class Engine {
   bool run_until(const std::function<bool()>& done, Cycle max_cycles);
 
   [[nodiscard]] Cycle now() const noexcept { return now_; }
-  [[nodiscard]] std::size_t component_count() const noexcept {
-    return components_.size();
-  }
-  /// Count of allocated domains, including the shared domain.
-  [[nodiscard]] DomainId domain_count() const noexcept { return next_domain_; }
 
  private:
   /// Execution plan for one phase, derived from the registry.
@@ -165,15 +153,10 @@ class Engine {
   /// any entry is actionable this cycle, otherwise the earliest future
   /// hint (the clock-jump target), clamped to kNeverCycle.
   [[nodiscard]] Cycle quiescent_until() const;
-  /// Minimum quiescence hint over *shared-domain* entries that are not
-  /// span-capable.  Bounds span fusion: domain components may never
-  /// touch shared state, so these hints stay valid for a whole span,
-  /// while span-capable shared components (self-contained cursors and
-  /// samplers) are batch-dispatched instead of vetoing the span.
+  /// Minimum quiescence hint over *shared-domain* entries.  Bounds span
+  /// fusion: domain components may never touch shared state, so these
+  /// hints stay valid for a whole span.
   [[nodiscard]] Cycle shared_quiescent_until() const;
-  /// Batch-dispatches every span-capable shared component over
-  /// [begin, end) via tick_span, phase-major in registration order.
-  void run_shared_span(Cycle begin, Cycle end);
   /// What scan_group saw at one point of a cycle.
   struct GroupScan {
     std::size_t actionable = 0;  ///< entries that may act at t
@@ -205,7 +188,6 @@ class Engine {
   std::array<PhasePlan, kPhaseCount> plans_;
   FastPlan fast_plan_;
   bool plans_dirty_ = true;
-  std::uint64_t next_lambda_ = 0;
 };
 
 }  // namespace cfm::sim

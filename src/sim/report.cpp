@@ -647,34 +647,6 @@ bool Report::write_file(const std::string& path) const {
   return static_cast<bool>(os);
 }
 
-// ---- MetricsRegistry --------------------------------------------------
-
-void MetricsRegistry::register_counters(std::string name,
-                                        const CounterSet& counters) {
-  counters_.emplace_back(std::move(name), &counters);
-}
-
-void MetricsRegistry::register_stat(std::string name, const RunningStat& stat) {
-  stats_.emplace_back(std::move(name), &stat);
-}
-
-void MetricsRegistry::register_histogram(std::string name,
-                                         const Histogram& hist,
-                                         std::vector<double> quantiles) {
-  histograms_.emplace_back(std::move(name),
-                           HistEntry{&hist, std::move(quantiles)});
-}
-
-void MetricsRegistry::snapshot(Report& report) const {
-  for (const auto& [name, counters] : counters_) {
-    report.add_counters(name, *counters);
-  }
-  for (const auto& [name, stat] : stats_) report.add_stat(name, *stat);
-  for (const auto& [name, entry] : histograms_) {
-    report.add_histogram(name, *entry.hist, entry.quantiles);
-  }
-}
-
 // ---- ChromeTrace ------------------------------------------------------
 
 void ChromeTrace::push(Json event) {

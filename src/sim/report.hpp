@@ -1,7 +1,6 @@
 // Structured experiment reports: a minimal JSON value type, serializers
 // for the statistics containers (CounterSet / RunningStat / Histogram), a
-// `Report` document every bench harness emits as `BENCH_<name>.json`, a
-// `MetricsRegistry` that snapshots live metric objects into a report, and
+// `Report` document every bench harness emits as `BENCH_<name>.json`, and
 // a Chrome-trace (chrome://tracing JSON array) event sink.
 //
 // Determinism matters here exactly as it does in the simulator: object
@@ -218,35 +217,6 @@ class Report {
   Json histograms_ = Json::object();
   Json tables_ = Json::object();
   Json sections_ = Json::object();
-};
-
-// ---- MetricsRegistry --------------------------------------------------
-
-/// Non-owning registry of live metric objects.  Components register their
-/// counters/stats/histograms once; `snapshot()` serializes the current
-/// values into a Report.  Registered objects must outlive the registry.
-class MetricsRegistry {
- public:
-  void register_counters(std::string name, const CounterSet& counters);
-  void register_stat(std::string name, const RunningStat& stat);
-  void register_histogram(std::string name, const Histogram& hist,
-                          std::vector<double> quantiles = {0.5, 0.9, 0.99});
-
-  [[nodiscard]] std::size_t size() const noexcept {
-    return counters_.size() + stats_.size() + histograms_.size();
-  }
-
-  /// Serializes every registered object's *current* value.
-  void snapshot(Report& report) const;
-
- private:
-  struct HistEntry {
-    const Histogram* hist;
-    std::vector<double> quantiles;
-  };
-  std::vector<std::pair<std::string, const CounterSet*>> counters_;
-  std::vector<std::pair<std::string, const RunningStat*>> stats_;
-  std::vector<std::pair<std::string, HistEntry>> histograms_;
 };
 
 // ---- Chrome trace sink ------------------------------------------------

@@ -361,6 +361,12 @@ void TelemetrySampler::export_chrome(ChromeTrace& trace, Cycle horizon) const {
 
 namespace {
 
+// detect_anomalies thresholds.
+constexpr double kSloAttainmentMin = 0.9;  ///< per-window SLO breach
+constexpr double kCliffFraction = 0.4;     ///< rate below fraction * mean
+constexpr std::size_t kCliffTrailing = 4;  ///< windows in the trailing mean
+constexpr std::uint64_t kMinVolume = 16;   ///< ignore thinner windows
+
 std::size_t name_index(const std::vector<std::string>& names,
                        const std::string& name) {
   const auto it = std::find(names.begin(), names.end(), name);
@@ -458,7 +464,6 @@ Json recovery_table(const TelemetrySampler::Series& s, const FaultPlan& plan,
 }
 
 Json detect_anomalies(const TelemetrySampler::Series& s,
-                      const AnomalyThresholds& t,
                       const std::string& completed_counter,
                       const std::string& slo_counter,
                       const Json* recovery_rows) {
@@ -471,11 +476,11 @@ Json detect_anomalies(const TelemetrySampler::Series& s,
   std::deque<std::uint64_t> trailing;
   for (const auto& row : s.rows) {
     const std::uint64_t c = have_completed ? row.counters[completed] : 0;
-    if (have_slo && c >= t.min_volume) {
+    if (have_slo && c >= kMinVolume) {
       const std::uint64_t within = row.counters[slo];
       const double attainment =
           static_cast<double>(within) / static_cast<double>(c);
-      if (attainment < t.slo_attainment_min) {
+      if (attainment < kSloAttainmentMin) {
         auto f = Json::object();
         f["kind"] = "slo_window_breach";
         f["start"] = row.start;
@@ -485,14 +490,13 @@ Json detect_anomalies(const TelemetrySampler::Series& s,
         findings.push_back(std::move(f));
       }
     }
-    if (have_completed && trailing.size() == t.cliff_trailing &&
-        t.cliff_trailing > 0) {
+    if (have_completed && trailing.size() == kCliffTrailing) {
       std::uint64_t sum = 0;
       for (const auto v : trailing) sum += v;
       const double mean =
           static_cast<double>(sum) / static_cast<double>(trailing.size());
-      if (mean >= static_cast<double>(t.min_volume) &&
-          static_cast<double>(c) < t.cliff_fraction * mean) {
+      if (mean >= static_cast<double>(kMinVolume) &&
+          static_cast<double>(c) < kCliffFraction * mean) {
         auto f = Json::object();
         f["kind"] = "throughput_cliff";
         f["start"] = row.start;
@@ -503,7 +507,7 @@ Json detect_anomalies(const TelemetrySampler::Series& s,
     }
     if (have_completed) {
       trailing.push_back(c);
-      if (trailing.size() > t.cliff_trailing) trailing.pop_front();
+      if (trailing.size() > kCliffTrailing) trailing.pop_front();
     }
   }
 

@@ -63,9 +63,6 @@ class TelemetrySampler final : public Component {
 
   [[nodiscard]] Cycle window() const noexcept { return window_; }
   [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
-  [[nodiscard]] std::size_t record_count() const noexcept {
-    return records_.size();
-  }
   [[nodiscard]] std::uint64_t windows_crossed() const noexcept {
     return windows_crossed_;
   }
@@ -139,14 +136,6 @@ class TelemetrySampler final : public Component {
   std::uint64_t scale_ = 1;
 };
 
-/// Thresholds for the report-time anomaly scan.
-struct AnomalyThresholds {
-  double slo_attainment_min = 0.9;  ///< per-window SLO breach threshold
-  double cliff_fraction = 0.4;      ///< rate below fraction * trailing mean
-  std::size_t cliff_trailing = 4;   ///< windows in the trailing mean
-  std::uint64_t min_volume = 16;    ///< ignore thinner windows
-};
-
 /// Which columns mark a window "degraded" for MTTR derivation.
 struct RecoveryConfig {
   /// Counters whose positive window delta marks degradation (retries,
@@ -166,11 +155,12 @@ struct RecoveryConfig {
                                   const FaultPlan& plan,
                                   const RecoveryConfig& cfg);
 
-/// Threshold scan over the series: per-window SLO breaches, throughput
-/// cliffs vs. the trailing mean, and (when `recovery` rows are supplied)
-/// post-fault non-recovery.  Returns {"count": N, "findings": [...]}.
+/// Threshold scan over the series: per-window SLO breaches (attainment
+/// below 0.9), throughput cliffs (a window below 0.4 × the mean of the 4
+/// before it), and (when `recovery` rows are supplied) post-fault
+/// non-recovery.  Windows that complete fewer than 16 requests are not
+/// judged.  Returns {"count": N, "findings": [...]}.
 [[nodiscard]] Json detect_anomalies(const TelemetrySampler::Series& series,
-                                    const AnomalyThresholds& thresholds,
                                     const std::string& completed_counter,
                                     const std::string& slo_counter,
                                     const Json* recovery_rows);

@@ -119,10 +119,12 @@ TEST(CodeDescriptor, FromRateDerivesParityCount) {
       CodeDescriptor::from_rate(8, 4, 1.0, ParityPolicy::ReadModifyWrite);
   EXPECT_EQ(uncoded.parity_per_stripe, 0u);
   // 0.7 with k=4 needs r = 12/7: not realizable.
-  EXPECT_THROW(CodeDescriptor::from_rate(8, 4, 0.7, ParityPolicy::Logged),
-               std::invalid_argument);
-  EXPECT_THROW(CodeDescriptor::from_rate(8, 4, 0.0, ParityPolicy::Logged),
-               std::invalid_argument);
+  EXPECT_THROW(
+      (void)CodeDescriptor::from_rate(8, 4, 0.7, ParityPolicy::Logged),
+      std::invalid_argument);
+  EXPECT_THROW(
+      (void)CodeDescriptor::from_rate(8, 4, 0.0, ParityPolicy::Logged),
+      std::invalid_argument);
 }
 
 TEST(CodeDescriptor, EnumerateTradeoffsCoversBudget) {
@@ -141,7 +143,7 @@ TEST(CodeDescriptor, EnumerateTradeoffsCoversBudget) {
     EXPECT_NO_THROW(d.validate());
     EXPECT_DOUBLE_EQ(row.code_rate, d.code_rate());
   }
-  EXPECT_THROW(mem::coded::parity_policy_from_name("raid6"),
+  EXPECT_THROW((void)mem::coded::parity_policy_from_name("raid6"),
                std::invalid_argument);
 }
 

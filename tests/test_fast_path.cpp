@@ -180,41 +180,50 @@ TEST(FastPath, SoleDomainComponentReceivesTilingSpans) {
   EXPECT_EQ(r2.checksum, rec.checksum);
 }
 
-// A span-capable shared cursor must not veto fusion for domain groups,
-// and its batched form must leave the same final state as per-cycle.
-TEST(FastPath, SpanCapableSharedCursorDoesNotVetoFusion) {
-  constexpr Cycle kCycles = 512;
+// Every shared entry's hint bounds span fusion: no domain span may cross
+// a cycle at which a shared entry can act.  span_capable is an in-domain
+// promise and lifts nothing for a shared entry.
+TEST(FastPath, SharedEntryHintBoundsSpanFusion) {
+  constexpr Cycle kCycles = 500;
+  constexpr Cycle kPeriod = 10;
 
-  auto build = [](Engine& engine, Cycle* slot, SpanRecorder*& rec_out) {
-    auto cursor = std::make_shared<sim::LambdaComponent>("cursor",
-                                                         sim::kSharedDomain);
-    cursor->on(Phase::Network, [slot](Cycle now) { *slot = now % 17; });
-    cursor->on_span(Phase::Network,
-                    [slot](Cycle, Cycle end) { *slot = (end - 1) % 17; });
-    cursor->set_span_capable();
-    engine.add(std::move(cursor));
+  auto build = [](Engine& engine, std::uint64_t* pulses,
+                  SpanRecorder*& rec_out) {
+    auto pulse = std::make_shared<sim::LambdaComponent>("pulse",
+                                                        sim::kSharedDomain);
+    auto* self = pulse.get();
+    pulse->on(Phase::Network, [self, pulses](Cycle now) {
+      if (now % kPeriod != 0) return;  // the reference path ticks every cycle
+      ++*pulses;
+      self->set_next_event(now + kPeriod);
+    });
+    pulse->set_span_capable();
+    engine.add(std::move(pulse));
     auto rec = std::make_shared<SpanRecorder>("rec", engine.allocate_domain());
     rec_out = rec.get();
     engine.add(std::move(rec));
   };
 
   Engine fast(EngineConfig{.fast_path = true, .max_span = 64});
-  Cycle fast_slot = 0;
+  std::uint64_t fast_pulses = 0;
   SpanRecorder* fast_rec = nullptr;
-  build(fast, &fast_slot, fast_rec);
+  build(fast, &fast_pulses, fast_rec);
   fast.run_for(kCycles);
 
   Engine ref(EngineConfig{.fast_path = false});
-  Cycle ref_slot = 0;
+  std::uint64_t ref_pulses = 0;
   SpanRecorder* ref_rec = nullptr;
-  build(ref, &ref_slot, ref_rec);
+  build(ref, &ref_pulses, ref_rec);
   ref.run_for(kCycles);
 
-  // The kAlways cursor did not pin spans to one cycle...
   ASSERT_FALSE(fast_rec->spans.empty());
-  EXPECT_GT(fast_rec->spans.front().second - fast_rec->spans.front().first, 1u);
-  // ...and batched execution left identical state.
-  EXPECT_EQ(fast_slot, ref_slot);
+  for (const auto& [begin, end] : fast_rec->spans) {
+    EXPECT_NE(begin % kPeriod, 0u) << "span starts on a pulse cycle";
+    EXPECT_EQ(begin / kPeriod, (end - 1) / kPeriod) << "span crosses a pulse";
+  }
+  EXPECT_EQ(fast_pulses, kCycles / kPeriod);
+  EXPECT_EQ(fast_pulses, ref_pulses);
+  EXPECT_EQ(fast_rec->cell_ticks, kCycles);
   EXPECT_EQ(fast_rec->checksum, ref_rec->checksum);
 }
 

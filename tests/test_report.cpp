@@ -1,6 +1,5 @@
 // Tests for the structured report layer: the Json value type and its
-// parser, the Report document schema, the MetricsRegistry snapshot, and
-// the Chrome-trace event sink.
+// parser, the Report document schema, and the Chrome-trace event sink.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -211,29 +210,6 @@ TEST(Report, HistogramJsonIncludesQuantiles) {
   EXPECT_TRUE(j.at("quantiles").contains("p90"));
   EXPECT_NEAR(j.at("quantiles").at("p50").as_double(), hist.quantile(0.5),
               1e-12);
-}
-
-TEST(MetricsRegistry, SnapshotSeesLiveUpdates) {
-  CounterSet counters;
-  RunningStat stat;
-  Histogram hist(1.0, 4);
-  MetricsRegistry registry;
-  registry.register_counters("events", counters);
-  registry.register_stat("lat", stat);
-  registry.register_histogram("h", hist);
-  EXPECT_EQ(registry.size(), 3u);
-
-  // Mutations after registration must be visible at snapshot time.
-  counters.inc(counters.intern("ticks"), 2);
-  stat.add(7.0);
-  hist.add(1.5);
-
-  Report report("snap");
-  registry.snapshot(report);
-  const auto j = report.to_json();
-  EXPECT_EQ(j.at("counters").at("events").at("ticks").as_uint(), 2u);
-  EXPECT_EQ(j.at("stats").at("lat").at("count").as_uint(), 1u);
-  EXPECT_EQ(j.at("histograms").at("h").at("total").as_uint(), 1u);
 }
 
 TEST(ChromeTrace, CollectsEventsAsJsonArray) {

@@ -475,10 +475,15 @@ TEST(CounterSet, AuditedRunReportKeySetsArePinned) {
 TEST(Engine, PhasesRunInOrderEveryCycle) {
   Engine e;
   std::vector<int> order;
-  e.on(Phase::Commit, [&](Cycle) { order.push_back(3); });
-  e.on(Phase::Issue, [&](Cycle) { order.push_back(0); });
-  e.on(Phase::Memory, [&](Cycle) { order.push_back(2); });
-  e.on(Phase::Network, [&](Cycle) { order.push_back(1); });
+  const auto on = [&](Phase phase, int tag) {
+    e.add(std::make_shared<LambdaComponent>(
+        "phase" + std::to_string(tag), kSharedDomain, phase,
+        [&order, tag](Cycle) { order.push_back(tag); }));
+  };
+  on(Phase::Commit, 3);
+  on(Phase::Issue, 0);
+  on(Phase::Memory, 2);
+  on(Phase::Network, 1);
   e.run_for(2);
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 0, 1, 2, 3}));
   EXPECT_EQ(e.now(), 2u);
@@ -487,7 +492,9 @@ TEST(Engine, PhasesRunInOrderEveryCycle) {
 TEST(Engine, RunUntilStopsOnPredicate) {
   Engine e;
   int counter = 0;
-  e.on(Phase::Issue, [&](Cycle) { ++counter; });
+  e.add(std::make_shared<LambdaComponent>("counter", kSharedDomain,
+                                          Phase::Issue,
+                                          [&](Cycle) { ++counter; }));
   const bool done = e.run_until([&] { return counter >= 5; }, 100);
   EXPECT_TRUE(done);
   EXPECT_EQ(counter, 5);

@@ -298,8 +298,8 @@ TEST(RecoveryTable, UnrecoveredWhenDegradationReachesHorizon) {
 
 TEST(DetectAnomalies, FlagsSloBreachAndCliff) {
   const auto s = synthetic_series();
-  AnomalyThresholds t;  // defaults: attainment < 0.9, cliff < 0.4 * mean
-  const auto out = detect_anomalies(s, t, "completed", "slo_within", nullptr);
+  // Thresholds: attainment < 0.9, cliff < 0.4 * mean.
+  const auto out = detect_anomalies(s, "completed", "slo_within", nullptr);
   EXPECT_EQ(out.at("count").as_uint(), out.at("findings").as_array().size());
   bool saw_breach = false;
   bool saw_cliff = false;
@@ -314,9 +314,7 @@ TEST(DetectAnomalies, FlagsSloBreachAndCliff) {
 TEST(DetectAnomalies, CleanSeriesHasNoFindings) {
   auto s = synthetic_series();
   for (auto& row : s.rows) row.counters = {50, 0, 50};
-  const auto out =
-      detect_anomalies(s, AnomalyThresholds{}, "completed", "slo_within",
-                       nullptr);
+  const auto out = detect_anomalies(s, "completed", "slo_within", nullptr);
   EXPECT_EQ(out.at("count").as_uint(), 0u);
 }
 
@@ -327,8 +325,7 @@ TEST(DetectAnomalies, ReportsNonRecoveryFromRecoveryRows) {
   RecoveryConfig cfg;
   cfg.degraded_counters = {"failed"};
   const auto recovery = recovery_table(s, plan, cfg);
-  const auto out = detect_anomalies(s, AnomalyThresholds{}, "completed",
-                                    "slo_within", &recovery);
+  const auto out = detect_anomalies(s, "completed", "slo_within", &recovery);
   bool saw = false;
   for (const auto& f : out.at("findings").as_array()) {
     if (f.at("kind").as_string() == "post_fault_non_recovery") saw = true;
