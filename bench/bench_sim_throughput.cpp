@@ -236,6 +236,10 @@ class CapturingReporter : public benchmark::ConsoleReporter {
       row["name"] = run.benchmark_name();
       if (run.run_type == Run::RT_Aggregate) {
         row["aggregate"] = run.aggregate_name;
+      } else {
+        // Pairs the raw rows of different benchmarks run in the same
+        // repetition (tools/check_throughput.py).
+        row["repetition_index"] = run.repetition_index;
       }
       row["iterations"] = run.iterations;
       row["real_time_ns"] = run.GetAdjustedRealTime();
@@ -252,49 +256,44 @@ class CapturingReporter : public benchmark::ConsoleReporter {
   sim::Report& report_;
 };
 
-/// The observability flag `arg` names (`--flag` or `--flag=<value>`), or
-/// nullptr.  This harness reads none of them.
-const char* observability_flag(const std::string& arg) {
-  for (const char* flag :
-       {"--audit", "--txn-trace", "--fault-plan", "--seed"}) {
-    const std::string name = flag;
-    if (arg == name || arg.rfind(name + "=", 0) == 0) return flag;
-  }
-  return nullptr;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  // Peel off --json-out before google-benchmark sees the argument list
-  // (it rejects flags it does not know).
+  // Peel off this harness's own flags before google-benchmark sees the
+  // argument list (it rejects flags it does not know).  They share
+  // report_main.hpp's value-flag helper with every other bench.
   std::vector<char*> passthrough;
   cfm::bench::Options opts;
   passthrough.push_back(argv[0]);
+  std::string value;
   for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--json-out" && i + 1 < argc) {
-      opts.json_out = argv[++i];
-    } else if (arg.rfind("--json-out=", 0) == 0) {
-      opts.json_out = arg.substr(sizeof("--json-out=") - 1);
-    } else if (arg == "--fast-path" || arg == "--max-span") {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "%s: missing value for %s\n", argv[0],
-                     arg.c_str());
-        return 2;
-      }
-      cfm::sim::EngineTuning t = cfm::sim::engine_tuning();
-      if (arg == "--fast-path") {
-        t.fast_path = cfm::bench::parse_fast_path_flag(argv[0], argv[++i]);
-      } else {
-        t.max_span = cfm::bench::parse_max_span_flag(argv[0], argv[++i]);
-      }
-      cfm::sim::set_engine_tuning(t);
-    } else if (const char* flag = observability_flag(arg)) {
-      cfm::bench::reject_unread(argv[0], flag);
-    } else {
-      passthrough.push_back(argv[i]);
+    if (cfm::bench::take_value_flag(argc, argv, i, "--json-out",
+                                    opts.json_out)) {
+      continue;
     }
+    if (cfm::bench::take_value_flag(argc, argv, i, "--fast-path", value)) {
+      cfm::sim::EngineTuning t = cfm::sim::engine_tuning();
+      t.fast_path = cfm::bench::parse_fast_path_flag(argv[0], value);
+      cfm::sim::set_engine_tuning(t);
+      continue;
+    }
+    if (cfm::bench::take_value_flag(argc, argv, i, "--max-span", value)) {
+      cfm::sim::EngineTuning t = cfm::sim::engine_tuning();
+      t.max_span = cfm::bench::parse_max_span_flag(argv[0], value);
+      cfm::sim::set_engine_tuning(t);
+      continue;
+    }
+    // This harness reads no observability flag (see report_main.hpp).
+    for (const char* flag : {"--txn-trace", "--fault-plan", "--seed"}) {
+      if (cfm::bench::take_value_flag(argc, argv, i, flag, value)) {
+        cfm::bench::reject_unread(argv[0], flag);
+      }
+    }
+    const std::string arg = argv[i];
+    if (arg == "--audit" || arg.rfind("--audit=", 0) == 0) {
+      cfm::bench::reject_unread(argv[0], "--audit");
+    }
+    passthrough.push_back(argv[i]);
   }
   int bench_argc = static_cast<int>(passthrough.size());
   benchmark::Initialize(&bench_argc, passthrough.data());

@@ -34,6 +34,7 @@
 #include <cstdlib>
 #include <optional>
 #include <string>
+#include <utility>
 
 #include "sim/engine.hpp"
 #include "sim/report.hpp"
@@ -82,6 +83,31 @@ inline sim::Cycle parse_max_span_flag(const char* argv0,
   return static_cast<sim::Cycle>(span);
 }
 
+/// Consumes the value flag `flag` at argv[i], given as `--flag <value>`
+/// or `--flag=<value>`, into `out` and returns true; returns false when
+/// argv[i] is another argument.  A missing value (the flag is the last
+/// argument) or an empty one exits 2 with "missing value for <flag>", so
+/// `--json-out=` cannot run the bench and silently skip its report.
+inline bool take_value_flag(int argc, char** argv, int& i, const char* flag,
+                            std::string& out) {
+  const std::string arg = argv[i];
+  const std::string prefix = std::string(flag) + "=";
+  std::string value;
+  if (arg == flag) {
+    if (i + 1 < argc) value = argv[++i];
+  } else if (arg.rfind(prefix, 0) == 0) {
+    value = arg.substr(prefix.size());
+  } else {
+    return false;
+  }
+  if (value.empty()) {
+    std::fprintf(stderr, "%s: missing value for %s\n", argv[0], flag);
+    std::exit(2);
+  }
+  out = std::move(value);
+  return true;
+}
+
 /// Usage error for an observability flag the bench does not read.
 [[noreturn]] inline void reject_unread(const char* argv0, const char* flag) {
   std::fprintf(stderr, "%s: this bench does not read %s\n", argv0, flag);
@@ -114,54 +140,35 @@ struct Options {
 /// so a bench never accepts a flag it would ignore.  A value flag given
 /// as the last argument with no value is diagnosed explicitly ("missing
 /// value for --json-out") instead of falling through to the generic
-/// usage message.  The fault-plan spec
-/// itself is validated by the consuming bench (sim::FaultPlan::parse
-/// throws std::invalid_argument; benches exit(2) on a malformed spec).
+/// usage message, and so is an empty one (take_value_flag).  The
+/// fault-plan spec itself is validated by the consuming bench
+/// (sim::FaultPlan::parse throws std::invalid_argument; benches exit(2)
+/// on a malformed spec).
 inline Options parse_options(int argc, char** argv, Reads reads = {}) {
   Options opts;
-  // Consumes `--flag <value>` / `--flag=<value>`; exits with a pointed
-  // diagnostic when the value is missing.
-  const auto value_flag = [&](int& i, const std::string& arg,
-                              const char* flag,
-                              std::string& out) -> bool {
-    if (arg == flag) {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "%s: missing value for %s\n", argv[0], flag);
-        std::exit(2);
-      }
-      out = argv[++i];
-      return true;
-    }
-    const std::string prefix = std::string(flag) + "=";
-    if (arg.rfind(prefix, 0) == 0) {
-      out = arg.substr(prefix.size());
-      return true;
-    }
-    return false;
-  };
   sim::EngineTuning tuning;
   std::string text;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (value_flag(i, arg, "--json-out", opts.json_out)) continue;
-    if (value_flag(i, arg, "--txn-trace", opts.txn_trace_out)) {
+    if (take_value_flag(argc, argv, i, "--json-out", opts.json_out)) continue;
+    if (take_value_flag(argc, argv, i, "--txn-trace", opts.txn_trace_out)) {
       if (!reads.txn_trace) reject_unread(argv[0], "--txn-trace");
       continue;
     }
-    if (value_flag(i, arg, "--fault-plan", opts.fault_plan)) {
+    if (take_value_flag(argc, argv, i, "--fault-plan", opts.fault_plan)) {
       if (!reads.fault_plan) reject_unread(argv[0], "--fault-plan");
       continue;
     }
-    if (value_flag(i, arg, "--seed", text)) {
+    if (take_value_flag(argc, argv, i, "--seed", text)) {
       if (!reads.seed) reject_unread(argv[0], "--seed");
       opts.seed = parse_uint_flag(argv[0], "--seed", text);
       continue;
     }
-    if (value_flag(i, arg, "--fast-path", text)) {
+    if (take_value_flag(argc, argv, i, "--fast-path", text)) {
       tuning.fast_path = parse_fast_path_flag(argv[0], text);
       continue;
     }
-    if (value_flag(i, arg, "--max-span", text)) {
+    if (take_value_flag(argc, argv, i, "--max-span", text)) {
       tuning.max_span = parse_max_span_flag(argv[0], text);
       continue;
     }

@@ -118,9 +118,9 @@ int main() {
                   cfm_sys.counters().get("remote_wbs_served")),
               "(snoop flush)");
   std::printf("%-26s %-12s %-12llu\n", "bus busy cycles", "-",
-              static_cast<unsigned long long>(bus_sys.bus_busy_cycles()));
+              static_cast<unsigned long long>(bus_sys.bus_busy()));
   std::printf("%-26s %-12s %-11.0f%%\n", "bus utilization", "-",
-              100.0 * static_cast<double>(bus_sys.bus_busy_cycles()) /
+              100.0 * static_cast<double>(bus_sys.bus_busy()) /
                   static_cast<double>(bus_cycles));
   std::printf("\ncoherence sanity: single dirty owner on CFM: %s\n",
               cfm_sys.check_single_dirty_owner() ? "yes" : "VIOLATED");

@@ -61,8 +61,9 @@ class SnoopyBus {
   [[nodiscard]] std::vector<sim::Word> memory_block(sim::BlockAddr offset) const;
   void poke_memory(sim::BlockAddr offset, std::vector<sim::Word> words);
 
-  /// Bus pressure metrics — the contention CFM does not have.
-  [[nodiscard]] std::uint64_t bus_busy_cycles() const noexcept { return bus_busy_; }
+  /// Bus pressure metrics — the contention CFM does not have.  bus_busy()
+  /// counts the cycles the bus was held.
+  [[nodiscard]] std::uint64_t bus_busy() const noexcept { return bus_busy_; }
   [[nodiscard]] const sim::CounterSet& counters() const noexcept { return counters_; }
 
  private:

@@ -14,6 +14,7 @@ CfmMemory::CfmMemory(const CfmConfig& cfg, ConsistencyPolicy policy)
       module_(0, cfg.banks, cfg.bank_cycle),
       inflight_(cfg.processors),
       active_((cfg.processors + 63) / 64, 0),
+      lazy_(active_.size(), 0),
       per_slot_(active_.size(), 0),
       results_(cfg.processors) {
   atts_.reserve(cfg_.banks);
@@ -23,15 +24,23 @@ CfmMemory::CfmMemory(const CfmConfig& cfg, ConsistencyPolicy policy)
 }
 
 bool CfmMemory::idle(sim::ProcessorId p) const {
-  return !inflight_.at(p).has_value();
+  if (p >= inflight_.size()) {
+    throw std::out_of_range("processor " + std::to_string(p) +
+                            " out of range");
+  }
+  return !has_bit(active_, p);
 }
 
+// An instrument sees every slot from the one it attaches at: settle the
+// lazy ops first, so none of their slots runs unobserved later.
 void CfmMemory::set_audit(sim::ConflictAuditor& auditor) {
+  settle_lazy(next_slot_);
   audit_ = &auditor;
   audit_scope_ = module_.set_audit(auditor, cfg_.block_access_time());
 }
 
 void CfmMemory::set_txn_trace(sim::TxnTracer& tracer) {
+  settle_lazy(next_slot_);
   tracer_ = &tracer;
   tracer_unit_ = tracer.add_unit("cfm");
 }
@@ -39,6 +48,7 @@ void CfmMemory::set_txn_trace(sim::TxnTracer& tracer) {
 void CfmMemory::set_fault_injector(const sim::FaultInjector& injector,
                                    std::uint32_t spare_banks,
                                    sim::Cycle timeout) {
+  settle_lazy(next_slot_);
   faults_ = &injector;
   next_spare_ = module_.bank_count();
   module_.provision_spares(spare_banks);
@@ -85,26 +95,33 @@ CfmMemory::OpToken CfmMemory::issue(sim::Cycle now, sim::ProcessorId p,
     throw std::logic_error(
         "protocol primitives are driven by cache::CfmProtocol, not CfmMemory");
   }
-  InFlight op;
-  op.token = next_token_++;
+  const OpToken token = next_token_++;
+  const bool writes = kind == BlockOpKind::Write || kind == BlockOpKind::Swap;
+  if (writes && !modify && data.size() != cfg_.banks) {
+    throw std::invalid_argument("write data must supply one word per bank");
+  }
+  if (kind == BlockOpKind::Write && modify) {
+    throw std::invalid_argument("modify callback is only valid for Swap");
+  }
+  // A lazy op on this offset stops being uncontended: bring it to the
+  // per-slot state before the new op can meet it.
+  settle_lazy(next_slot_, offset);
+  // Reuse the slot's buffers: their capacity outlives the op.
+  InFlight& op = inflight_[p];
+  auto read_buf = std::move(op.read_buf);
+  auto write_buf = std::move(op.write_buf);
+  op = InFlight{};
+  op.token = token;
   op.kind = kind;
   op.offset = offset;
   op.proc = p;
   op.original_issue = now;
   op.tour_start = now;
-  op.read_buf.assign(cfg_.banks, 0);
-  if (kind == BlockOpKind::Write || kind == BlockOpKind::Swap) {
-    if (!modify) {
-      if (data.size() != cfg_.banks) {
-        throw std::invalid_argument("write data must supply one word per bank");
-      }
-      op.write_buf.assign(data.begin(), data.end());
-    } else if (kind == BlockOpKind::Write) {
-      throw std::invalid_argument("modify callback is only valid for Swap");
-    }
-  }
+  op.read_buf = std::move(read_buf);
+  op.write_buf = std::move(write_buf);
+  if (kind != BlockOpKind::Write) op.read_buf.assign(cfg_.banks, 0);
+  if (writes && !modify) op.write_buf.assign(data.begin(), data.end());
   op.modify = std::move(modify);
-  const OpToken token = op.token;
   if (tracer_) {
     op.txn = tracer_->begin(tracer_unit_, now, p, op_kind_name(kind), offset);
   }
@@ -112,7 +129,7 @@ CfmMemory::OpToken CfmMemory::issue(sim::Cycle now, sim::ProcessorId p,
   // flight shares with the new one, and every recent ATT entry for the
   // offset is foreign to it.
   for_each_active([&](sim::ProcessorId q) {
-    auto& other = *inflight_[q];
+    auto& other = inflight_[q];
     if (other.offset != offset) return;
     ++other.sharers;
     ++op.sharers;
@@ -122,8 +139,7 @@ CfmMemory::OpToken CfmMemory::issue(sim::Cycle now, sim::ProcessorId p,
       op.foreign_att_end = std::max(op.foreign_att_end, r.slot + cfg_.banks);
     }
   }
-  inflight_.at(p) = std::move(op);
-  set_active(p, true);
+  set_bit(active_, p, true);
   counters_.inc(counters_.ops_issued);
   // A quiescent memory just became actionable: the Memory phase of this
   // same cycle must tick the fresh tour.
@@ -132,13 +148,14 @@ CfmMemory::OpToken CfmMemory::issue(sim::Cycle now, sim::ProcessorId p,
 }
 
 void CfmMemory::tick(sim::Cycle now) {
+  settle_lazy(now);
   if (faults_ != nullptr) [[unlikely]] check_faults(now);
   // One pass over the in-flight ops both steps them and gathers the
   // quiescence hint: an op's state after its own step is final for this
   // slot (ops never mutate each other outside check_faults).
   sim::Cycle wake = sim::kNeverCycle;
   for_each_active([&](sim::ProcessorId p) {
-    auto& op = *inflight_[p];
+    auto& op = inflight_[p];
     if (tick_op(now, op)) wake = std::min(wake, op_wake(op, now));
   });
   next_slot_ = now + 1;
@@ -159,13 +176,16 @@ bool CfmMemory::tick_op(sim::Cycle now, InFlight& op) {
   if (op.tour_start > now) return true;  // restart back-off pending
   const sim::ProcessorId p = op.proc;
   step_op(now, op);
-  return inflight_[p].has_value();
+  return has_bit(active_, p);
 }
 
 sim::Cycle CfmMemory::op_wake(const InFlight& op, sim::Cycle now) noexcept {
   // Draining tours act again at the tick that publishes the result
   // (now + 1 >= drain_until); everything else acts at its tour_start,
-  // or immediately next cycle if the tour is already under way.
+  // or immediately next cycle if the tour is already under way.  A lazy
+  // op's fields are as of its lazy_from, which can only make this
+  // earlier than its true next action: a lazy tour under way wakes the
+  // memory every slot.
   return op.drain_until != sim::kNeverCycle ? op.drain_until - 1
                                             : std::max(op.tour_start, now + 1);
 }
@@ -178,7 +198,7 @@ void CfmMemory::publish_wake(sim::Cycle now) {
   }
   sim::Cycle wake = sim::kNeverCycle;
   for_each_active([&](sim::ProcessorId p) {
-    wake = std::min(wake, op_wake(*inflight_[p], now));
+    wake = std::min(wake, op_wake(inflight_[p], now));
   });
   ticker_->set_next_event(wake);
 }
@@ -212,86 +232,117 @@ void CfmMemory::tick_span(sim::Cycle begin, sim::Cycle end) {
 
 void CfmMemory::batched_span(sim::Cycle begin, sim::Cycle end) {
   // Partition.  No op is issued mid-span, so an op uncontended at
-  // `begin` stays so to the end: nothing can bring its offset back.
+  // `begin` stays so to the end: nothing can bring its offset back.  A
+  // lazy op is uncontended: only a same-offset issue() could change
+  // that, and it settles the op first.
   std::fill(per_slot_.begin(), per_slot_.end(), 0);
   bool any_per_slot = false;
   for_each_active([&](sim::ProcessorId p) {
-    if (contended(*inflight_[p], begin)) {
-      per_slot_[p / 64] |= std::uint64_t{1} << (p % 64);
+    if (contended(inflight_[p], begin)) {
+      assert(!has_bit(lazy_, p));
+      set_bit(per_slot_, p, true);
       any_per_slot = true;
     }
   });
-  const auto per_slot = [this](sim::ProcessorId p) {
-    return (per_slot_[p / 64] >> (p % 64) & 1) != 0;
-  };
 
   // Contended ops first, per slot in processor order exactly as tick()
-  // runs them.  They precede the batched tours so that every find() they
-  // make sees the ATTs before any later-slot batched insert prunes them.
+  // runs them.  They precede the settled tours so that every find() they
+  // make sees the ATTs before any later-slot settled insert prunes them.
   if (any_per_slot) {
     for (sim::Cycle t = begin; t < end;) {
       sim::Cycle wake = sim::kNeverCycle;
       for_each_active([&](sim::ProcessorId p) {
-        if (!per_slot(p)) return;
-        auto& op = *inflight_[p];
+        if (!has_bit(per_slot_, p)) return;
+        auto& op = inflight_[p];
         if (tick_op(t, op)) wake = std::min(wake, op_wake(op, t));
       });
       if (wake >= end) break;
       t = wake;  // op_wake is always past t
     }
   }
+  // Uncontended ops turn lazy; only those that finish inside the span
+  // are settled.
   for_each_active([&](sim::ProcessorId p) {
-    if (!per_slot(p)) advance_uncontended(*inflight_[p], begin, end);
+    if (has_bit(per_slot_, p)) return;
+    InFlight& op = inflight_[p];
+    if (!has_bit(lazy_, p)) {
+      set_bit(lazy_, p, true);
+      op.lazy_from = begin;
+    }
+    if (finish_slot(op) < end) settle(op, end);
   });
   next_slot_ = end;
   publish_wake(end - 1);
 }
 
-void CfmMemory::advance_uncontended(InFlight& op, sim::Cycle begin,
-                                    sim::Cycle end) {
+sim::Cycle CfmMemory::finish_slot(const InFlight& op) const noexcept {
+  if (op.drain_until != sim::kNeverCycle) return op.drain_until - 1;
+  // A swap's write tour starts the slot its read tour ends.
+  const bool read_tour_left =
+      op.kind == BlockOpKind::Swap && !op.write_phase;
+  const sim::Cycle last_tour_start =
+      op.tour_start + (read_tour_left ? cfg_.banks : 0);
+  return at_.completion(last_tour_start) - 1;
+}
+
+void CfmMemory::settle_lazy(sim::Cycle until,
+                            std::optional<sim::BlockAddr> offset) {
+  for_each_bit(lazy_, [&](sim::ProcessorId p) {
+    InFlight& op = inflight_[p];
+    if (!offset.has_value() || op.offset == *offset) settle(op, until);
+  });
+}
+
+void CfmMemory::settle(InFlight& op, sim::Cycle until) {
   // The per-slot path with every ATT lookup known to miss: no restart,
-  // no abort, one word per slot on bank (t + c*p) mod b.
+  // no abort, one word per slot on bank (t + c*p) mod b.  A tour segment
+  // covers consecutive banks, so it is at most two copies, split where
+  // it wraps to bank 0.
   const std::uint32_t b = cfg_.banks;
   const sim::ProcessorId p = op.proc;
-  sim::Cycle t = begin;
+  set_bit(lazy_, p, false);
+  sim::Cycle t = op.lazy_from;
   for (;;) {
     if (op.drain_until != sim::kNeverCycle) {
       // tick() publishes at the slot where now + 1 >= drain_until.
-      if (op.drain_until - 1 < end) {
+      if (op.drain_until - 1 < until) {
         finish(op.drain_until - 1, op, OpStatus::Completed);
       }
       return;
     }
     t = std::max(t, op.tour_start);
-    if (t >= end) return;
+    if (t >= until) return;
     const bool writing =
         op.kind == BlockOpKind::Write ||
         (op.kind == BlockOpKind::Swap && op.write_phase);
-    const sim::Cycle stop = std::min<sim::Cycle>(end, t + (b - op.progress));
-    const auto words = static_cast<std::uint32_t>(stop - t);
-    sim::BankId bank = at_.bank_at(t, p);
+    const auto words = static_cast<std::uint32_t>(
+        std::min<sim::Cycle>(until - t, b - op.progress));
+    const sim::BankId bank = at_.bank_at(t, p);
     assert(bank == at_.visit_bank(op.tour_start, p, op.progress));
+#ifndef NDEBUG
+    // Bank's per-access conflict assert is skipped here; check the
+    // AT-space partition itself for every word instead.
+    for (std::uint32_t j = 0; j < words; ++j) {
+      assert(at_.processor_at(t + j, (bank + j) % b) == p);
+    }
+#endif
+    const std::uint32_t head = std::min(words, b - bank);
     if (writing) {
       if (op.progress == 0) att_insert(t, bank, op, att_kind(op));
       sim::Word* row = write_row(op);
-      for (; t < stop; ++t) {
-        assert(at_.processor_at(t, bank) == p);
-        row[bank] = op.write_buf[bank];
-        module_.bank(bank).account_batched(t);
-        if (bank == 0) op.bank0_done = true;
-        bank = bank + 1 == b ? 0 : bank + 1;
-      }
+      std::copy_n(op.write_buf.data() + bank, head, row + bank);
+      std::copy_n(op.write_buf.data(), words - head, row);
+      if (bank == 0 || words > head) op.bank0_done = true;
+    } else if (const sim::Word* row = read_row(op)) {
+      std::copy_n(row + bank, head, op.read_buf.data() + bank);
+      std::copy_n(row, words - head, op.read_buf.data());
     } else {
-      const sim::Word* row = read_row(op);
-      for (; t < stop; ++t) {
-        assert(at_.processor_at(t, bank) == p);
-        op.read_buf[bank] = row != nullptr ? row[bank] : 0;
-        module_.bank(bank).account_batched(t);
-        bank = bank + 1 == b ? 0 : bank + 1;
-      }
+      std::fill_n(op.read_buf.data() + bank, head, sim::Word{0});
+      std::fill_n(op.read_buf.data(), words - head, sim::Word{0});
     }
+    t += words;
     op.progress += words;
-    if (op.progress < b) return;  // the span ends mid-tour
+    if (op.progress < b) return;  // settled mid-tour
     if (!writing && op.kind == BlockOpKind::Swap) {
       // Read phase done: the write tour starts at the next slot, as in
       // handle_read_side.
@@ -304,7 +355,7 @@ void CfmMemory::advance_uncontended(InFlight& op, sim::Cycle begin,
       continue;
     }
     complete_or_drain(t - 1, op);
-    if (!inflight_[p].has_value()) return;
+    if (!has_bit(active_, p)) return;
   }
 }
 
@@ -312,21 +363,20 @@ sim::Cycle CfmMemory::next_completion_hint(sim::Cycle now) const {
   if (faults_ != nullptr || !results_.empty()) return sim::Component::kAlways;
   sim::Cycle hint = sim::kNeverCycle;
   for_each_active([&](sim::ProcessorId p) {
-    const InFlight& op = *inflight_[p];
-    // tour_start + beta is when this tour would complete if nothing
-    // restarts it; restarts and swap write phases only push completion
-    // later.  A plain write can instead abort at its next step and
-    // publish at the slot after — but only while it races a same-offset
-    // op or a live foreign ATT entry, and a new race needs a new issue,
-    // after which the issuing driver re-polls this bound.
+    const InFlight& op = inflight_[p];
+    // finish_slot + 1 is when this op would complete if nothing restarts
+    // it (a swap in its read tour also runs one write tour after it);
+    // restarts only push completion later, and a lazy op never restarts.
+    // A plain write can instead abort at its next step and publish at
+    // the slot after — but only while it races a same-offset op or a
+    // live foreign ATT entry, and a new race needs a new issue, after
+    // which the issuing driver re-polls this bound.
     const bool may_abort = op.kind == BlockOpKind::Write &&
                            op.drain_until == sim::kNeverCycle &&
                            policy_ != ConsistencyPolicy::NoTracking &&
                            contended(op, now);
-    hint = std::min(hint, op.drain_until != sim::kNeverCycle
-                              ? op.drain_until
-                          : may_abort ? std::max(op.tour_start, now) + 1
-                                      : at_.completion(op.tour_start));
+    hint = std::min(hint, may_abort ? std::max(op.tour_start, now) + 1
+                                    : finish_slot(op) + 1);
   });
   return hint;
 }
@@ -352,14 +402,13 @@ void CfmMemory::check_faults(sim::Cycle now) {
           // the repaired machine.
           remap_[b] = next_spare_++;
           counters_.inc(counters_.bank_remaps);
-          for (auto& slot : inflight_) {
-            if (!slot.has_value()) continue;
-            if (slot->drain_until != sim::kNeverCycle) continue;
-            if (slot->tour_start > now) continue;
-            if (slot->fault_at == sim::kNeverCycle) slot->fault_at = now;
-            restart(now, *slot, at_.bank_at(now, slot->proc),
-                    counters_.fault_restarts);
-          }
+          for_each_active([&](sim::ProcessorId p) {
+            InFlight& op = inflight_[p];
+            if (op.drain_until != sim::kNeverCycle) return;
+            if (op.tour_start > now) return;
+            if (op.fault_at == sim::kNeverCycle) op.fault_at = now;
+            restart(now, op, at_.bank_at(now, p), counters_.fault_restarts);
+          });
         } else {
           counters_.inc(counters_.bank_failures_unmapped);
         }
@@ -375,28 +424,27 @@ void CfmMemory::check_faults(sim::Cycle now) {
   if (!halted && halted_) {
     // Service resumes: re-synchronise every interrupted tour with the AT
     // schedule (a stale tour_start would break the bank congruence).
-    for (auto& slot : inflight_) {
-      if (!slot.has_value()) continue;
-      if (slot->drain_until != sim::kNeverCycle) continue;
-      if (slot->tour_start > now) continue;
-      restart(now, *slot, at_.bank_at(now, slot->proc),
-              counters_.fault_restarts);
-    }
+    for_each_active([&](sim::ProcessorId p) {
+      InFlight& op = inflight_[p];
+      if (op.drain_until != sim::kNeverCycle) return;
+      if (op.tour_start > now) return;
+      restart(now, op, at_.bank_at(now, p), counters_.fault_restarts);
+    });
   }
   halted_ = halted;
   if (halted_) {
     // Bounded latency: an op that has waited out the whole fault window
     // fails with Aborted instead of hanging until (maybe never) repair.
-    for (auto& slot : inflight_) {
-      if (!slot.has_value()) continue;
-      if (slot->drain_until != sim::kNeverCycle) continue;
-      if (slot->fault_at == sim::kNeverCycle) {
-        slot->fault_at = now;
-      } else if (now >= slot->fault_at + fault_timeout_) {
+    for_each_active([&](sim::ProcessorId p) {
+      InFlight& op = inflight_[p];
+      if (op.drain_until != sim::kNeverCycle) return;
+      if (op.fault_at == sim::kNeverCycle) {
+        op.fault_at = now;
+      } else if (now >= op.fault_at + fault_timeout_) {
         counters_.inc(counters_.fault_aborts);
-        abort_write(now, *slot, at_.bank_at(now, slot->proc));
+        abort_write(now, op, at_.bank_at(now, p));
       }
-    }
+    });
   }
 }
 
@@ -437,7 +485,7 @@ void CfmMemory::att_insert(sim::Cycle now, sim::BankId bank,
   if (op.sharers != 0) {
     // The entry is foreign to every other op on this offset.
     for_each_active([&](sim::ProcessorId q) {
-      auto& other = *inflight_[q];
+      auto& other = inflight_[q];
       if (q == op.proc || other.offset != op.offset) return;
       other.foreign_att_end = std::max(other.foreign_att_end, now + cfg_.banks);
     });
@@ -540,13 +588,14 @@ void CfmMemory::finish(sim::Cycle now, InFlight& op, OpStatus status) {
   results_.put(op.token, op.proc, std::move(result));
   if (op.sharers != 0) {
     for_each_active([&](sim::ProcessorId q) {
-      if (q != op.proc && inflight_[q]->offset == op.offset) {
-        --inflight_[q]->sharers;
+      if (q != op.proc && inflight_[q].offset == op.offset) {
+        --inflight_[q].sharers;
       }
     });
   }
-  set_active(op.proc, false);
-  inflight_.at(op.proc).reset();
+  assert(!has_bit(lazy_, op.proc));
+  op.modify = nullptr;
+  set_bit(active_, op.proc, false);
 }
 
 bool CfmMemory::handle_write_side(sim::Cycle now, InFlight& op,
@@ -692,12 +741,14 @@ std::optional<BlockOpResult> CfmMemory::take_result(OpToken token) {
   return results_.take(token);
 }
 
-std::vector<sim::Word> CfmMemory::peek_block(sim::BlockAddr offset) const {
+std::vector<sim::Word> CfmMemory::peek_block(sim::BlockAddr offset) {
+  settle_lazy(next_slot_, offset);
   return module_.store().read_block(offset);
 }
 
 void CfmMemory::poke_block(sim::BlockAddr offset,
                            std::span<const sim::Word> words) {
+  settle_lazy(next_slot_, offset);
   module_.store().write_block(offset, words);
 }
 

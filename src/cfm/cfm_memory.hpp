@@ -26,6 +26,7 @@
 #include <memory>
 #include <optional>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "cfm/at_space.hpp"
@@ -54,7 +55,6 @@ class CfmMemory {
   /// Words in one block: a Write supplies exactly this many.
   [[nodiscard]] std::uint32_t block_words() const noexcept { return cfg_.banks; }
   [[nodiscard]] const AtSpace& at_space() const noexcept { return at_; }
-  [[nodiscard]] mem::Module& module() noexcept { return module_; }
   [[nodiscard]] ConsistencyPolicy policy() const noexcept { return policy_; }
 
   /// True iff processor p can issue a new operation at this moment.
@@ -64,7 +64,9 @@ class CfmMemory {
   /// bank is touched during this same slot's tick).  `data` supplies the
   /// block for Write and the swap-in block for Swap; `modify`, if given,
   /// overrides `data` for Swap by computing the write block from the read
-  /// block (read-modify-write).  Returns the op token.
+  /// block (read-modify-write); it runs exactly once per completed read
+  /// tour, but a lazy swap (see tick_span) runs it when it is settled,
+  /// not at its boundary slot.  Returns the op token.
   /// Precondition: idle(p).  Throws std::logic_error when `now` precedes
   /// the slot after the last tick: that slot's bank has already been
   /// visited, so the tour would leave the AT-space schedule.
@@ -87,15 +89,20 @@ class CfmMemory {
   ///   * With a transaction tracer, a fault injector, a trace sink, or
   ///     ConsistencyPolicy::NoTracking it runs tick() per cycle and
   ///     fast-forwards idle stretches via the published hints.
-  ///   * Otherwise it batches: an op is *uncontended* when no other
-  ///     in-flight op has its offset and no other op's ATT entry for that
-  ///     offset is live.  Only same-offset ops ever interact (§4.1.2), so
-  ///     such a tour is a pure function of its start slot, and it runs
-  ///     op-major to the span end straight on its backing-store row.
-  ///     Contended ops keep tick()'s per-slot loop, and run first.
+  ///   * Otherwise an op is *uncontended* when no other in-flight op has
+  ///     its offset and no other op's ATT entry for that offset is live.
+  ///     Only same-offset ops ever interact (§4.1.2), so such a tour is a
+  ///     pure function of its start slot, and it becomes *lazy*: no span
+  ///     touches it until it is settled.  Settling applies its deferred
+  ///     slots as one copy per contiguous bank run and inserts its write
+  ///     ATT entry at its own slot.  It happens in the span that holds the
+  ///     op's finish slot, or earlier when the op could be observed: a
+  ///     same-offset issue(), tick(), peek_block/poke_block, and the
+  ///     set_audit/set_txn_trace/set_fault_injector setters.  Contended
+  ///     ops keep tick()'s per-slot loop, and run first.
   ///
-  /// Every path leaves results, counters, bank accounting, ATTs and
-  /// blocks identical to ticking each cycle of the span.
+  /// Every path leaves results, counters, ATTs and blocks, as any caller
+  /// can observe them, identical to ticking each cycle of the span.
   void tick_span(sim::Cycle begin, sim::Cycle end);
 
   /// Lower bound on the next cycle at which a new result could become
@@ -103,8 +110,10 @@ class CfmMemory {
   /// polling at `now`'s Issue phase.  kAlways while results are already
   /// pending or a fault injector is attached (fault timing is per-cycle
   /// observable); kNeverCycle when nothing is in flight.  Restarts only
-  /// ever delay completions; a write racing a same-offset op may abort
-  /// at its next step, so such a write bounds the hint by that step.
+  /// ever delay completions, and a swap still in its read tour completes
+  /// no earlier than one write tour after that read tour ends; a write
+  /// racing a same-offset op may abort at its next step, so such a write
+  /// bounds the hint by that step.
   /// The bound holds until the next issue(): a driver that issues must
   /// re-poll it, and wake-aware drivers may sleep until it.
   [[nodiscard]] sim::Cycle next_completion_hint(sim::Cycle now) const;
@@ -142,8 +151,10 @@ class CfmMemory {
     return results_.holders();
   }
 
-  /// Functional (zero-time) accessors for test setup and checkers.
-  [[nodiscard]] std::vector<sim::Word> peek_block(sim::BlockAddr offset) const;
+  /// Functional (zero-time) accessors for test setup and checkers.  Both
+  /// first settle a lazy op on `offset` (see tick_span), so they see and
+  /// change the block as of the slot after the last tick.
+  [[nodiscard]] std::vector<sim::Word> peek_block(sim::BlockAddr offset);
   void poke_block(sim::BlockAddr offset, std::span<const sim::Word> words);
 
   [[nodiscard]] const sim::CounterSet& counters() const noexcept { return counters_; }
@@ -218,7 +229,8 @@ class CfmMemory {
     bool bank0_done = false;        ///< current tour updated bank 0 yet?
     bool write_phase = false;       ///< swap: in the write tour?
     std::uint32_t restarts = 0;
-    std::vector<sim::Word> read_buf;
+    std::vector<sim::Word> read_buf;   ///< unused by a Write
+    /// Keeps its capacity across ops: issue() overwrites it in place.
     std::vector<sim::Word> write_buf;
     ModifyFn modify;
     /// Set when the bank tour is done but the data path is still draining
@@ -240,6 +252,9 @@ class CfmMemory {
     /// First cycle a fault (remap / brownout) interrupted this op, for
     /// the recovery-latency statistic.
     sim::Cycle fault_at = sim::kNeverCycle;
+    /// While the op is lazy: the first slot not yet applied.  Every
+    /// other field holds the op's state as of that slot.
+    sim::Cycle lazy_from = 0;
   };
 
   /// An ATT entry as recorded memory-wide for the contention test.
@@ -281,25 +296,42 @@ class CfmMemory {
   }
   /// tick_span's batched path (see tick_span).
   void batched_span(sim::Cycle begin, sim::Cycle end);
-  /// Runs one uncontended op through [begin, end) op-major.
-  void advance_uncontended(InFlight& op, sim::Cycle begin, sim::Cycle end);
-  void set_active(sim::ProcessorId p, bool on) noexcept {
+  /// Slot at which an uncontended op publishes its result.
+  [[nodiscard]] sim::Cycle finish_slot(const InFlight& op) const noexcept;
+  /// Applies a lazy op's slots [op.lazy_from, until) as the per-slot path
+  /// would with every ATT lookup missing, finishing it if its finish slot
+  /// precedes `until`.  The op is no longer lazy afterwards.
+  void settle(InFlight& op, sim::Cycle until);
+  /// Settles every lazy op (on `offset` only, if given) to `until`.
+  void settle_lazy(sim::Cycle until,
+                   std::optional<sim::BlockAddr> offset = std::nullopt);
+  static void set_bit(std::vector<std::uint64_t>& set, sim::ProcessorId p,
+                      bool on) noexcept {
     const auto bit = std::uint64_t{1} << (p % 64);
     if (on) {
-      active_[p / 64] |= bit;
+      set[p / 64] |= bit;
     } else {
-      active_[p / 64] &= ~bit;
+      set[p / 64] &= ~bit;
     }
   }
-  /// Calls fn(p) for every processor with an op in flight, ascending.
-  /// Bits cleared during the walk (ops retiring) are not revisited.
+  [[nodiscard]] static bool has_bit(const std::vector<std::uint64_t>& set,
+                                    sim::ProcessorId p) noexcept {
+    return (set[p / 64] >> (p % 64) & 1) != 0;
+  }
+  /// Calls fn(p) for every processor in `set`, ascending.  Bits cleared
+  /// during the walk (ops retiring) are not revisited.
   template <typename Fn>
-  void for_each_active(Fn&& fn) const {
-    for (std::size_t w = 0; w < active_.size(); ++w) {
-      for (std::uint64_t bits = active_[w]; bits != 0; bits &= bits - 1) {
+  static void for_each_bit(const std::vector<std::uint64_t>& set, Fn&& fn) {
+    for (std::size_t w = 0; w < set.size(); ++w) {
+      for (std::uint64_t bits = set[w]; bits != 0; bits &= bits - 1) {
         fn(static_cast<sim::ProcessorId>(w * 64 + std::countr_zero(bits)));
       }
     }
+  }
+  /// Calls fn(p) for every processor with an op in flight, ascending.
+  template <typename Fn>
+  void for_each_active(Fn&& fn) const {
+    for_each_bit(active_, std::forward<Fn>(fn));
   }
   void check_faults(sim::Cycle now);
   sim::Word bank_access(sim::Cycle now, sim::BankId bank, mem::WordOp op,
@@ -320,10 +352,12 @@ class CfmMemory {
   ConsistencyPolicy policy_;
   AtSpace at_;
   mem::Module module_;
-  std::vector<Att> atts_;                       ///< one per bank
-  std::vector<std::optional<InFlight>> inflight_;  ///< one slot per processor
+  std::vector<Att> atts_;           ///< one per bank
+  std::vector<InFlight> inflight_;  ///< one slot per processor
   /// Bitset over processors: bit p set iff inflight_[p] holds an op.
   std::vector<std::uint64_t> active_;
+  /// Same layout: the in-flight ops that are lazy (see tick_span).
+  std::vector<std::uint64_t> lazy_;
   /// batched_span scratch, same layout: ops kept on the per-slot loop.
   std::vector<std::uint64_t> per_slot_;
   /// ATT inserts of about the last b slots, memory-wide (pruned on each
@@ -331,6 +365,8 @@ class CfmMemory {
   /// scan of all b tables.
   std::vector<RecentInsert> recent_inserts_;
   /// Slot after the last tick (or span); issue() may not precede it.
+  /// A lazy op's wake is the next slot, so while one exists the engine
+  /// ticks the memory every slot and this equals the engine clock.
   sim::Cycle next_slot_ = 0;
   ResultBox results_;
   /// The memory's counters, with every id interned at construction.

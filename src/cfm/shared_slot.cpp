@@ -26,13 +26,13 @@ sim::Cycle SharedSlotFabric::try_access(std::uint32_t p, sim::Cycle now) {
   }
   until = now + beta_;
   ++started_;
-  busy_cycles_ += beta_;
+  busy_ += beta_;
   return until;
 }
 
 double SharedSlotFabric::utilization(sim::Cycle elapsed) const noexcept {
   if (elapsed == 0) return 0.0;
-  return static_cast<double>(busy_cycles_) /
+  return static_cast<double>(busy_) /
          (static_cast<double>(elapsed) * static_cast<double>(s_));
 }
 

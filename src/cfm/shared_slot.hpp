@@ -52,7 +52,7 @@ class SharedSlotFabric {
   std::vector<sim::Cycle> busy_until_;
   std::uint64_t started_ = 0;
   std::uint64_t conflicts_ = 0;
-  std::uint64_t busy_cycles_ = 0;
+  std::uint64_t busy_ = 0;
 };
 
 /// Closed-form model in the style of §3.4.1: a slot shared by k = v/s

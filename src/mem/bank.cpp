@@ -30,8 +30,6 @@ sim::Word Bank::access_row(sim::Cycle now, WordOp op, sim::Word* row,
     audit_->on_bank_access(audit_scope_, now, index_);
   }
   busy_until_ = now + cycle_time_;
-  ++accesses_;
-  busy_cycles_ += cycle_time_;
   if (op == WordOp::Read) return row == nullptr ? 0 : row[word_index];
   assert(row != nullptr);
   row[word_index] = value;

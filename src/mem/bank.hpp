@@ -7,7 +7,6 @@
 // — overlap would mean the AT-space schedule is broken.
 #pragma once
 
-#include <algorithm>
 #include <cassert>
 #include <cstdint>
 
@@ -53,24 +52,6 @@ class Bank {
   sim::Word access_row(sim::Cycle now, WordOp op, sim::Word* row,
                        sim::BankId word_index, sim::Word value = 0);
 
-  /// Accounts one word access that a batched tour served straight on the
-  /// backing-store row (CfmMemory::tick_span), possibly out of slot order
-  /// with respect to this bank's other accesses.  Every update is
-  /// order-independent — the counters add and busy_until_ only moves
-  /// forward — so a span's accesses leave the same state as access()
-  /// called in slot order.  No conflict assert (it is order-dependent;
-  /// the caller checks the AT-space partition instead) and no audit
-  /// probe (audited memories never batch).
-  void account_batched(sim::Cycle now) noexcept {
-    busy_until_ = std::max(busy_until_, now + cycle_time_);
-    ++accesses_;
-    busy_cycles_ += cycle_time_;
-  }
-
-  /// Total word accesses served (for utilization accounting, §3.4).
-  [[nodiscard]] std::uint64_t accesses() const noexcept { return accesses_; }
-  [[nodiscard]] std::uint64_t busy_cycles() const noexcept { return busy_cycles_; }
-
   /// Runtime conflict-freedom observation: every access() additionally
   /// reports to `auditor`'s `scope`, which independently re-derives the
   /// no-overlap invariant that the assert above only checks in debug
@@ -86,8 +67,6 @@ class Bank {
   std::uint32_t cycle_time_;
   BackingStore& store_;
   sim::Cycle busy_until_ = 0;
-  std::uint64_t accesses_ = 0;
-  std::uint64_t busy_cycles_ = 0;
   sim::ConflictAuditor* audit_ = nullptr;
   sim::ConflictAuditor::ScopeId audit_scope_ = 0;
 };

@@ -13,14 +13,6 @@ Module::Module(sim::ModuleId id, std::uint32_t banks,
   }
 }
 
-double Module::utilization(sim::Cycle elapsed) const {
-  if (elapsed == 0 || banks_.empty()) return 0.0;
-  std::uint64_t busy = 0;
-  for (const auto& b : banks_) busy += b.busy_cycles();
-  return static_cast<double>(busy) /
-         (static_cast<double>(elapsed) * static_cast<double>(banks_.size()));
-}
-
 sim::ConflictAuditor::ScopeId Module::set_audit(sim::ConflictAuditor& auditor,
                                                 std::uint32_t beta) {
   // The scope is registered over the *logical* banks: the AT-space

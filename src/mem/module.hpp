@@ -34,9 +34,6 @@ class Module {
   [[nodiscard]] BackingStore& store() noexcept { return store_; }
   [[nodiscard]] const BackingStore& store() const noexcept { return store_; }
 
-  /// Aggregate utilization across banks (busy cycles / (banks * elapsed)).
-  [[nodiscard]] double utilization(sim::Cycle elapsed) const;
-
   /// Registers one ConflictFree scope covering all banks of this module
   /// and wires every bank's access probe into it.  `beta` is the nominal
   /// block access time the owner promises (b + c − 1 for a full CFM).

@@ -15,13 +15,13 @@ namespace {
 /// engine configurations.
 constexpr sim::Cycle kDrainChunk = 4096;
 
-[[nodiscard]] std::vector<sim::Word> write_payload(sim::BlockAddr block,
-                                                   std::uint32_t words) {
-  std::vector<sim::Word> out(words);
+/// Fills `out` with the block's write payload, reusing its capacity.
+void write_payload(sim::BlockAddr block, std::uint32_t words,
+                   std::vector<sim::Word>& out) {
+  out.resize(words);
   for (std::uint32_t j = 0; j < words; ++j) {
     out[j] = (block * 0x9e3779b97f4a7c15ULL) ^ j;
   }
-  return out;
 }
 
 }  // namespace
@@ -79,8 +79,8 @@ core::CfmMemory::OpToken AdmissionQueue::issue(core::CfmMemory& mem,
     case RequestKind::Read:
       return mem.issue(now, port, core::BlockOpKind::Read, block);
     case RequestKind::Write:
-      return mem.issue(now, port, core::BlockOpKind::Write, block,
-                       write_payload(block, mem.block_words()));
+      write_payload(block, mem.block_words(), payload_);
+      return mem.issue(now, port, core::BlockOpKind::Write, block, payload_);
     case RequestKind::Swap:
       // Fetch-and-increment on word 0 — the canonical atomic counter.
       return mem.issue(now, port, core::BlockOpKind::Swap, block, {},

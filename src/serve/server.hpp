@@ -166,6 +166,7 @@ class AdmissionQueue {
   ServeStats stats_;
   sim::Histogram latency_hist_;
   sim::Log2Histogram latency_log2_;
+  std::vector<sim::Word> payload_;  ///< issue()'s write-payload scratch
 };
 
 /// The long-running front end: engine + memory + driver + arrival clock,

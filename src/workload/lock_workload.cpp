@@ -169,7 +169,7 @@ LockFarmResult run_lock_farm_snoopy(std::uint32_t contenders,
   clients.reserve(contenders);
   for (std::uint32_t p = 0; p < contenders; ++p) clients.emplace_back(p, 3);
   auto out = run_farm(clients, sys, hold_cycles, cycles);
-  out.aux_pressure = static_cast<double>(sys.bus_busy_cycles()) /
+  out.aux_pressure = static_cast<double>(sys.bus_busy()) /
                      static_cast<double>(cycles);
   return out;
 }

@@ -81,8 +81,6 @@ TEST(Bank, AccessOccupiesForCycleTime) {
   EXPECT_TRUE(bank.busy(2));
   EXPECT_FALSE(bank.busy(3));
   EXPECT_EQ(bank.access(3, WordOp::Read, 7), 99u);
-  EXPECT_EQ(bank.accesses(), 2u);
-  EXPECT_EQ(bank.busy_cycles(), 6u);
 }
 
 TEST(Bank, ReadsOwnWordIndex) {
@@ -119,10 +117,6 @@ TEST(Bank, AccessAsKeepsWordSlicesAndOccupancyContinuous) {
   bank.access_as(4, WordOp::Write, 9, 3, 77);
   EXPECT_EQ(store.read_word(9, 3), 77u);
   EXPECT_EQ(store.read_word(9, 6), 106u);
-
-  // Occupancy accounting is continuous across both paths.
-  EXPECT_EQ(bank.accesses(), 3u);
-  EXPECT_EQ(bank.busy_cycles(), 6u);
 }
 
 TEST(Module, BankCountAndSharedStore) {
@@ -130,15 +124,6 @@ TEST(Module, BankCountAndSharedStore) {
   EXPECT_EQ(m.bank_count(), 8u);
   m.bank(3).access(0, WordOp::Write, 5, 77);
   EXPECT_EQ(m.store().read_word(5, 3), 77u);
-}
-
-TEST(Module, UtilizationAccounting) {
-  Module m(0, 4, 2);
-  m.bank(0).access(0, WordOp::Write, 0, 1);
-  m.bank(1).access(0, WordOp::Write, 0, 1);
-  // 2 banks x 2 cycles busy over 4 banks x 2 cycles elapsed = 0.5.
-  EXPECT_DOUBLE_EQ(m.utilization(2), 0.5);
-  EXPECT_DOUBLE_EQ(m.utilization(0), 0.0);
 }
 
 TEST(Conventional, GrantsWhenIdle) {

@@ -9,8 +9,16 @@ invariants:
      at least ``--min-speedup`` (default 5x) the cycles/second of
      fast-path-off on the same host, same binary, same run.
 
-     The ratio, like every rate below, comes from the "_median"
-     aggregates when the report was run with --benchmark_repetitions.
+     The ratio is decided per repetition: the raw rows of the two
+     benchmarks are paired by ``repetition_index`` (the k-th raw row of
+     each when a report has no such field), and the gate reads the
+     median of the per-pair ratios and prints their min and quartiles.
+     Run with --benchmark_repetitions=N and
+     --benchmark_enable_random_interleaving=true, a pair's two samples
+     come from the same stretch of a noisy host, so host drift cancels
+     in each ratio; two medians taken from separate stretches did not
+     (an unchanged build read 4.27-4.88x against the 5x floor).  The
+     telemetry-overhead bound is decided the same way.
 
   2. Absolute regression (host-dependent, the trend gate): every
      benchmark present in the committed baseline
@@ -46,8 +54,9 @@ TELEMETRY_OFF = "BM_TelemetryOverhead/0/real_time"
 TELEMETRY_ON = "BM_TelemetryOverhead/1/real_time"
 
 
-def load_rates(path: Path) -> dict[str, float]:
-    """Return {benchmark name: items_per_second} from a report file.
+def load_rates(path: Path) -> tuple[dict[str, float],
+                                     dict[str, dict[int, float]]]:
+    """Return ({name: items_per_second}, {name: {repetition: raw rate}}).
 
     A report run with --benchmark_repetitions=N carries N raw rows per
     benchmark plus mean/median/stddev aggregate rows; the "_median"
@@ -62,6 +71,7 @@ def load_rates(path: Path) -> dict[str, float]:
         sys.exit(f"check_throughput: cannot read {path}: {err}")
     runs = doc.get("tables", {}).get("runs", [])
     raw: dict[str, list[float]] = {}
+    reps: dict[str, dict[int, float]] = {}
     medians: dict[str, float] = {}
     for row in runs:
         name = row.get("name")
@@ -70,7 +80,10 @@ def load_rates(path: Path) -> dict[str, float]:
             continue
         aggregate = row.get("aggregate")
         if aggregate is None:
-            raw.setdefault(name, []).append(float(rate))
+            samples = raw.setdefault(name, [])
+            rep = row.get("repetition_index", len(samples))
+            reps.setdefault(name, {})[int(rep)] = float(rate)
+            samples.append(float(rate))
         elif aggregate == "median":
             medians[name.removesuffix("_median")] = float(rate)
     rates = {name: statistics.median(samples)
@@ -79,13 +92,29 @@ def load_rates(path: Path) -> dict[str, float]:
     if not rates:
         sys.exit(f"check_throughput: {path} has no usable runs "
                  "(expected tables.runs rows with items_per_second)")
-    return rates
+    return rates, reps
 
 
-def speedup(rates: dict[str, float], fast: str, off: str) -> float | None:
-    if fast not in rates or off not in rates or rates[off] <= 0:
+def pair_ratios(reps: dict[str, dict[int, float]], num: str,
+                den: str) -> list[float] | None:
+    """num/den rate ratios of the repetitions both benchmarks ran, or
+    None when they share none."""
+    if num not in reps or den not in reps:
         return None
-    return rates[fast] / rates[off]
+    common = sorted(set(reps[num]) & set(reps[den]))
+    ratios = [reps[num][i] / reps[den][i] for i in common
+              if reps[den][i] > 0]
+    return ratios or None
+
+
+def spread(values: list[float], fmt) -> str:
+    """`n pairs, min .., quartiles ..-..` for a list of per-pair values."""
+    if len(values) > 1:
+        q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    else:
+        q1 = q3 = values[0]
+    return (f"{len(values)} pairs, min {fmt(min(values))}, "
+            f"quartiles {fmt(q1)}-{fmt(q3)}")
 
 
 def main() -> int:
@@ -112,7 +141,7 @@ def main() -> int:
                              "and exit (no gates checked)")
     args = parser.parse_args()
 
-    rates = load_rates(args.report)
+    rates, reps = load_rates(args.report)
 
     if args.update:
         args.baseline.parent.mkdir(parents=True, exist_ok=True)
@@ -125,17 +154,20 @@ def main() -> int:
     failed = False
 
     # --- Gate 1: host-independent speedup ratio --------------------------
-    ratio = speedup(rates, SERIAL_FAST_SPAN64, SERIAL_OFF)
-    if ratio is None:
+    ratios = pair_ratios(reps, SERIAL_FAST_SPAN64, SERIAL_OFF)
+    if ratios is None:
         print(f"FAIL  span=64: missing runs ({SERIAL_FAST_SPAN64} / "
               f"{SERIAL_OFF})")
         failed = True
     else:
+        ratio = statistics.median(ratios)
         ok = ratio >= args.min_speedup
         if not ok:
             failed = True
         print(f"{'ok  ' if ok else 'FAIL'}  span=64: fast/off speedup "
-              f"{ratio:.2f}x (floor {args.min_speedup:.1f}x)")
+              f"{ratio:.2f}x, median of "
+              f"{spread(ratios, lambda v: f'{v:.2f}x')} "
+              f"(floor {args.min_speedup:.1f}x)")
 
     # --- Gate 1b: telemetry overhead bound -------------------------------
     # Also a same-host ratio: the flight recorder (DESIGN.md section 14)
@@ -143,18 +175,21 @@ def main() -> int:
     # cycles/sec it observes.  Skipped when the report was filtered down
     # to a benchmark set that does not include the pair.
     if TELEMETRY_ON in rates or TELEMETRY_OFF in rates:
-        ratio = speedup(rates, TELEMETRY_ON, TELEMETRY_OFF)
-        if ratio is None:
+        ratios = pair_ratios(reps, TELEMETRY_ON, TELEMETRY_OFF)
+        if ratios is None:
             print("FAIL  telemetry: missing runs "
                   f"({TELEMETRY_ON} / {TELEMETRY_OFF})")
             failed = True
         else:
-            overhead = 1.0 - ratio
+            overheads = [1.0 - r for r in ratios]
+            overhead = statistics.median(overheads)
             ok = overhead <= args.max_telemetry_overhead
             if not ok:
                 failed = True
             print(f"{'ok  ' if ok else 'FAIL'}  telemetry: recorder overhead "
-                  f"{overhead:+.1%} (budget {args.max_telemetry_overhead:.0%})")
+                  f"{overhead:+.1%}, median of "
+                  f"{spread(overheads, lambda v: f'{v:+.1%}')} "
+                  f"(budget {args.max_telemetry_overhead:.0%})")
 
     # --- Gate 2: absolute regression vs committed baseline ---------------
     # Coverage must match in BOTH directions.  A benchmark present in the
@@ -162,7 +197,7 @@ def main() -> int:
     # regression tripwire; a benchmark present in the report but missing
     # from the baseline means it runs with NO tripwire at all — both used
     # to slip through silently (the loop below only walked the baseline).
-    base = load_rates(args.baseline)
+    base, _ = load_rates(args.baseline)
     coverage_gap = False
     for name in sorted(set(base) - set(rates)):
         print(f"FAIL  baseline benchmark missing from report: {name}")
