@@ -54,8 +54,4 @@ struct PartialCfmModel {
   [[nodiscard]] double efficiency(double rate, double locality) const noexcept;
 };
 
-/// Efficiency of the fully conflict-free machine (trivially 1, provided
-/// for symmetric bench tables).
-[[nodiscard]] constexpr double conflict_free_efficiency() noexcept { return 1.0; }
-
 }  // namespace cfm::analytic

@@ -85,11 +85,6 @@ std::size_t BindingManager::active_count() const {
   return active_.size();
 }
 
-std::size_t BindingManager::waiting_count() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return waiting_on_.size();
-}
-
 std::uint64_t BindingManager::total_grants() const {
   std::lock_guard<std::mutex> lock(mu_);
   return grants_;

@@ -51,7 +51,6 @@ class BindingManager {
   void unbind(BindingId id);
 
   [[nodiscard]] std::size_t active_count() const;
-  [[nodiscard]] std::size_t waiting_count() const;
   [[nodiscard]] std::uint64_t total_grants() const;
   [[nodiscard]] std::uint64_t total_conflicts() const;
 

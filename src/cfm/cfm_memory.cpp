@@ -204,18 +204,15 @@ void CfmMemory::publish_wake(sim::Cycle now) {
 }
 
 void CfmMemory::tick_span(sim::Cycle begin, sim::Cycle end) {
-  if (audit_ != nullptr) {
-    // Audited components pin the span to 1: every cycle runs the real
-    // tick so the auditor's per-cycle probes fire exactly as on the
-    // reference path (DESIGN.md §12).
-    for (sim::Cycle t = begin; t < end; ++t) tick(t);
-    return;
-  }
-  if (faults_ == nullptr && tracer_ == nullptr &&
+  if (audit_ == nullptr && faults_ == nullptr && tracer_ == nullptr &&
       policy_ != ConsistencyPolicy::NoTracking) {
     batched_span(begin, end);
     return;
   }
+  // Per-slot path: the real tick() on every cycle the hints cannot rule
+  // out, so the auditor's probes, the tracer's records and the fault
+  // checks fire exactly as on the reference path.  A skipped cycle has
+  // no tour step to probe, trace or fault.
   for (sim::Cycle t = begin; t < end; ++t) {
     if (ticker_ != nullptr) {
       const sim::Cycle w = ticker_->next_event(sim::Phase::Memory);

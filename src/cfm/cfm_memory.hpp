@@ -84,11 +84,11 @@ class CfmMemory {
   /// one (see Component::tick_span).  Nothing else can issue, take a
   /// result or observe the memory mid-span.
   ///
-  ///   * With an auditor attached it runs the plain per-cycle loop, so
-  ///     the per-cycle audit probes are unweakened (DESIGN.md §12).
-  ///   * With a transaction tracer, a fault injector, a trace sink, or
-  ///     ConsistencyPolicy::NoTracking it runs tick() per cycle and
-  ///     fast-forwards idle stretches via the published hints.
+  ///   * With an auditor, a transaction tracer or a fault injector
+  ///     attached, or under ConsistencyPolicy::NoTracking, it runs tick()
+  ///     per cycle and fast-forwards idle stretches via the published
+  ///     hints: an idle memory has nothing to probe, trace or fault, so
+  ///     the per-cycle probes are unweakened (DESIGN.md §12).
   ///   * Otherwise an op is *uncontended* when no other in-flight op has
   ///     its offset and no other op's ATT entry for that offset is live.
   ///     Only same-offset ops ever interact (§4.1.2), so such a tour is a

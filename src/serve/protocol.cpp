@@ -30,16 +30,6 @@ namespace {
 
 }  // namespace
 
-std::string_view request_kind_name(RequestKind kind) noexcept {
-  switch (kind) {
-    case RequestKind::Read: return "read";
-    case RequestKind::Write: return "write";
-    case RequestKind::Swap: return "swap";
-    case RequestKind::Lock: return "lock";
-  }
-  return "?";
-}
-
 std::optional<Request> parse_request_line(std::string_view line) {
   const auto body = trim(line.substr(0, line.find('#')));
   if (body.empty()) return std::nullopt;

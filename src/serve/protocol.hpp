@@ -33,8 +33,6 @@ namespace cfm::serve {
 
 enum class RequestKind : std::uint8_t { Read, Write, Swap, Lock };
 
-[[nodiscard]] std::string_view request_kind_name(RequestKind kind) noexcept;
-
 struct Request {
   RequestKind kind = RequestKind::Read;
   sim::BlockAddr block = 0;

@@ -120,7 +120,8 @@ class Component {
   ///     `begin` have run, with `end` no later than the earliest hint of
   ///     the domain's other entries (an in-domain sub-span, DESIGN.md
   ///     §12; an entry that already ticked at `begin` counts as waking
-  ///     at `begin + 1` at the earliest);
+  ///     at `begin + 1` at the earliest, so a sub-span may be one cycle
+  ///     long);
   ///
   /// so nothing can observe intermediate state or mutate the component
   /// mid-span.
@@ -196,11 +197,11 @@ class Component {
 /// Adapter for callback-style registration: one or more `void(Cycle)`
 /// callbacks per phase.  Callbacks are indexed by phase at registration
 /// time, so a multi-phase component pays one array lookup per tick
-/// instead of scanning every registered pair.
+/// instead of scanning every registered pair.  A span runs the per-cycle
+/// loop of Component::tick_span over them.
 class LambdaComponent final : public Component {
  public:
   using TickFn = std::function<void(Cycle)>;
-  using SpanFn = std::function<void(Cycle begin, Cycle end)>;
 
   LambdaComponent(std::string name, DomainId domain, Phase phase, TickFn fn)
       : Component(std::move(name), domain, phase_bit(phase)) {
@@ -216,29 +217,12 @@ class LambdaComponent final : public Component {
     fns_[static_cast<std::size_t>(phase)].push_back(std::move(fn));
   }
 
-  /// Optional batched form of the phase's callbacks, used when the engine
-  /// hands this component a whole span (see Component::tick_span for the
-  /// equivalence requirement).  Without one, tick_span falls back to the
-  /// per-cycle loop over the registered callbacks.
-  void on_span(Phase phase, SpanFn fn) {
-    span_fns_[static_cast<std::size_t>(phase)] = std::move(fn);
-  }
-
   void tick_phase(Phase phase, Cycle now) override {
     for (auto& fn : fns_[static_cast<std::size_t>(phase)]) fn(now);
   }
 
-  void tick_span(Phase phase, Cycle begin, Cycle end) override {
-    if (auto& span = span_fns_[static_cast<std::size_t>(phase)]; span) {
-      span(begin, end);
-      return;
-    }
-    Component::tick_span(phase, begin, end);
-  }
-
  private:
   std::array<std::vector<TickFn>, kPhaseCount> fns_;
-  std::array<SpanFn, kPhaseCount> span_fns_;
 };
 
 /// Wraps any `T` with a `void tick(Cycle)` method as a single-phase

@@ -196,57 +196,39 @@ void Engine::run_group_span(const FastPlan::DomainGroup& group, Cycle begin,
     group.sole->tick_span(group.sole_phase, begin, end);
     return;
   }
-  // Multiple entries.  Each step reads every entry's hint at cycle t:
+  // Multiple entries: one cycle at a time in the reference phase order,
+  // rescanning the hints before each phase that has entries (entries of
+  // phases already run at t count as waking at t + 1 or later):
   //   * none actionable: jump the group to the earliest hint;
   //   * exactly one, single-phase and span-capable: hand it a sub-span
   //     up to the earliest hint of the others.  Those hints cannot
   //     change meanwhile — only their own ticks re-publish them, and a
   //     span-capable component's ticks touch nothing they read — so
-  //     every cycle of the sub-span runs that one entry alone, as the
-  //     per-cycle loop below would;
-  //   * otherwise: one cycle in the reference phase order, with the same
-  //     hint guards as step_cycle_fast.  Before each later phase the
-  //     tail rule rescans: once the earlier phases have run, if exactly
-  //     one such entry is still actionable at t, it gets the sub-span
-  //     from t, with each earlier-phase hint read as at least t + 1.
-  //     This is how a memory joins the span in the cycle its driver
-  //     issues.  A 1-cycle tail span would only replace a tick, so the
-  //     rule needs the others to sleep past t + 1.
+  //     every cycle of the sub-span runs that one entry alone, as this
+  //     loop would.  Found after the driver's phase, this is how a
+  //     memory joins the span in the cycle its driver issues;
+  //   * otherwise: tick the phase's entries whose hint has come due, with
+  //     the same guards as step_cycle_fast.
   // Legal because nothing outside the domain runs during the span and
   // shared state is frozen across it.
-  const auto lone = [](const GroupScan& scan) {
-    return scan.actionable == 1 && scan.sole->span_capable() &&
-           std::has_single_bit(scan.sole->phases());
-  };
   for (Cycle t = begin; t < end;) {
-    const GroupScan scan = scan_group(group, 0, t, end);
-    if (scan.actionable == 0) {
-      t = scan.others;
-      continue;
-    }
-    if (lone(scan)) {
-      scan.sole->tick_span(scan.sole_phase, t, scan.others);
-      t = scan.others;
-      continue;
-    }
     Cycle next = t + 1;
-    bool ticked = false;
     for (std::size_t pi = 0; pi < kPhaseCount; ++pi) {
-      if (ticked) {
-        const GroupScan tail = scan_group(group, pi, t, end);
-        if (lone(tail) && tail.others > t + 1) {
-          tail.sole->tick_span(tail.sole_phase, t, tail.others);
-          next = tail.others;
-          break;
-        }
+      if (group.by_phase[pi].empty()) continue;
+      const GroupScan scan = scan_group(group, pi, t, end);
+      if (scan.actionable == 0) {
+        next = scan.others;
+        break;
+      }
+      if (scan.actionable == 1 && scan.sole->span_capable() &&
+          std::has_single_bit(scan.sole->phases())) {
+        scan.sole->tick_span(scan.sole_phase, t, scan.others);
+        next = scan.others;
+        break;
       }
       const auto phase = static_cast<Phase>(pi);
-      ticked = false;
       for (auto* c : group.by_phase[pi]) {
-        if (c->next_event(phase) <= t) {
-          c->tick_phase(phase, t);
-          ticked = true;
-        }
+        if (c->next_event(phase) <= t) c->tick_phase(phase, t);
       }
     }
     t = next;
@@ -266,10 +248,11 @@ void Engine::advance_to(Cycle target) {
     }
     // Span rule: fusion is bounded by the hints of shared entries — they
     // could interact with any domain, so the span must end before one
-    // becomes actionable.
+    // becomes actionable.  Only a cycle in which a shared entry acts runs
+    // per cycle; a shared wake at now_ + 1 gives 1-cycle spans.
     Cycle end = std::min(target, now_ + cfg_.max_span);
     end = std::min(end, shared_quiescent_until());
-    if (end <= now_ + 1) {
+    if (end <= now_) {
       step_cycle_fast();
       continue;
     }
@@ -295,18 +278,6 @@ void Engine::run_for(Cycle cycles) {
     return;
   }
   for (Cycle i = 0; i < cycles; ++i) step();
-}
-
-bool Engine::run_until(const std::function<bool()>& done, Cycle max_cycles) {
-  // Deliberately per-cycle even on the fast path (skips only, never
-  // spans or jumps): `done` may close over now() or any component state,
-  // and must be evaluated exactly as often as on the reference path.
-  const Cycle deadline = now_ + max_cycles;
-  while (now_ < deadline) {
-    if (done()) return true;
-    step();
-  }
-  return done();
 }
 
 }  // namespace cfm::sim

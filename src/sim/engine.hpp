@@ -17,7 +17,6 @@
 #include <array>
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <utility>
@@ -38,8 +37,7 @@ struct EngineConfig {
   /// every-component-every-phase-every-cycle loop.
   bool fast_path = true;
   /// Upper bound on cycles fused into one span dispatch; 1 degenerates
-  /// the span machinery to per-cycle dispatch (run_until always steps
-  /// per cycle).
+  /// the span machinery to per-cycle dispatch.
   Cycle max_span = 64;
 };
 
@@ -101,12 +99,6 @@ class Engine {
   /// dispatches and clock jumps (see advance_to).
   void run_for(Cycle cycles);
 
-  /// Runs until `done()` returns true (checked after each full cycle) or
-  /// `max_cycles` elapse.  Returns true iff `done()` fired.  The fast
-  /// path steps per cycle here (component skips only, no spans/jumps), so
-  /// `done()` is evaluated exactly as often as on the reference path.
-  bool run_until(const std::function<bool()>& done, Cycle max_cycles);
-
   [[nodiscard]] Cycle now() const noexcept { return now_; }
 
  private:
@@ -147,7 +139,9 @@ class Engine {
   /// as step_serial, each tick guarded by the component's next_event.
   void step_cycle_fast();
   /// Fast-path core of run_for: advances now_ to `target` using skips,
-  /// span fusion and clock jumps.
+  /// span fusion and clock jumps.  Only a cycle in which a shared entry
+  /// acts steps per cycle (step_cycle_fast); every other stretch, down
+  /// to one cycle before a shared wake, is one span per domain group.
   void advance_to(Cycle target);
   /// Scans the flat entry table at cycle `now_`.  Returns kAlways when
   /// any entry is actionable this cycle, otherwise the earliest future
@@ -174,9 +168,10 @@ class Engine {
   /// Runs one domain group over [begin, end) with the phase order of the
   /// reference schedule and per-tick quiescence guards; single-entry
   /// groups get the whole span as one tick_span call.  Multi-entry
-  /// groups jump while no entry is actionable and hand a lone actionable
-  /// span-capable entry a sub-span up to the others' earliest hint, at
-  /// the start of a cycle or, by the tail rule, after its earlier phases.
+  /// groups rescan before each phase that has entries: they jump while no
+  /// entry is actionable, and hand an entry that is the only actionable
+  /// one, single-phase and span-capable a sub-span from the current
+  /// cycle up to the others' earliest hint, however short.
   static void run_group_span(const FastPlan::DomainGroup& group, Cycle begin,
                              Cycle end);
 

@@ -1,7 +1,7 @@
 // Tests for the batch-tick + quiescence fast path (DESIGN.md §12): the
-// skip / jump / span rules in isolation, the run_until per-cycle
-// guarantee, in-domain sub-spans (the issue-cycle tail rule included)
-// and batched CfmMemory tours against the per-cycle reference, and the
+// skip / jump / span rules in isolation, in-domain sub-spans (those that
+// start in the cycle a driver issues included) and batched CfmMemory
+// tours against the per-cycle reference, and the
 // headline cross-product bit-exactness
 // suite — fast path on at max_span {1, 7, 64} against the fast-path-off
 // reference, with {no faults, bank_dead + brownout, a hot contended pool,
@@ -182,20 +182,21 @@ TEST(FastPath, SoleDomainComponentReceivesTilingSpans) {
 
 // Every shared entry's hint bounds span fusion: no domain span may cross
 // a cycle at which a shared entry can act.  span_capable is an in-domain
-// promise and lifts nothing for a shared entry.
+// promise and lifts nothing for a shared entry.  Only the cycles in which
+// the shared entry acts run per cycle: at period 2 every cycle between
+// pulses is a 1-cycle span.
 TEST(FastPath, SharedEntryHintBoundsSpanFusion) {
   constexpr Cycle kCycles = 500;
-  constexpr Cycle kPeriod = 10;
 
-  auto build = [](Engine& engine, std::uint64_t* pulses,
+  auto build = [](Engine& engine, Cycle period, std::uint64_t* pulses,
                   SpanRecorder*& rec_out) {
     auto pulse = std::make_shared<sim::LambdaComponent>("pulse",
                                                         sim::kSharedDomain);
     auto* self = pulse.get();
-    pulse->on(Phase::Network, [self, pulses](Cycle now) {
-      if (now % kPeriod != 0) return;  // the reference path ticks every cycle
+    pulse->on(Phase::Network, [self, period, pulses](Cycle now) {
+      if (now % period != 0) return;  // the reference path ticks every cycle
       ++*pulses;
-      self->set_next_event(now + kPeriod);
+      self->set_next_event(now + period);
     });
     pulse->set_span_capable();
     engine.add(std::move(pulse));
@@ -204,51 +205,32 @@ TEST(FastPath, SharedEntryHintBoundsSpanFusion) {
     engine.add(std::move(rec));
   };
 
-  Engine fast(EngineConfig{.fast_path = true, .max_span = 64});
-  std::uint64_t fast_pulses = 0;
-  SpanRecorder* fast_rec = nullptr;
-  build(fast, &fast_pulses, fast_rec);
-  fast.run_for(kCycles);
+  for (const Cycle period : {Cycle{10}, Cycle{2}}) {
+    Engine fast(EngineConfig{.fast_path = true, .max_span = 64});
+    std::uint64_t fast_pulses = 0;
+    SpanRecorder* fast_rec = nullptr;
+    build(fast, period, &fast_pulses, fast_rec);
+    fast.run_for(kCycles);
 
-  Engine ref(EngineConfig{.fast_path = false});
-  std::uint64_t ref_pulses = 0;
-  SpanRecorder* ref_rec = nullptr;
-  build(ref, &ref_pulses, ref_rec);
-  ref.run_for(kCycles);
+    Engine ref(EngineConfig{.fast_path = false});
+    std::uint64_t ref_pulses = 0;
+    SpanRecorder* ref_rec = nullptr;
+    build(ref, period, &ref_pulses, ref_rec);
+    ref.run_for(kCycles);
 
-  ASSERT_FALSE(fast_rec->spans.empty());
-  for (const auto& [begin, end] : fast_rec->spans) {
-    EXPECT_NE(begin % kPeriod, 0u) << "span starts on a pulse cycle";
-    EXPECT_EQ(begin / kPeriod, (end - 1) / kPeriod) << "span crosses a pulse";
+    ASSERT_FALSE(fast_rec->spans.empty()) << "period " << period;
+    for (const auto& [begin, end] : fast_rec->spans) {
+      EXPECT_NE(begin % period, 0u) << "span starts on a pulse cycle";
+      EXPECT_EQ(begin / period, (end - 1) / period) << "span crosses a pulse";
+    }
+    if (period == 2) {
+      EXPECT_EQ(fast_rec->spans.size(), kCycles / 2);  // every odd cycle
+    }
+    EXPECT_EQ(fast_pulses, kCycles / period);
+    EXPECT_EQ(fast_pulses, ref_pulses);
+    EXPECT_EQ(fast_rec->cell_ticks, kCycles);
+    EXPECT_EQ(fast_rec->checksum, ref_rec->checksum);
   }
-  EXPECT_EQ(fast_pulses, kCycles / kPeriod);
-  EXPECT_EQ(fast_pulses, ref_pulses);
-  EXPECT_EQ(fast_rec->cell_ticks, kCycles);
-  EXPECT_EQ(fast_rec->checksum, ref_rec->checksum);
-}
-
-// ------------------------------------------------- run_until exactness --
-
-TEST(FastPath, RunUntilEvaluatesPredicateEveryCycle) {
-  Engine fast;  // fast path on by default
-  // A machine that goes fully quiescent immediately: jumps would be legal
-  // under run_for, but run_until must still check done() every cycle.
-  auto quiet = std::make_shared<sim::LambdaComponent>(
-      "quiet", sim::kSharedDomain, Phase::Issue, [](Cycle) {});
-  quiet->set_next_event(sim::kNeverCycle);
-  fast.add(std::move(quiet));
-  std::uint64_t checks = 0;
-  const bool fired = fast.run_until(
-      [&checks] {
-        ++checks;
-        return checks == 100;
-      },
-      1000);
-  EXPECT_TRUE(fired);
-  EXPECT_EQ(checks, 100u);
-  // done() is pre-checked each cycle (reference semantics): the 100th
-  // evaluation happens with 99 cycles stepped, jumps notwithstanding.
-  EXPECT_EQ(fast.now(), 99u);
 }
 
 // -------------------------------------------------- LambdaComponent API --
@@ -511,7 +493,7 @@ TEST(BatchedTours, InstrumentedMemoryStaysOnThePerSlotPath) {
   EXPECT_FALSE(run_stream(policy, true, 64, Instrument::Trace).trace.empty());
 }
 
-// ------------------------------------------- the issue-cycle tail rule --
+// ------------------------------------------- spans from the issue cycle --
 
 // Stands in for CfmMemory's own tick component: forwards every tick and
 // span to the memory and records which the engine handed out.
@@ -590,10 +572,11 @@ TEST(FastPath, IssueCycleJoinsTheMemorySpan) {
 }
 
 // A closed-loop driver with an idle port polls every cycle (kAlways), so
-// after its Issue phase the others' earliest hint is t + 1.  The tail
-// rule must leave such a cycle to tick(): a 1-cycle span only adds the
-// span bookkeeping to the same work.
-TEST(FastPath, TailRuleLeavesKAlwaysClosedLoopDomainsPerSlot) {
+// after its Issue phase the others' earliest hint is t + 1.  The memory
+// is still the only actionable entry there, so it gets that cycle as a
+// 1-cycle span: a span-capable memory beside such a driver is never
+// tick()ed per slot.
+TEST(FastPath, KAlwaysClosedLoopMemoryGetsSpansOnly) {
   const auto run = [](bool fast) {
     auto d = std::make_unique<ProbedDomain<workload::ClosedLoop, double,
                                            double>>(fast, 8, 0.01, 0.3);
@@ -606,10 +589,8 @@ TEST(FastPath, TailRuleLeavesKAlwaysClosedLoopDomainsPerSlot) {
   EXPECT_EQ(fast->driver.completed(), ref->driver.completed());
   EXPECT_EQ(fast->driver.latency().mean(), ref->driver.latency().mean());
   EXPECT_EQ(fast->mem.counters().all(), ref->mem.counters().all());
-  EXPECT_GT(fast->probe.slot_ticks, 0u);
-  for (const auto& [begin, end] : fast->probe.spans) {
-    EXPECT_GT(end - begin, 1u) << "1-cycle span at " << begin;
-  }
+  EXPECT_FALSE(fast->probe.spans.empty());
+  EXPECT_EQ(fast->probe.slot_ticks, 0u);
 }
 
 // ----------------------------------------- hierarchical cross-product --
@@ -789,14 +770,10 @@ TEST(FastPath, HierarchicalControllerSleepsBetweenTourCompletions) {
   Engine engine(EngineConfig{.fast_path = true, .max_span = 64});
   cache::HierarchicalCfm sys({});
   sys.attach(engine);
-  std::vector<std::pair<Cycle, Cycle>> spans;
-  auto probe = std::make_shared<sim::LambdaComponent>(
-      "test.probe", engine.allocate_domain());
-  probe->on(Phase::Commit, [](Cycle) {});
-  probe->on_span(Phase::Commit,
-                 [&](Cycle begin, Cycle end) { spans.emplace_back(begin, end); });
-  probe->set_next_event(sim::kNeverCycle);
+  SpanRecorder probe("test.probe", engine.allocate_domain());
+  probe.set_next_event(sim::kNeverCycle);
   engine.add(probe);
+  const auto& spans = probe.spans;
 
   const auto id = sys.read(engine.now(), 0, 42);
   engine.run_for(200);

@@ -489,22 +489,4 @@ TEST(Engine, PhasesRunInOrderEveryCycle) {
   EXPECT_EQ(e.now(), 2u);
 }
 
-TEST(Engine, RunUntilStopsOnPredicate) {
-  Engine e;
-  int counter = 0;
-  e.add(std::make_shared<LambdaComponent>("counter", kSharedDomain,
-                                          Phase::Issue,
-                                          [&](Cycle) { ++counter; }));
-  const bool done = e.run_until([&] { return counter >= 5; }, 100);
-  EXPECT_TRUE(done);
-  EXPECT_EQ(counter, 5);
-}
-
-TEST(Engine, RunUntilTimesOut) {
-  Engine e;
-  const bool done = e.run_until([] { return false; }, 10);
-  EXPECT_FALSE(done);
-  EXPECT_EQ(e.now(), 10u);
-}
-
 }  // namespace
