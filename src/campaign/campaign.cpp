@@ -95,10 +95,10 @@ CampaignResult run_campaign(const Scenario& scenario,
   // Pass 2 (sharded): run the misses concurrently.  Each job touches
   // only its own PointRun slot; progress and cache stores synchronize
   // internally.  The cache store runs *inside* the bounded retry loop,
-  // so an environmental store failure (cross-device rename, yanked
-  // cache dir) retries with the point and, if persistent, surfaces as a
-  // failed point in the report instead of vanishing or terminating a
-  // pool thread.
+  // so an environmental store failure (full disk, yanked cache dir)
+  // retries with the point and, if persistent, surfaces as a failed
+  // point in the report instead of vanishing or terminating a pool
+  // thread.
   const auto run_one = [&](std::size_t index) {
     PointRun& run = runs[index];
     execute_with_retry(run, scenario.retries(), runner,
@@ -149,6 +149,9 @@ int run_worker(const Scenario& scenario, const WorkerOptions& options) {
   for (;;) {
     std::size_t done = 0;
     bool claimed_any = false;
+    // Records other workers appended since the last scan; a miss alone
+    // does not rescan the cache's packs.
+    cache.refresh();
     for (const auto& spec : specs) {
       const std::string key = spec.cache_key();
       if (cache.contains(spec)) {
@@ -164,6 +167,7 @@ int run_worker(const Scenario& scenario, const WorkerOptions& options) {
         continue;
       }
       if (!leases.try_claim(key)) continue;  // live owner elsewhere
+      cache.refresh();  // its owner may have published and released
       if (cache.contains(spec)) {
         leases.release(key);  // lost the publish race after our scan
         ++done;
@@ -312,6 +316,7 @@ CampaignResult run_campaign_workers(const Scenario& scenario,
   // worker fleet alive while pending work remains, and stop when every
   // point is published, failed, or unreachable (no workers left).
   while (completed < specs.size()) {
+    cache.refresh();  // once per poll round, not once per pending point
     for (std::size_t i = 0; i < specs.size(); ++i) {
       if (done[i]) continue;
       if (auto hit = cache.load(specs[i])) {

@@ -88,9 +88,9 @@ struct CampaignResult {
 // hosts) that coordinate through nothing but the shared cache directory:
 // workers claim pending points via atomic lease files (lease.hpp), run
 // them through the exact same PointRun/retry/aggregate machinery as the
-// in-process executor, and publish results with the cache's atomic
-// store.  The coordinator streams completions as they land in the cache
-// and aggregates the same deterministic report — byte-identical to the
+// in-process executor, and append results to their own cache packs.
+// The coordinator streams completions as they land in the cache and
+// aggregates the same deterministic report — byte-identical to the
 // single-process path for any worker count, crash pattern or claim
 // order.
 

@@ -27,10 +27,10 @@
 //     coordinator's report without ever being stored as a cached result.
 //
 // Worst case after a steal race (TTL too short for a wedged-but-alive
-// worker): a point runs twice.  run_point is deterministic and cache
-// stores are atomic last-writer-wins with identical bytes, so the
-// campaign report is unaffected — the protocol trades wasted work for
-// liveness, never correctness.
+// worker): a point runs twice.  run_point is deterministic, so both runs
+// append identical records and a lookup takes the first that verifies:
+// the campaign report is unaffected — the protocol trades wasted work
+// for liveness, never correctness.
 #pragma once
 
 #include <chrono>

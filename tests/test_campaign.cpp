@@ -3,17 +3,24 @@
 // (cache-hit determinism, kill/resume, audit rollup exit codes).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <filesystem>
+#include <sys/resource.h>
 #include <unistd.h>
 #include <fstream>
+#include <functional>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <thread>
 #include <utility>
+#include <vector>
 
 #include "campaign/cache.hpp"
 #include "campaign/campaign.hpp"
+#include "campaign/lease.hpp"
 #include "campaign/runner.hpp"
 #include "campaign/scenario.hpp"
 
@@ -44,6 +51,39 @@ Scenario small_grid() {
     "params": { "rate": 0.3, "cycles": 300 },
     "sweep": { "n": [2, 4], "c": [1, 2] },
     "base_seed": 7 })");
+}
+
+/// The files directly in `dir` whose names contain `needle`.
+std::vector<fs::path> files_with(const fs::path& dir,
+                                 const std::string& needle) {
+  std::vector<fs::path> out;
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    if (entry.path().filename().string().find(needle) != std::string::npos) {
+      out.push_back(entry.path());
+    }
+  }
+  return out;
+}
+
+std::string read_text(const fs::path& path) {
+  std::ifstream is(path, std::ios::binary);
+  std::ostringstream buf;
+  buf << is.rdbuf();
+  return buf.str();
+}
+
+void write_text(const fs::path& path, const std::string& text,
+                std::ios::openmode mode = std::ios::trunc) {
+  std::ofstream(path, std::ios::binary | mode) << text;
+}
+
+/// One pack record, spelled the way the cache format defines it: the key,
+/// a space, the compact dump of {"key": canonical, "result": result}.
+std::string record_line(const PointSpec& point, const sim::Json& result) {
+  auto entry = sim::Json::object();
+  entry["key"] = point.canonical();
+  entry["result"] = result;
+  return point.cache_key() + " " + entry.dump() + "\n";
 }
 
 }  // namespace
@@ -317,15 +357,20 @@ TEST(ResultCache, MissThenHitRoundTrip) {
 
 TEST(ResultCache, CorruptEntryIsAMiss) {
   ScratchDir dir("corrupt");
-  ResultCache cache((dir.path / "c").string());
+  const auto cache_dir = dir.path / "c";
+  ResultCache cache(cache_dir.string());
   const auto point = small_grid().expand().front();
   auto result = sim::Json::object();
   result["metrics"] = sim::Json::object();
   cache.store(point, result);
-  // Truncate the entry (a killed campaign's torn write is prevented by
-  // the tmp+rename protocol, but a damaged disk file must still miss).
-  std::ofstream(cache.path_for(point), std::ios::trunc) << "{ \"key\": 1";
+  // Damage the pack: the point's record keeps its key and its line but
+  // loses its document, so the stored bytes no longer match the index
+  // either.  Both the cache that wrote it and a fresh one must miss.
+  const auto packs = files_with(cache_dir, ".pack");
+  ASSERT_EQ(packs.size(), 1u);
+  write_text(packs[0], point.cache_key() + " { \"key\": 1\n");
   EXPECT_FALSE(cache.load(point).has_value());
+  EXPECT_FALSE(ResultCache(cache_dir.string()).load(point).has_value());
 }
 
 TEST(ResultCache, EntryWithBadCounterValuesIsAMiss) {
@@ -351,36 +396,181 @@ TEST(ResultCache, EntryWithBadCounterValuesIsAMiss) {
 }
 
 TEST(ResultCache, ConcurrentStoresOfSameKeyLandSafely) {
-  // Sharded sweeps point several campaign *processes* at one cache
-  // directory, so temp names carry the pid as well as the thread id (two
-  // processes can hash their main-thread ids identically).  In-process we
-  // can only exercise the thread half directly, but the invariant under
-  // test is the same: many writers racing the identical key must leave
-  // one valid entry and zero orphaned temp files.
+  // Campaign job threads share one cache, and sharded sweeps point
+  // several caches (processes) at one directory.  Each cache appends to
+  // its own pack under its own lock, so writers racing the identical key
+  // must leave one pack per cache, every line whole, and no temp file.
   ScratchDir dir("race");
-  const auto cache_dir = (dir.path / "c").string();
+  const auto cache_dir = dir.path / "c";
   const auto point = small_grid().expand().front();
   auto result = sim::Json::object();
   result["metrics"] = sim::Json::object();
   result["metrics"]["efficiency"] = 0.75;
 
-  ResultCache a(cache_dir);
-  ResultCache b(cache_dir);
-  std::thread ta([&] { for (int i = 0; i < 50; ++i) a.store(point, result); });
-  std::thread tb([&] { for (int i = 0; i < 50; ++i) b.store(point, result); });
-  ta.join();
+  ResultCache a(cache_dir.string());
+  ResultCache b(cache_dir.string());
+  const auto stores = [&](const ResultCache& cache) {
+    for (int i = 0; i < 50; ++i) cache.store(point, result);
+  };
+  std::thread ta1(stores, std::cref(a));
+  std::thread ta2(stores, std::cref(a));
+  std::thread tb(stores, std::cref(b));
+  ta1.join();
+  ta2.join();
   tb.join();
 
   const auto back = a.load(point);
   ASSERT_TRUE(back.has_value());
   EXPECT_EQ(back->dump(), result.dump());
-  std::size_t leftovers = 0;
-  for (const auto& entry : fs::directory_iterator(dir.path / "c")) {
-    if (entry.path().filename().string().find(".tmp.") != std::string::npos) {
-      ++leftovers;
+  EXPECT_TRUE(ResultCache(cache_dir.string()).contains(point));
+  const auto packs = files_with(cache_dir, ".pack");
+  ASSERT_EQ(packs.size(), 2u);
+  std::size_t lines = 0;
+  for (const auto& pack : packs) {
+    std::istringstream is(read_text(pack));
+    for (std::string line; std::getline(is, line); ++lines) {
+      EXPECT_EQ(line + "\n", record_line(point, result));
     }
   }
-  EXPECT_EQ(leftovers, 0u);
+  EXPECT_EQ(lines, 150u);
+  EXPECT_TRUE(files_with(cache_dir, ".tmp.").empty());
+}
+
+TEST(ResultCache, RecordAppendedByAnotherCacheAfterAMissBecomesVisible) {
+  ScratchDir dir("visible");
+  const auto cache_dir = (dir.path / "c").string();
+  const auto points = small_grid().expand();
+  auto result = sim::Json::object();
+  result["metrics"] = sim::Json::object();
+  ResultCache reader(cache_dir);
+  ResultCache writer(cache_dir);
+  writer.store(points[0], result);
+  EXPECT_TRUE(reader.contains(points[0]));
+  EXPECT_FALSE(reader.contains(points[1]));
+  // The reader has indexed the writer's pack up to here.  A miss does not
+  // rescan the directory (a pass over a grid lists it once); the next
+  // refresh picks up what the pack gained since.
+  writer.store(points[1], result);
+  EXPECT_FALSE(reader.contains(points[1]));
+  reader.refresh();
+  EXPECT_TRUE(reader.contains(points[1]));
+}
+
+TEST(ResultCache, PacksBeyondTheDescriptorLimitStillHitAndLeasesStillClaim) {
+  // A reused cache directory gains a pack per storing run.  The cache
+  // opens a pack only while indexing it or reading a hit from it, so a
+  // directory holding more packs than the process may open descriptors
+  // still serves every point, and leases beside it can still be created.
+  ScratchDir dir("fdlimit");
+  const auto cache_dir = (dir.path / "c").string();
+  constexpr int kPacks = 64;
+  std::string cycles;
+  for (int i = 0; i < kPacks; ++i) {
+    cycles += (i == 0 ? "" : ", ") + std::to_string(300 + i);
+  }
+  const auto points = Scenario::parse_text(R"({
+    "name": "wide", "workload": "cfm",
+    "params": { "rate": 0.3, "n": 2, "c": 1 },
+    "sweep": { "cycles": [)" + cycles + "] } }").expand();
+  ASSERT_EQ(points.size(), static_cast<std::size_t>(kPacks));
+  auto result = sim::Json::object();
+  result["metrics"] = sim::Json::object();
+  // One pack per point, so a pack the cache failed to open loses a point.
+  for (const auto& point : points) ResultCache(cache_dir).store(point, result);
+  ASSERT_EQ(files_with(cache_dir, ".pack").size(), points.size());
+
+  rlimit saved{};
+  ASSERT_EQ(::getrlimit(RLIMIT_NOFILE, &saved), 0);
+  const int lowest_free = ::dup(0);
+  ASSERT_GE(lowest_free, 0);
+  ::close(lowest_free);
+  rlimit low = saved;
+  low.rlim_cur = static_cast<rlim_t>(lowest_free + 8);
+  ASSERT_LT(low.rlim_cur, static_cast<rlim_t>(kPacks));
+  ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &low), 0);
+  // Restores the limit however the checks below end, before `dir` is
+  // removed.
+  struct RestoreLimit {
+    rlimit saved;
+    ~RestoreLimit() { ::setrlimit(RLIMIT_NOFILE, &saved); }
+  } restore{saved};
+  ResultCache cache(cache_dir);
+  for (const auto& point : points) {
+    EXPECT_TRUE(cache.contains(point)) << point.cache_key();
+  }
+  cache.store(points[0], result);
+  LeaseDir leases(cache_dir, std::chrono::milliseconds(60000));
+  EXPECT_TRUE(leases.try_claim(points[0].cache_key()));
+}
+
+TEST(ResultCache, TornTailStaysInvisibleUntilItsLineIsComplete) {
+  ScratchDir dir("torn");
+  const auto cache_dir = dir.path / "c";
+  fs::create_directories(cache_dir);
+  const auto point = small_grid().expand().front();
+  auto result = sim::Json::object();
+  result["metrics"] = sim::Json::object();
+  result["metrics"]["efficiency"] = 0.25;
+  const std::string line = record_line(point, result);
+  const auto pack = cache_dir / "other.pack";
+  ResultCache cache(cache_dir.string());
+  const std::size_t half = line.size() / 2;
+  write_text(pack, line.substr(0, half));
+  EXPECT_FALSE(cache.contains(point));
+  // The whole document, still without its '\n': a writer mid-append.
+  write_text(pack, line.substr(half, line.size() - half - 1), std::ios::app);
+  cache.refresh();
+  EXPECT_FALSE(cache.contains(point));
+  write_text(pack, "\n", std::ios::app);
+  cache.refresh();
+  const auto back = cache.load(point);
+  ASSERT_TRUE(back.has_value());
+  EXPECT_EQ(back->dump(), result.dump());
+}
+
+TEST(ResultCache, ValidRecordLoadsPastACorruptOneOfTheSameKey) {
+  ScratchDir dir("dupkey");
+  const auto cache_dir = dir.path / "c";
+  fs::create_directories(cache_dir);
+  const auto point = small_grid().expand().front();
+  auto result = sim::Json::object();
+  result["metrics"] = sim::Json::object();
+  result["metrics"]["efficiency"] = 0.5;
+  const std::string good = record_line(point, result);
+  // The key's first record holds another point's spec (a hash collision
+  // or a stale schema), its second is cut off mid-document, and only the
+  // third is whole.
+  auto other_result = result;
+  other_result["metrics"]["efficiency"] = 0.9;
+  const std::string other =
+      record_line(small_grid().expand()[1], other_result);
+  write_text(cache_dir / "dup.pack",
+             point.cache_key() + other.substr(other.find(' ')) +
+                 good.substr(0, good.size() - 10) + "\n" + good);
+  const auto back = ResultCache(cache_dir.string()).load(point);
+  ASSERT_TRUE(back.has_value());
+  EXPECT_EQ(back->dump(), result.dump());
+}
+
+TEST(ResultCache, OldOneFilePerPointLayoutReadsAsAllMisses) {
+  // Before packs, each point was `<dir>/<cache_key>.json` holding the
+  // indented entry document.  Such a directory is never read.
+  ScratchDir dir("oldlayout");
+  const auto cache_dir = dir.path / "c";
+  fs::create_directories(cache_dir);
+  const auto point = small_grid().expand().front();
+  auto result = sim::Json::object();
+  result["metrics"] = sim::Json::object();
+  auto entry = sim::Json::object();
+  entry["key"] = point.canonical();
+  entry["result"] = result;
+  const auto old_entry = cache_dir / (point.cache_key() + ".json");
+  write_text(old_entry, entry.dump(2) + "\n");
+  ResultCache cache(cache_dir.string());
+  EXPECT_FALSE(cache.load(point).has_value());
+  cache.store(point, result);
+  EXPECT_TRUE(cache.contains(point));
+  EXPECT_EQ(read_text(old_entry), entry.dump(2) + "\n");
 }
 
 TEST(ResultCache, DisabledCacheNeverStores) {
@@ -420,20 +610,37 @@ TEST(Campaign, KillResumeReExecutesOnlyMissingPoints) {
   const auto s = small_grid();
   const auto first = run_campaign(s, options);
 
-  // Simulate a campaign killed mid-flight: delete one cache entry and
-  // corrupt another (as if the process died between store()s — the
-  // tmp+rename protocol guarantees no torn entry, so "partial" means
-  // some entries simply absent).
-  const auto points = s.expand();
-  ResultCache cache(options.cache_dir);
-  ASSERT_TRUE(fs::remove(cache.path_for(points[1])));
-  std::ofstream(cache.path_for(points[2]), std::ios::trunc) << "garbage";
+  // Simulate a campaign killed mid-append: the pack ends partway through
+  // its last record (a torn tail), and another record is damaged in place.
+  const auto packs = files_with(options.cache_dir, ".pack");
+  ASSERT_EQ(packs.size(), 1u);
+  std::string pack = read_text(packs[0]);
+  ASSERT_EQ(std::count(pack.begin(), pack.end(), '\n'), 4);
+  const std::size_t last = pack.rfind('\n', pack.size() - 2) + 1;
+  pack.resize(last + (pack.size() - last) / 2);
+  const std::size_t second = pack.find('\n') + 1;
+  pack.replace(pack.find(' ', second) + 1, 8, "garbage!");
+  write_text(packs[0], pack);
 
   const auto resumed = run_campaign(s, options);
   EXPECT_EQ(resumed.executed, 2u);
   EXPECT_EQ(resumed.cached, 2u);
   EXPECT_EQ(resumed.report.dump(), first.report.dump())
       << "resume must reproduce the interrupted campaign's report";
+}
+
+TEST(Campaign, StoresAppendToOnePackAndCreateNoPerPointFile) {
+  // Two job threads share the run's cache, and every store is an append
+  // to its one pack: no per-point entry file, no temp file.
+  ScratchDir dir("onepack");
+  CampaignOptions options;
+  options.cache_dir = (dir.path / "cache").string();
+  options.jobs = 2;
+  const auto result = run_campaign(small_grid(), options);
+  EXPECT_EQ(result.executed, 4u);
+  EXPECT_EQ(files_with(options.cache_dir, ".pack").size(), 1u);
+  EXPECT_TRUE(files_with(options.cache_dir, ".json").empty());
+  EXPECT_TRUE(files_with(options.cache_dir, ".tmp.").empty());
 }
 
 TEST(Campaign, NoAxesRunsSinglePoint) {

@@ -252,19 +252,25 @@ TEST(Retry, FirstAttemptSuccessKeepsTheRowClean) {
 // ---------------------------------------------------------------------------
 // Cache store failure: loud, litter-free, surfaced through the retry path.
 
-TEST(CacheStore, RenameFailureRemovesTempAndThrows) {
+TEST(CacheStore, UnwritableCacheDirThrowsNamingThePath) {
   ScratchDir dir("publish");
   const auto cache_dir = (dir.path / "c").string();
+  // The cache-dir path is a regular file: neither the directory nor the
+  // pack can be created, and the store must say where it tried.
+  std::ofstream(cache_dir) << "not a directory";
   ResultCache cache(cache_dir);
   const auto point = tradeoff_grid().expand().front();
-  // Occupy the entry path with a directory: the tmp write succeeds but
-  // the rename cannot, which used to strand the tmp and lose the store.
-  fs::create_directories(cache.path_for(point));
   auto result = sim::Json::object();
   result["metrics"] = sim::Json::object();
-  EXPECT_THROW(cache.store(point, result), std::runtime_error);
-  EXPECT_EQ(count_files_matching(cache_dir, ".tmp."), 0u)
-      << "a failed publish must not strand its temp file";
+  try {
+    cache.store(point, result);
+    ADD_FAILURE() << "store into a non-directory must throw";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find(cache_dir), std::string::npos)
+        << e.what();
+  }
+  EXPECT_TRUE(fs::is_regular_file(cache_dir));
+  EXPECT_EQ(count_files_matching(dir.path, ".tmp."), 0u);
 }
 
 TEST(CacheStore, CampaignSurfacesPersistentStoreFailureAsFailedPoint) {
@@ -274,13 +280,13 @@ TEST(CacheStore, CampaignSurfacesPersistentStoreFailureAsFailedPoint) {
     "params": { "block_bits": 64, "b": 8, "c": 2 } })");
   CampaignOptions options;
   options.cache_dir = (dir.path / "c").string();
-  ResultCache cache(options.cache_dir);
-  fs::create_directories(cache.path_for(s.expand().front()));
+  std::ofstream(options.cache_dir) << "not a directory";
   const auto result = run_campaign(s, options);
   EXPECT_EQ(result.failed, 1u);
   EXPECT_EQ(result.exit_code(), 4);
   const auto& row = result.report.at("points").as_array()[0];
-  EXPECT_NE(row.at("error").as_string().find("publish"), std::string::npos)
+  EXPECT_NE(row.at("error").as_string().find(options.cache_dir),
+            std::string::npos)
       << row.at("error").as_string();
   EXPECT_EQ(row.at("attempts").as_uint(), 2u) << "store failures must retry";
   EXPECT_EQ(count_files_matching(dir.path, ".tmp."), 0u);
